@@ -54,33 +54,53 @@ def save_checkpoint(path: str | Path, net: DenseNet, anchor: Anchor | None = Non
 
 def load_checkpoint(path: str | Path
                     ) -> tuple[DenseNet, Anchor | None, FisherDiag | None]:
+    """Read a RECNET01 file; every malformed container raises CheckpointError."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:8]!r}, expected {MAGIC!r}")
     if len(raw) < 12:
         raise CheckpointError("truncated checkpoint header")
     (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    arch = Arch(header["arch"]["input_dim"], tuple(header["arch"]["hidden_widths"]),
-                header["arch"]["output_dim"])
+    if 12 + hlen > len(raw):
+        raise CheckpointError(f"truncated checkpoint header: {hlen} bytes announced, "
+                              f"{len(raw) - 12} present")
+    try:
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+        arch = Arch(header["arch"]["input_dim"], tuple(header["arch"]["hidden_widths"]),
+                    header["arch"]["output_dim"])
+        directory = [(spec["name"], tuple(int(d) for d in spec["shape"]))
+                     for spec in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"bad checkpoint header: {type(e).__name__}: {e}") from None
 
     off = 12 + hlen
     loaded: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+    for name, shape in directory:
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"negative shape {list(shape)} for array {name!r}")
+        count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if off + nbytes > len(raw):
-            raise CheckpointError(f"truncated array {spec['name']!r}")
-        loaded[spec["name"]] = np.frombuffer(raw, dtype="<f8", count=count,
-                                             offset=off).reshape(spec["shape"]).copy()
+            raise CheckpointError(f"truncated array {name!r}")
+        loaded[name] = np.frombuffer(raw, dtype="<f8", count=count,
+                                     offset=off).reshape(shape).copy()
         off += nbytes
+    if off != len(raw):
+        raise CheckpointError(f"{len(raw) - off} trailing bytes after the last array")
+    missing = [k for i in range(arch.num_layers) for k in (f"w{i}", f"b{i}")
+               if k not in loaded]
+    if missing:
+        raise CheckpointError(f"missing layer arrays: {', '.join(missing)}")
 
-    layers = []
-    for i in range(arch.num_layers):
-        act = IDENTITY if i == arch.num_layers - 1 else RELU
-        layers.append(Layer(loaded[f"w{i}"], loaded[f"b{i}"], act))
-    net = DenseNet(arch, layers)
-    anchor = Anchor(loaded["anchor"]) if "anchor" in loaded else None
-    fisher = (FisherDiag(loaded["fisher"], int(header["fisher_samples"] or 0))
-              if "fisher" in loaded else None)
+    try:
+        layers = []
+        for i in range(arch.num_layers):
+            act = IDENTITY if i == arch.num_layers - 1 else RELU
+            layers.append(Layer(loaded[f"w{i}"], loaded[f"b{i}"], act))
+        net = DenseNet(arch, layers)
+        anchor = Anchor(loaded["anchor"]) if "anchor" in loaded else None
+        fisher = (FisherDiag(loaded["fisher"], int(header["fisher_samples"] or 0))
+                  if "fisher" in loaded else None)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"inconsistent checkpoint: {type(e).__name__}: {e}") from None
     return net, anchor, fisher

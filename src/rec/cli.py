@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .controller import SearchConfig
@@ -53,6 +53,24 @@ _DEFAULTS: dict[str, str] = {
     "compress_lr": "0.005",
     "reward_scope": "new-only",
     "out_dir": "results",
+}
+
+
+# Smallest valid value of each integer key; `seeds` and `hidden` are
+# comma-separated lists, and every element is checked.
+_INT_MIN = {"tasks": 1, "seeds": 0, "hidden": 1, "side": 1, "classes": 1,
+            "train_samples": 1, "test_samples": 1, "data_seed": 0, "epochs": 1,
+            "batch_size": 1, "fisher_samples": 1, "search_budget": 1,
+            "m_children": 1, "child_epochs": 1, "compress_epochs": 1}
+_LIST_KEYS = ("seeds", "hidden")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+# Valid range of each float key, as a test and as the error message states it.
+_FLOAT_RANGE: dict[str, tuple[Callable[[float], bool], str]] = {
+    "lambda_ewc": _NONNEGATIVE, "lambda_21": _NONNEGATIVE, "lambda_1": _NONNEGATIVE,
+    "epsilon": (lambda v: 0 < v <= 1e-4, "in (0, 1e-4]"),
+    "lr": _POSITIVE, "controller_lr": _POSITIVE, "compress_lr": _POSITIVE,
+    "momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
 }
 
 
@@ -98,7 +116,36 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHOD_NAMES)}")
     if cfg["task_kind"] not in ("permuted", "rotated", "split"):
         raise ConfigError(f"unknown task_kind {cfg['task_kind']!r}")
+    if cfg["reward_scope"] not in ("new-only", "all-learned"):
+        raise ConfigError(f"unknown reward_scope {cfg['reward_scope']!r}")
+    _check_numbers(cfg)
+    for key in ("methods", "seeds"):
+        if not cfg.get_list(key):
+            raise ConfigError(f"{key} is empty")
+    if (cfg["task_kind"] == "split" and cfg["dataset"] == "synthetic"
+            and cfg.get_int("classes") % cfg.get_int("tasks")):
+        raise ConfigError(f"split tasks need classes ({cfg['classes']}) divisible by "
+                          f"tasks ({cfg['tasks']})")
     return cfg
+
+
+def _check_numbers(cfg: RunConfig) -> None:
+    """Every numeric value parses as its type, is finite and is in range."""
+    for key, lo in _INT_MIN.items():
+        for item in cfg.get_list(key) if key in _LIST_KEYS else [cfg[key]]:
+            try:
+                ok = int(item) >= lo
+            except ValueError:
+                raise ConfigError(f"{key} = {cfg[key]!r}: {item!r} is not an integer") from None
+            if not ok:
+                raise ConfigError(f"{key} = {cfg[key]!r}: must be >= {lo}")
+    for key, (in_range, wanted) in _FLOAT_RANGE.items():
+        try:
+            v = float(cfg[key])
+        except ValueError:
+            raise ConfigError(f"{key} = {cfg[key]!r}: not a number") from None
+        if not (math.isfinite(v) and in_range(v)):
+            raise ConfigError(f"{key} = {cfg[key]!r}: must be finite and {wanted}")
 
 
 def _build_tasks(cfg: RunConfig):
@@ -171,16 +218,9 @@ def cmd_run(config_path: str) -> int:
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         tasks = _build_tasks(cfg)
-        jobs = [(m, int(s)) for m in cfg.get_list("methods") for s in cfg.get_list("seeds")]
-        workers = max(1, int(os.environ.get("REC_THREADS", "1")))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_one, cfg, tasks, m, s, out) for m, s in jobs]
-                for f in futures:
-                    f.result()
-        else:
-            for m, s in jobs:
-                _run_one(cfg, tasks, m, s, out)
+        for m in cfg.get_list("methods"):
+            for s in cfg.get_list("seeds"):
+                _run_one(cfg, tasks, m, int(s), out)
         _write_reports(out)
     except Exception as e:  # noqa: BLE001 - diagnostics then nonzero exit
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
@@ -254,7 +294,7 @@ def cmd_checkpoint(mode: str, path: str, arch_spec: str | None, seed: int) -> in
             net = init_network(Arch(dims[0], tuple(dims[1:-1]), dims[-1]), seed)
             save_checkpoint(path, net)
             print(f"saved fresh network ({net.param_count()} params) to {path}")
-    except (CheckpointError, FileNotFoundError, ValueError) as e:
+    except (CheckpointError, OSError, ValueError) as e:
         print(f"checkpoint failed: {e}", file=sys.stderr)
         return 1
     return 0

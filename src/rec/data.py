@@ -69,6 +69,8 @@ def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
 
 def load_idx_images(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
+    if len(raw) < 16:
+        raise ValueError(f"truncated IDX image header in {path}: {len(raw)} of 16 bytes")
     magic, n, rows, cols = struct.unpack(">iiii", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise ValueError(f"bad IDX image magic 0x{magic:08x} in {path}")
@@ -80,6 +82,8 @@ def load_idx_images(path: str | Path) -> np.ndarray:
 
 def load_idx_labels(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise ValueError(f"truncated IDX label header in {path}: {len(raw)} of 8 bytes")
     magic, n = struct.unpack(">ii", raw[:8])
     if magic != IDX_LABELS_MAGIC:
         raise ValueError(f"bad IDX label magic 0x{magic:08x} in {path}")

@@ -14,7 +14,8 @@ from .data import Dataset, split_train_val
 from .distill import CompressConfig, compress
 from .netcore import Arch, DenseNet, evaluate, init_network
 from .regularize import Anchor, FisherDiag, PenaltyConfig, estimate_fisher, train_task
-from .transform import IndexMap, WiderAction, align_reference, apply_actions
+from .transform import (IndexMap, WiderAction, action_to_line, align_reference,
+                        apply_actions)
 
 PERMUTED = "permuted"
 ROTATED = "rotated"
@@ -319,7 +320,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
                     "child_param_count": child.param_count(),
                     "child_new_task_acc": child_acc,
                     "student_new_task_acc": evaluate(net, task.test.inputs, task.test.labels),
-                    "actions": [f"{a}" for a in result.actions],
+                    "actions": [action_to_line(a) for a in result.actions],
                 }
 
         if split_mode:
@@ -383,7 +384,7 @@ def _fixed_expand_step(net: DenseNet, task: Task, method: MethodConfig,
                    FisherDiag(f_vec, fisher.sample_count), method.penalty,
                    mask | extra, method.epochs, method.batch_size, method.lr,
                    subseed(seed, "train", t), method.momentum)
-    return expanded, {"actions": [f"{action}"]}
+    return expanded, {"actions": [action_to_line(action)]}
 
 
 def _with_head(hidden_net: DenseNet, head) -> DenseNet:

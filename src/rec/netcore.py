@@ -7,6 +7,7 @@ talks about "aligned vectors" means this ordering.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,21 +157,31 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return value, dlogits
 
 
-def backward(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of the loss w.r.t. every parameter, as a flat vector."""
-    if dlogits.shape != cache.pre[-1].shape:
-        raise ValueError("dlogits shape does not match cached forward")
-    grads: list[np.ndarray] = []
+def layer_deltas(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray
+                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Backpropagate `dlogits` (one row per sample) from the output layer down.
+
+    Yields (i, a_prev, delta) for i = last..0: delta is the loss gradient
+    w.r.t. layer i's pre-activations and a_prev the input layer i saw, so the
+    layer's weight gradient is a_prev.T @ delta. Between layers the error goes
+    through W.T and, below a ReLU layer, the mask pre > 0; identity layers
+    pass it through unchanged.
+    """
     delta = dlogits
     for i in range(len(net.layers) - 1, -1, -1):
-        a_prev = cache.inputs if i == 0 else cache.post[i - 1]
-        gw = a_prev.T @ delta
-        gb = delta.sum(axis=0)
-        grads.append(np.concatenate([gw.ravel(), gb]))
+        yield i, (cache.inputs if i == 0 else cache.post[i - 1]), delta
         if i > 0:
             delta = delta @ net.layers[i].weight.T
             if net.layers[i - 1].activation == RELU:
                 delta = delta * (cache.pre[i - 1] > 0)
+
+
+def backward(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of the loss w.r.t. every parameter, as a flat vector."""
+    if dlogits.shape != cache.pre[-1].shape:
+        raise ValueError("dlogits shape does not match cached forward")
+    grads = [np.concatenate([(a_prev.T @ delta).ravel(), delta.sum(axis=0)])
+             for _, a_prev, delta in layer_deltas(net, cache, dlogits)]
     return np.concatenate(grads[::-1])
 
 

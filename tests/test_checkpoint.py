@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,50 @@ class TestCorruption:
         p = tmp_path / "empty.recnet"
         p.write_bytes(b"")
         with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+    def test_bad_json_header(self, tmp_path, net):
+        p = tmp_path / "n.recnet"
+        save_checkpoint(p, net)
+        raw = bytearray(p.read_bytes())
+        raw[12] = ord("[")  # header opens with '[' but closes with '}'
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            load_checkpoint(p)
+
+    def test_header_length_past_end(self, tmp_path, net):
+        p = tmp_path / "n.recnet"
+        save_checkpoint(p, net)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:8] + struct.pack("<I", len(raw)) + raw[12:])
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+            load_checkpoint(p)
+
+    def test_header_missing_arch(self, tmp_path):
+        blob = json.dumps({"arrays": []}).encode()
+        p = tmp_path / "n.recnet"
+        p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            load_checkpoint(p)
+
+    def test_missing_layer_arrays(self, tmp_path, net):
+        # Directory lists only w0 and b0 for a three-layer arch.
+        header = {"arch": {"input_dim": 6, "hidden_widths": [9, 5], "output_dim": 4},
+                  "fisher_samples": None,
+                  "arrays": [{"name": "w0", "shape": [6, 9]}, {"name": "b0", "shape": [9]}]}
+        blob = json.dumps(header, sort_keys=True).encode()
+        payload = np.concatenate([net.layers[0].weight.ravel(), net.layers[0].bias])
+        p = tmp_path / "n.recnet"
+        p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                      + payload.astype("<f8").tobytes())
+        with pytest.raises(CheckpointError, match="missing layer arrays: w1, b1, w2, b2"):
+            load_checkpoint(p)
+
+    def test_trailing_bytes(self, tmp_path, net):
+        p = tmp_path / "n.recnet"
+        save_checkpoint(p, net)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
             load_checkpoint(p)
 
     def test_magic_constant(self):

@@ -55,6 +55,28 @@ class TestParseConfig:
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "nope.txt")
 
+    @pytest.mark.parametrize("body, message", [
+        ("tasks = 2.5\n", "not an integer"),
+        ("hidden = 40,x\n", "not an integer"),
+        ("seeds = 0,-1\n", "must be >= 0"),
+        ("batch_size = 0\n", "must be >= 1"),
+        ("lr = nan\n", "must be finite"),
+        ("lambda_ewc = inf\n", "must be finite"),
+        ("lambda_1 = -1e-5\n", "must be finite and >= 0"),
+        ("momentum = 1\n", "in \\[0, 1\\)"),
+        ("epsilon = 0\n", "in \\(0, 1e-4\\]"),
+        ("fisher_samples = 0\n", "must be >= 1"),
+        ("controller_lr = abc\n", "not a number"),
+        ("seeds = ,\n", "seeds is empty"),
+        ("reward_scope = everything\n", "unknown reward_scope"),
+        ("task_kind = split\ntasks = 3\n", "divisible"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, body, message):
+        p = tmp_path / "c.txt"
+        p.write_text(body)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(p)
+
 
 class TestRunCommand:
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -64,6 +86,22 @@ class TestRunCommand:
         p = tmp_path / "c.txt"
         p.write_text("bogus_key = 1\n")
         assert main(["run", str(p)]) == 2
+
+    def test_non_integer_tasks_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "tasks = abc", tmp_path / "out")
+        assert main(["run", str(p)]) == 2
+        assert "tasks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_epochs_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "epochs = -1", tmp_path / "out")
+        assert main(["run", str(p)]) == 2
+        assert "epochs" in capsys.readouterr().err
+
+    def test_split_with_zero_tasks_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "task_kind = split\ntasks = 0", tmp_path / "out")
+        assert main(["run", str(p)]) == 2
+        assert "tasks" in capsys.readouterr().err
 
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG, tmp_path / "out")
@@ -125,3 +163,13 @@ class TestCheckpointCommand:
         p = tmp_path / "bad.recnet"
         p.write_bytes(b"garbage bytes here")
         assert main(["checkpoint", "load", str(p)]) == 1
+
+    def test_load_trailing_bytes_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "net.recnet"
+        main(["checkpoint", "save", str(p), "--arch", "6,8,4"])
+        p.write_bytes(p.read_bytes() + b"\0" * 8)
+        assert main(["checkpoint", "load", str(p)]) == 1
+        assert "trailing bytes" in capsys.readouterr().err
+
+    def test_load_missing_file_exits_1(self, tmp_path):
+        assert main(["checkpoint", "load", str(tmp_path / "absent.recnet")]) == 1

@@ -1,0 +1,55 @@
+import struct
+
+import numpy as np
+import pytest
+
+from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_idx_dataset,
+                      load_idx_images, load_idx_labels)
+
+
+def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):
+    n, rows, cols = images.shape
+    img = tmp_path / "images.idx"
+    lab = tmp_path / "labels.idx"
+    img.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols)
+                    + images.astype(np.uint8).tobytes())
+    lab.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, n) + labels.astype(np.uint8).tobytes())
+    return img, lab
+
+
+class TestIdx:
+    def test_round_trip(self, tmp_path):
+        images = np.arange(3 * 2 * 2).reshape(3, 2, 2) * 20
+        img, lab = write_idx_pair(tmp_path, images, np.array([0, 2, 1]))
+        ds = load_idx_dataset(img, lab)
+        assert np.allclose(ds.inputs, images.reshape(3, 4) / 255.0)
+        assert ds.labels.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("size", [0, 7, 15])
+    def test_image_file_shorter_than_header(self, tmp_path, size):
+        p = tmp_path / "short.idx"
+        p.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, 1, 1, 1)[:size])
+        with pytest.raises(ValueError, match="truncated IDX image header"):
+            load_idx_images(p)
+
+    @pytest.mark.parametrize("size", [0, 4, 7])
+    def test_label_file_shorter_than_header(self, tmp_path, size):
+        p = tmp_path / "short.idx"
+        p.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 1)[:size])
+        with pytest.raises(ValueError, match="truncated IDX label header"):
+            load_idx_labels(p)
+
+    def test_truncated_payload(self, tmp_path):
+        img, _ = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))
+        img.write_bytes(img.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated IDX image file"):
+            load_idx_images(img)
+
+    def test_run_with_short_idx_exits_1(self, tmp_path, capsys):
+        from rec.cli import main
+        img, lab = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))
+        img.write_bytes(b"\x00\x00")
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"dataset = {img},{lab}\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "truncated IDX image header" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from rec.lifelong import (AccuracyMatrix, MethodConfig, ablation_suite, avg_per_
                           subseed)
 from rec.controller import SearchConfig
 from rec.regularize import PenaltyConfig
+from rec.transform import action_to_line, parse_action_line
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +209,18 @@ class TestRunSequence:
         assert r.size_trace[0] == r.final_net.param_count()
         later = [rec for rec in r.records if rec["task"] > 1]
         assert all("student_new_task_acc" in rec for rec in later)
+
+    @pytest.mark.parametrize("method", ["net2net_ewc", "rec"])
+    def test_recorded_actions_use_action_lines(self, small_bench, method):
+        mc = _cfg(method, epochs=2, search_budget=4,
+                  search=SearchConfig(m_children=2, child_epochs=1, batch_size=128, lr=0.03),
+                  compress_cfg=CompressConfig(epochs=2, batch_size=128, lr=0.005))
+        r = run_sequence(small_bench, mc, seed=0)
+        recorded = [rec["actions"] for rec in r.records if rec["task"] > 1]
+        assert len(recorded) == 2 and any(recorded)
+        for lines in recorded:
+            for line in lines:
+                assert action_to_line(parse_action_line(line)) == line
 
     def test_net2net_grows(self, small_bench):
         r = run_sequence(small_bench, _cfg("net2net"), seed=0)

@@ -4,13 +4,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec.data import Dataset
-from rec.netcore import Arch, Batch, DenseNet, IDENTITY, Layer, forward, init_network, loss_ce
-from rec.regularize import (Anchor, FisherDiag, PenaltyConfig, estimate_fisher,
-                            ewc_term, l1_term, l21_term, mwc_loss, train_task)
+from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, backward, forward,
+                         init_network, loss_ce)
+from rec.regularize import (FISHER_CHUNK, Anchor, FisherDiag, PenaltyConfig,
+                            estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
+                            train_task)
+from rec.transform import DeeperAction, WiderAction, apply_actions
 
 from conftest import central_diff, max_rel_err
 
 EPS = 1e-8
+
+
+def fisher_by_loop(net, dataset, max_samples, seed):
+    """Reference Fisher: one single-row forward/backward per sampled row."""
+    n = min(max_samples, len(dataset))
+    idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
+    acc = np.zeros(net.param_count())
+    for i in idx:
+        batch = Batch(dataset.inputs[i:i + 1], dataset.labels[i:i + 1])
+        logits, cache = forward(net, batch)
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        dlogits = -probs
+        dlogits[0, batch.labels[0]] += 1.0
+        g = backward(net, cache, dlogits)
+        acc += g * g
+    return acc / n
+
+
+def random_net(arch, seed):
+    """He-initialized net with nonzero biases, so every Fisher term is exercised."""
+    net = init_network(arch, seed)
+    rng = np.random.default_rng(seed + 100)
+    for layer in net.layers:
+        layer.bias[...] = rng.normal(0.0, 0.3, layer.bias.shape)
+    return net
+
+
+def random_dataset(n, dim, classes, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((n, dim)), rng.integers(0, classes, n))
+
+
+def assert_matches_loop(net, ds, max_samples, seed):
+    batched = estimate_fisher(net, ds, max_samples, seed)
+    assert batched.sample_count == min(max_samples, len(ds))
+    np.testing.assert_allclose(batched.values, fisher_by_loop(net, ds, max_samples, seed),
+                               rtol=1e-12, atol=0)
 
 
 class TestFisher:
@@ -52,6 +93,42 @@ class TestFisher:
         net = init_network(Arch(2, (2,), 2), seed=0)
         with pytest.raises(ValueError):
             estimate_fisher(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), 5, 0)
+
+    def test_zero_samples_rejected(self):
+        net = init_network(Arch(2, (2,), 2), seed=0)
+        with pytest.raises(ValueError, match="max_samples"):
+            estimate_fisher(net, random_dataset(4, 2, 2, 0), 0, 0)
+
+    # The batched per-example-gradient Fisher equals the per-sample loop.
+    @pytest.mark.parametrize("arch", [Arch(5, (), 3), Arch(6, (7,), 4),
+                                      Arch(8, (9, 6), 5), Arch(10, (12, 3, 7), 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_nets(self, arch, seed):
+        net = random_net(arch, seed)
+        ds = random_dataset(90, arch.input_dim, arch.output_dim, seed)
+        assert_matches_loop(net, ds, max_samples=60, seed=seed)
+
+    def test_after_wider_and_deeper_actions(self):
+        net = random_net(Arch(6, (5, 4), 3), 2)
+        grown, _, _ = apply_actions(net, [WiderAction(0, 9), DeeperAction(1)], seed=4)
+        assert grown.arch.hidden_widths == (9, 4, 4)
+        ds = random_dataset(80, 6, 3, 5)
+        assert_matches_loop(grown, ds, max_samples=50, seed=1)
+
+    def test_single_sample(self):
+        net = random_net(Arch(4, (6,), 3), 3)
+        assert_matches_loop(net, random_dataset(20, 4, 3, 6), max_samples=1, seed=2)
+
+    def test_more_samples_than_rows(self):
+        net = random_net(Arch(4, (6,), 3), 4)
+        ds = random_dataset(30, 4, 3, 7)
+        assert_matches_loop(net, ds, max_samples=1000, seed=3)
+        assert estimate_fisher(net, ds, 1000, 3).sample_count == 30
+
+    def test_count_not_a_multiple_of_the_chunk(self):
+        n = 2 * FISHER_CHUNK + 37
+        net = random_net(Arch(5, (4,), 3), 5)
+        assert_matches_loop(net, random_dataset(n + 10, 5, 3, 8), max_samples=n, seed=4)
 
 
 class TestEwcTerm:
