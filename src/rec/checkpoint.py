@@ -9,6 +9,7 @@ docs/formats.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -68,17 +69,17 @@ def load_checkpoint(path: str | Path
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
         arch = Arch(header["arch"]["input_dim"], tuple(header["arch"]["hidden_widths"]),
                     header["arch"]["output_dim"])
-        directory = [(spec["name"], tuple(int(d) for d in spec["shape"]))
-                     for spec in header["arrays"]]
+        directory = [(spec["name"], spec["shape"]) for spec in header["arrays"]]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"bad checkpoint header: {type(e).__name__}: {e}") from None
 
     off = 12 + hlen
     loaded: dict[str, np.ndarray] = {}
     for name, shape in directory:
-        if any(d < 0 for d in shape):
-            raise CheckpointError(f"negative shape {list(shape)} for array {name!r}")
-        count = int(np.prod(shape)) if shape else 1
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"shape {shape!r} of array {name!r} is not a list of "
+                                  "non-negative integers")
+        count = math.prod(shape)  # a Python int: no overflow
         nbytes = count * 8
         if off + nbytes > len(raw):
             raise CheckpointError(f"truncated array {name!r}")
@@ -93,11 +94,9 @@ def load_checkpoint(path: str | Path
         raise CheckpointError(f"missing layer arrays: {', '.join(missing)}")
 
     try:
-        layers = []
-        for i in range(arch.num_layers):
-            act = IDENTITY if i == arch.num_layers - 1 else RELU
-            layers.append(Layer(loaded[f"w{i}"], loaded[f"b{i}"], act))
-        net = DenseNet(arch, layers)
+        net = DenseNet(arch, [Layer(loaded[f"w{i}"], loaded[f"b{i}"],
+                                    IDENTITY if i == arch.num_layers - 1 else RELU)
+                              for i in range(arch.num_layers)])
         anchor = Anchor(loaded["anchor"]) if "anchor" in loaded else None
         fisher = (FisherDiag(loaded["fisher"], int(header["fisher_samples"] or 0))
                   if "fisher" in loaded else None)

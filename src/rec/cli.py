@@ -22,7 +22,7 @@ from .distill import CompressConfig
 from .lifelong import (METHOD_NAMES, gen_permuted_tasks, gen_rotated_tasks,
                        gen_split_tasks, method_config, run_sequence, subseed)
 from .netcore import Arch, init_network
-from .regularize import PenaltyConfig
+from .regularize import PenaltyConfig, TrainingDiverged
 
 _DEFAULTS: dict[str, str] = {
     "dataset": "synthetic",
@@ -54,6 +54,11 @@ _DEFAULTS: dict[str, str] = {
     "reward_scope": "new-only",
     "out_dir": "results",
 }
+
+# Files `rec run` writes into out_dir; it removes earlier ones before its first
+# job, so the reports describe only the run that wrote them.
+_OWNED_PATTERNS = ("results_*.jsonl", "search_*.jsonl", "final_*.recnet",
+                   "summary.csv", "series.csv")
 
 
 # Smallest valid value of each integer key; `seeds` and `hidden` are
@@ -217,15 +222,24 @@ def cmd_run(config_path: str) -> int:
     try:
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
+        for pattern in _OWNED_PATTERNS:
+            for stale in out.glob(pattern):
+                stale.unlink()
         tasks = _build_tasks(cfg)
-        for m in cfg.get_list("methods"):
-            for s in cfg.get_list("seeds"):
-                _run_one(cfg, tasks, m, int(s), out)
-        _write_reports(out)
+        jobs = [(m, int(s)) for m in cfg.get_list("methods") for s in cfg.get_list("seeds")]
+        diverged = 0
+        for m, s in jobs:
+            try:
+                _run_one(cfg, tasks, m, s, out)
+            except TrainingDiverged as e:  # the other jobs still run
+                print(f"job {m} s{s} diverged: {e}", file=sys.stderr)
+                diverged += 1
+        if diverged < len(jobs):
+            _write_reports(out)
     except Exception as e:  # noqa: BLE001 - diagnostics then nonzero exit
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    return 0
+    return 1 if diverged else 0
 
 
 def _load_records(results_dir: Path) -> list[dict]:

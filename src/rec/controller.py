@@ -9,7 +9,6 @@ table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +16,9 @@ import numpy as np
 from .data import Dataset
 from .netcore import Arch, DenseNet, evaluate
 from .regularize import (Anchor, FisherDiag, PenaltyConfig, TrainingDiverged,
-                         train_task)
+                         consolidation, train_task)
 from .transform import (MAX_DEEPER_ACTIONS, MAX_WIDER_ACTIONS, DeeperAction, IndexMap,
-                        WiderAction, action_to_line, align_reference, apply_actions)
+                        WiderAction, action_to_line, apply_actions)
 
 PROB_FLOOR = 1e-6
 
@@ -266,13 +265,13 @@ class SearchResult:
     net: DenseNet
     actions: list[WiderAction | DeeperAction]
     index_map: IndexMap
-    mask: np.ndarray | None
+    mask: np.ndarray  # the child's new coordinates (apply_actions)
     a_val: float
     log: list[dict]
 
 
 def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset],
-                 anchor: Anchor, fisher: FisherDiag, cfg: PenaltyConfig,
+                 anchor: Anchor | None, fisher: FisherDiag | None, cfg: PenaltyConfig,
                  budget: int, policy: ControllerPolicy, baseline: BaselineState,
                  seed: int, search_cfg: SearchConfig = SearchConfig(),
                  old_invalid: np.ndarray | None = None
@@ -300,33 +299,14 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
         for j in range(batch_n):
             ep_seed = seed + 1013 * (done + j)
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
-            child = prev_net.copy()
             diverged = False
             try:
-                if ep.actions:
-                    child, imap, mask = apply_actions(child, ep.actions, seed=ep_seed + 1)
-                    a_vec, f_vec, extra = align_reference(
-                        anchor.params, fisher.values, imap, child.param_count(), old_invalid)
-                    mask = mask | extra
-                    train_task(child, train_set, Anchor(a_vec),
-                               FisherDiag(f_vec, fisher.sample_count), cfg, mask,
-                               search_cfg.child_epochs, search_cfg.batch_size,
-                               search_cfg.lr, ep_seed + 2, search_cfg.momentum)
-                else:
-                    imap = IndexMap.identity(prev_net.param_count())
-                    mask = None
-                    if old_invalid is not None:
-                        a_vec, f_vec, extra = align_reference(
-                            anchor.params, fisher.values, imap, child.param_count(), old_invalid)
-                        train_task(child, train_set, Anchor(a_vec),
-                                   FisherDiag(f_vec, fisher.sample_count), cfg, extra,
-                                   search_cfg.child_epochs, search_cfg.batch_size,
-                                   search_cfg.lr, ep_seed + 2, search_cfg.momentum)
-                        mask = extra
-                    else:
-                        train_task(child, train_set, anchor, fisher, cfg, None,
-                                   search_cfg.child_epochs, search_cfg.batch_size,
-                                   search_cfg.lr, ep_seed + 2, search_cfg.momentum)
+                child, imap, mask = apply_actions(prev_net.copy(), ep.actions, seed=ep_seed + 1)
+                objective = consolidation(anchor, fisher, cfg, child.param_count(), imap, mask,
+                                          old_invalid)
+                train_task(child, train_set, objective, search_cfg.child_epochs,
+                           search_cfg.batch_size, search_cfg.lr, ep_seed + 2,
+                           search_cfg.momentum)
                 ep.a_val = evaluate(child, val_inputs, val_labels)
             except TrainingDiverged:
                 # A diverged child is a legal search outcome, not a pipeline
@@ -353,8 +333,3 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
     best.log = log
     return best, baseline
 
-
-def write_search_log(path, log: list[dict]) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in log:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -1,16 +1,17 @@
 """Logit-matching knowledge distillation: compress an expanded child back to
-the initial architecture (l2 loss on teacher logits, then joint hard+soft)."""
+the initial architecture (l2 loss on teacher logits, then joint hard+soft).
+The student trains through regularize.train_task with a KD/CE objective."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .netcore import Arch, Batch, DenseNet, backward, forward, init_network, loss_ce, predict_logits, sgd_step
-from .regularize import TrainingDiverged
+from .netcore import (Arch, Batch, DenseNet, backward, forward, init_network, loss_ce,
+                      predict_logits)
+from .regularize import train_task
 
 
 @dataclass
@@ -63,32 +64,15 @@ def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
         student = init_net.copy()
     else:
         student = init_network(initial_arch, seed)
-    rng = np.random.default_rng(seed)
-    velocity = None
     warm = int(round(cfg.kd_warmup_frac * cfg.epochs))
-    n = len(dataset)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = Batch(dataset.inputs[idx], dataset.labels[idx])
-            logits, cache = forward(student, batch)
-            kd_v, kd_d = kd_loss(logits, targets[idx])
-            if epoch < warm:
-                value, dlogits = kd_v, kd_d
-            else:
-                ce_v, ce_d = loss_ce(logits, batch.labels)
-                value, dlogits = ce_v + kd_v, ce_d + kd_d
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"non-finite compression loss at epoch {epoch}")
-            grads = backward(student, cache, dlogits)
-            velocity = sgd_step(student, grads, cfg.lr, cfg.momentum, velocity)
-    return student
 
+    def objective(net: DenseNet, batch: Batch, rows: np.ndarray, epoch: int):
+        logits, cache = forward(net, batch)
+        value, dlogits = kd_loss(logits, targets[rows])
+        if epoch >= warm:
+            ce_v, ce_d = loss_ce(logits, batch.labels)
+            value, dlogits = ce_v + value, ce_d + dlogits
+        return value, backward(net, cache, dlogits)
 
-def teacher_fingerprint(teacher: DenseNet) -> str:
-    """Content hash for caching soft targets against a specific teacher."""
-    h = hashlib.sha256()
-    h.update(repr(teacher.arch).encode())
-    h.update(teacher.get_flat().tobytes())
-    return h.hexdigest()
+    return train_task(student, dataset, objective, cfg.epochs, cfg.batch_size, cfg.lr,
+                      seed, cfg.momentum)

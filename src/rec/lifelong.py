@@ -8,14 +8,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import (BaselineState, ControllerPolicy, SearchConfig, init_policy,
-                         search_child)
+from .controller import BaselineState, SearchConfig, init_policy, search_child
 from .data import Dataset, split_train_val
 from .distill import CompressConfig, compress
-from .netcore import Arch, DenseNet, evaluate, init_network
-from .regularize import Anchor, FisherDiag, PenaltyConfig, estimate_fisher, train_task
-from .transform import (IndexMap, WiderAction, action_to_line, align_reference,
-                        apply_actions)
+from .netcore import Arch, DenseNet, Layer, evaluate, init_network
+from .regularize import (Anchor, FisherDiag, PenaltyConfig, consolidation, estimate_fisher,
+                         train_task)
+from .transform import WiderAction, action_to_line, apply_actions
 
 PERMUTED = "permuted"
 ROTATED = "rotated"
@@ -49,6 +48,15 @@ class TaskSequence:
         return len(self.tasks)
 
 
+def _transformed_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
+                       val_ratio: float, transforms: list[tuple]) -> TaskSequence:
+    """One task per (input map, spec) pair: the map applied to every split."""
+    n_classes = int(train_ds.labels.max()) + 1
+    tr, va = split_train_val(train_ds, val_ratio, subseed(seed, "valsplit"))
+    return TaskSequence([Task(tr.map_inputs(fn), va.map_inputs(fn), test_ds.map_inputs(fn),
+                              kind, n_classes, spec) for fn, spec in transforms], kind, seed)
+
+
 def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed: int,
                        val_ratio: float = 0.1) -> TaskSequence:
     """Task 1 is the identity; later tasks apply an independent fixed pixel
@@ -56,20 +64,11 @@ def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed
     if num_tasks < 1:
         raise ValueError("need at least one task")
     rng = np.random.default_rng(subseed(seed, "perm"))
-    n_classes = int(train_ds.labels.max()) + 1
-    tr, va = split_train_val(train_ds, val_ratio, subseed(seed, "valsplit"))
-    tasks = []
     d = train_ds.input_dim
-    for t in range(num_tasks):
-        perm = np.arange(d) if t == 0 else rng.permutation(d)
-        tasks.append(Task(
-            train=tr.map_inputs(lambda x, p=perm: x[:, p]),
-            val=va.map_inputs(lambda x, p=perm: x[:, p]),
-            test=test_ds.map_inputs(lambda x, p=perm: x[:, p]),
-            kind=PERMUTED, num_classes=n_classes,
-            transform_spec={"permutation": perm.tolist()},
-        ))
-    return TaskSequence(tasks, PERMUTED, seed)
+    perms = [np.arange(d) if t == 0 else rng.permutation(d) for t in range(num_tasks)]
+    return _transformed_tasks(train_ds, test_ds, PERMUTED, seed, val_ratio,
+                              [(lambda x, p=p: x[:, p], {"permutation": p.tolist()})
+                               for p in perms])
 
 
 def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -98,17 +97,10 @@ def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed:
     """Task t rotates every image by (t-1) * 180/T degrees."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
-    n_classes = int(train_ds.labels.max()) + 1
-    tr, va = split_train_val(train_ds, val_ratio, subseed(seed, "valsplit"))
-    tasks = []
-    for t in range(num_tasks):
-        angle = t * 180.0 / num_tasks
-        rot = (lambda x, a=angle: x if a == 0 else rotate_images(x, a))
-        tasks.append(Task(
-            train=tr.map_inputs(rot), val=va.map_inputs(rot), test=test_ds.map_inputs(rot),
-            kind=ROTATED, num_classes=n_classes, transform_spec={"angle_deg": angle},
-        ))
-    return TaskSequence(tasks, ROTATED, seed)
+    angles = [t * 180.0 / num_tasks for t in range(num_tasks)]
+    return _transformed_tasks(train_ds, test_ds, ROTATED, seed, val_ratio,
+                              [(lambda x, a=a: x if a == 0 else rotate_images(x, a),
+                                {"angle_deg": a}) for a in angles])
 
 
 def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed: int,
@@ -157,14 +149,6 @@ class AccuracyMatrix:
         return [row[k - 1] for row in self.rows[k - 1:]]
 
 
-def avg_per_task(acc: AccuracyMatrix, t: int) -> float:
-    return acc.avg_per_task(t)
-
-
-def forgetting_curve(acc: AccuracyMatrix, k: int = 1) -> list[float]:
-    return acc.forgetting_curve(k)
-
-
 @dataclass(frozen=True)
 class MethodConfig:
     method: str
@@ -180,8 +164,6 @@ class MethodConfig:
     search_budget: int = 10
     search: SearchConfig = SearchConfig()
     compress_cfg: CompressConfig = CompressConfig()
-    controller_seed_offset: int = 0
-    controller_reset_per_task: bool = False
 
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
@@ -227,35 +209,38 @@ def _attach_head(hidden_net: DenseNet, num_classes: int, seed: int) -> DenseNet:
     """Fresh output head on carried hidden layers (split-task protocol)."""
     arch = Arch(hidden_net.arch.input_dim, hidden_net.arch.hidden_widths, num_classes)
     fresh = init_network(arch, seed)
-    for i in range(len(hidden_net.layers) - 1):
-        fresh.layers[i].weight[...] = hidden_net.layers[i].weight
-        fresh.layers[i].bias[...] = hidden_net.layers[i].bias
+    head_start = arch.layer_slices()[-1][0].start
+    fresh.params[:head_start] = hidden_net.params[:head_start]
     return fresh
 
 
-def _head_region(net: DenseNet) -> np.ndarray:
-    """Boolean flat-view mask of the output layer's parameters."""
-    region = np.zeros(net.param_count(), dtype=bool)
-    w_sl, b_sl = net.layer_slices()[-1]
-    region[w_sl] = True
-    region[b_sl] = True
-    return region
+def _with_head(hidden_net: DenseNet, head: Layer) -> DenseNet:
+    arch = Arch(hidden_net.arch.input_dim, hidden_net.arch.hidden_widths, head.bias.size)
+    return DenseNet(arch, hidden_net.layers[:-1] + [head])
 
 
 def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
                  hidden_widths: tuple[int, ...] = (40, 40)) -> RunResult:
-    """Algorithm-1 orchestration of one (method, seed) run."""
+    """Algorithm-1 orchestration of one (method, seed) run.
+
+    Every task is the same three steps, switched by the method's config:
+    optionally expand the carried net (searched children when the method
+    compresses, else a capped widening of the first hidden layer), train it
+    on the consolidation objective (an anchor exists only when some lambda is
+    positive), and optionally distill it back to the initial architecture.
+    """
     split_mode = tasks.kind == SPLIT
     first = tasks.tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
+    p = method.penalty
+    penalized = max(p.lambda_ewc, p.lambda_21, p.lambda_1) > 0
 
     anchor: Anchor | None = None
     fisher: FisherDiag | None = None
-    policy: ControllerPolicy | None = None
+    policy = init_policy(subseed(seed, "controller"))  # searched expansion only
     baseline = BaselineState()
-    heads: list = []  # per-task output layers, split mode only
-    hidden_snapshot: DenseNet | None = None
+    heads: list[Layer] = []  # per-task output layers, read in split mode
 
     acc = AccuracyMatrix()
     size_trace: list[int] = []
@@ -264,72 +249,51 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
 
     for t, task in enumerate(tasks.tasks):
         extra: dict = {}
-        if t == 0:
-            train_task(net, task.train, None, None, method.penalty, None,
-                       method.epochs, method.batch_size, method.lr,
-                       subseed(seed, "train", t), method.momentum)
-        else:
-            if split_mode:
-                net = _attach_head(net, task.num_classes, subseed(seed, "head", t))
-            old_invalid = _head_region(net) if split_mode else None
-            if method.method == "sn":
-                train_task(net, task.train, None, None, method.penalty, None,
-                           method.epochs, method.batch_size, method.lr,
-                           subseed(seed, "train", t), method.momentum)
-            elif not method.expansion:
-                a_vec, f_vec, mask = _aligned_for(net, anchor, fisher, old_invalid)
-                train_task(net, task.train, a_vec, f_vec, method.penalty, mask,
-                           method.epochs, method.batch_size, method.lr,
-                           subseed(seed, "train", t), method.momentum)
-            elif method.method in ("net2net", "net2net_ewc"):
-                net, extra = _fixed_expand_step(net, task, method, anchor, fisher,
-                                                old_invalid, initial_arch, seed, t)
-            else:  # rec
-                if policy is None or method.controller_reset_per_task:
-                    policy = init_policy(subseed(seed, "controller",
-                                                 t if method.controller_reset_per_task else 0)
-                                         + method.controller_seed_offset)
-                    baseline = BaselineState()
-                val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]
-                            if method.reward_scope == "all-learned" else [task.val])
-                result, baseline = search_child(
-                    net, task.train, val_sets, anchor, fisher, method.penalty,
-                    method.search_budget, policy, baseline,
-                    subseed(seed, "search", t), method.search, old_invalid)
-                search_log.extend({"task": t + 1, **rec} for rec in result.log)
-                child = result.net
-                # Full consolidation schedule on the chosen child.
-                a_vec, f_vec, extra_mask = align_reference(
-                    anchor.params, fisher.values, result.index_map,
-                    child.param_count(), old_invalid)
-                mask = result.mask if result.mask is not None else np.zeros(
-                    child.param_count(), dtype=bool)
-                mask = mask | extra_mask
-                train_task(child, task.train, Anchor(a_vec),
-                           FisherDiag(f_vec, fisher.sample_count), method.penalty,
-                           mask if mask.any() else None,
-                           method.epochs, method.batch_size, method.lr,
-                           subseed(seed, "train", t), method.momentum)
-                child_acc = evaluate(child, task.test.inputs, task.test.labels)
-                target_arch = Arch(initial_arch.input_dim, initial_arch.hidden_widths,
-                                   task.num_classes)
-                warm = net if net.arch == target_arch else None
-                net = compress(child, target_arch, task.train, method.compress_cfg,
-                               subseed(seed, "distill", t), init_net=warm)
-                extra = {
-                    "child_param_count": child.param_count(),
-                    "child_new_task_acc": child_acc,
-                    "student_new_task_acc": evaluate(net, task.test.inputs, task.test.labels),
-                    "actions": [action_to_line(a) for a in result.actions],
-                }
+        old_invalid = None
+        if t > 0 and split_mode:
+            net = _attach_head(net, task.num_classes, subseed(seed, "head", t))
+            # the replaced output head: old parameters that must not be anchored
+            old_invalid = np.arange(net.param_count()) >= net.arch.layer_slices()[-1][0].start
+        child, imap, mask, actions = net, None, None, []
+        if t > 0 and method.expansion and method.compression:
+            val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]
+                        if method.reward_scope == "all-learned" else [task.val])
+            result, baseline = search_child(
+                net, task.train, val_sets, anchor, fisher, method.penalty,
+                method.search_budget, policy, baseline,
+                subseed(seed, "search", t), method.search, old_invalid)
+            search_log.extend({"task": t + 1, **rec} for rec in result.log)
+            child, imap, mask, actions = result.net, result.index_map, result.mask, result.actions
+        elif t > 0 and method.expansion:
+            w = net.arch.hidden_widths[0]
+            cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
+            actions = [WiderAction(0, min(2 * w, cap))]
+            child, imap, mask = apply_actions(net, actions, subseed(seed, "expand", t))
 
-        if split_mode:
-            heads.append(net.layers[-1].copy())
-            hidden_snapshot = net
+        objective = consolidation(anchor, fisher, method.penalty, child.param_count(), imap,
+                                  mask, old_invalid)
+        train_task(child, task.train, objective, method.epochs, method.batch_size,
+                   method.lr, subseed(seed, "train", t), method.momentum)
+        if t > 0 and method.expansion:
+            extra["actions"] = [action_to_line(a) for a in actions]
+        if t > 0 and method.compression:
+            target_arch = Arch(initial_arch.input_dim, hidden_widths, task.num_classes)
+            warm = net if net.arch == target_arch else None
+            net = compress(child, target_arch, task.train, method.compress_cfg,
+                           subseed(seed, "distill", t), init_net=warm)
+            extra.update({
+                "child_param_count": child.param_count(),
+                "child_new_task_acc": evaluate(child, task.test.inputs, task.test.labels),
+                "student_new_task_acc": evaluate(net, task.test.inputs, task.test.labels),
+            })
+        else:
+            net = child
+
+        heads.append(net.layers[-1].copy())
         row = []
         for k in range(t + 1):
             tk = tasks.tasks[k]
-            model = _with_head(hidden_snapshot, heads[k]) if split_mode else net
+            model = _with_head(net, heads[k]) if split_mode else net
             row.append(evaluate(model, tk.test.inputs, tk.test.labels))
         acc.add_row(row)
         size_trace.append(net.param_count())
@@ -342,56 +306,12 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             **extra,
         })
 
-        if method.method not in ("sn", "net2net"):
+        if penalized:
             fisher = estimate_fisher(net, task.train, method.fisher_samples,
                                      subseed(seed, "fisher", t))
             anchor = Anchor(net.get_flat())
 
     return RunResult(acc, size_trace, records, search_log, net)
-
-
-def _aligned_for(net: DenseNet, anchor: Anchor, fisher: FisherDiag,
-                 old_invalid: np.ndarray | None
-                 ) -> tuple[Anchor, FisherDiag, np.ndarray | None]:
-    """Anchor/Fisher with the replaced head excluded (split mode); pass-through
-    otherwise. Split tasks share one head size, so the flat views line up."""
-    if old_invalid is None:
-        return anchor, fisher, None
-    imap = IndexMap.identity(net.param_count())
-    a_vec, f_vec, extra = align_reference(anchor.params, fisher.values, imap,
-                                          net.param_count(), old_invalid)
-    return Anchor(a_vec), FisherDiag(f_vec, fisher.sample_count), extra
-
-
-def _fixed_expand_step(net: DenseNet, task: Task, method: MethodConfig,
-                       anchor: Anchor, fisher: FisherDiag,
-                       old_invalid: np.ndarray | None, initial_arch: Arch,
-                       seed: int, t: int) -> tuple[DenseNet, dict]:
-    """Net2Net baselines: always widen the first hidden layer (capped), then
-    fine-tune (plain or EWC-consolidated)."""
-    w = net.arch.hidden_widths[0]
-    cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
-    action = WiderAction(0, min(2 * w, cap))
-    expanded, imap, mask = apply_actions(net, [action], subseed(seed, "expand", t))
-    if method.method == "net2net":
-        train_task(expanded, task.train, None, None, method.penalty, None,
-                   method.epochs, method.batch_size, method.lr,
-                   subseed(seed, "train", t), method.momentum)
-    else:
-        a_vec, f_vec, extra = align_reference(anchor.params, fisher.values, imap,
-                                              expanded.param_count(), old_invalid)
-        train_task(expanded, task.train, Anchor(a_vec),
-                   FisherDiag(f_vec, fisher.sample_count), method.penalty,
-                   mask | extra, method.epochs, method.batch_size, method.lr,
-                   subseed(seed, "train", t), method.momentum)
-    return expanded, {"actions": [action_to_line(action)]}
-
-
-def _with_head(hidden_net: DenseNet, head) -> DenseNet:
-    arch = Arch(hidden_net.arch.input_dim, hidden_net.arch.hidden_widths,
-                head.bias.shape[0])
-    layers = [l.copy() for l in hidden_net.layers[:-1]] + [head.copy()]
-    return DenseNet(arch, layers)
 
 
 def ablation_suite(tasks: TaskSequence, seeds: list[int], penalty: PenaltyConfig,

@@ -1,8 +1,10 @@
 """Minimal dense-network engine: init, forward, CE loss, manual backprop, SGD.
 
-All math is float64. The flat-parameter view concatenates, per layer,
-W.ravel() (row-major) followed by b; every module in this package that
-talks about "aligned vectors" means this ordering.
+All math is float64. A DenseNet owns one contiguous parameter vector
+`params`; each layer's weight and bias are views into it. The flat ordering
+is, per layer, W.ravel() (row-major) followed by b, with the offsets given by
+Arch.layer_slices(); every module in this package that talks about "aligned
+vectors" means this ordering.
 """
 
 from __future__ import annotations
@@ -40,8 +42,16 @@ class Arch:
         return len(self.hidden_widths) + 1
 
     def param_count(self) -> int:
+        return self.layer_slices()[-1][1].stop
+
+    def layer_slices(self) -> list[tuple[slice, slice]]:
+        """Flat-vector (weight_slice, bias_slice) per layer."""
+        out, off = [], 0
         ws = self.widths
-        return sum(fi * fo + fo for fi, fo in zip(ws[:-1], ws[1:]))
+        for fi, fo in zip(ws[:-1], ws[1:]):
+            out.append((slice(off, off + fi * fo), slice(off + fi * fo, off + fi * fo + fo)))
+            off += fi * fo + fo
+        return out
 
 
 @dataclass
@@ -54,49 +64,43 @@ class Layer:
         return Layer(self.weight.copy(), self.bias.copy(), self.activation)
 
 
-@dataclass
 class DenseNet:
-    arch: Arch
-    layers: list[Layer]
+    """Dense classifier over one parameter vector.
 
-    def __post_init__(self):
-        ws = self.arch.widths
-        if len(self.layers) != self.arch.num_layers:
+    The constructor copies the given layers into a fresh `params` vector and
+    keeps new Layer objects whose weight and bias are views into it, so the
+    caller's arrays are never aliased. Update `params` in place only; binding
+    a new array to it would detach the layers.
+    """
+
+    def __init__(self, arch: Arch, layers: list[Layer]):
+        ws = arch.widths
+        if len(layers) != arch.num_layers:
             raise ValueError("layer count does not match arch")
-        for l, (fi, fo) in zip(self.layers, zip(ws[:-1], ws[1:])):
+        for l, (fi, fo) in zip(layers, zip(ws[:-1], ws[1:])):
             if l.weight.shape != (fi, fo) or l.bias.shape != (fo,):
                 raise ValueError(f"layer shape {l.weight.shape} does not chain with arch {ws}")
-        if self.layers[-1].activation != IDENTITY:
+        if layers[-1].activation != IDENTITY:
             raise ValueError("final layer must emit raw logits")
+        self.arch = arch
+        self.params = np.concatenate([a for l in layers for a in (l.weight.ravel(), l.bias)],
+                                     dtype=np.float64)
+        self.layers = [Layer(self.params[w_sl].reshape(l.weight.shape), self.params[b_sl],
+                             l.activation) for l, (w_sl, b_sl) in zip(layers, arch.layer_slices())]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(self.arch, [l.copy() for l in self.layers])
+        return DenseNet(self.arch, self.layers)
 
     def param_count(self) -> int:
-        return self.arch.param_count()
+        return self.params.size
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.weight.ravel(), l.bias]) for l in self.layers])
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.param_count(),):
+        if flat.shape != self.params.shape:
             raise ValueError(f"flat vector length {flat.shape} != {self.param_count()}")
-        off = 0
-        for l in self.layers:
-            n = l.weight.size
-            l.weight[...] = flat[off:off + n].reshape(l.weight.shape)
-            off += n
-            l.bias[...] = flat[off:off + l.bias.size]
-            off += l.bias.size
-
-    def layer_slices(self) -> list[tuple[slice, slice]]:
-        """Flat-view (weight_slice, bias_slice) per layer."""
-        out, off = [], 0
-        for l in self.layers:
-            n = l.weight.size
-            out.append((slice(off, off + n), slice(off + n, off + n + l.bias.size)))
-            off += n + l.bias.size
-        return out
+        self.params[...] = flat
 
 
 @dataclass
@@ -180,18 +184,23 @@ def backward(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray) -> np.ndar
     """Gradient of the loss w.r.t. every parameter, as a flat vector."""
     if dlogits.shape != cache.pre[-1].shape:
         raise ValueError("dlogits shape does not match cached forward")
-    grads = [np.concatenate([(a_prev.T @ delta).ravel(), delta.sum(axis=0)])
-             for _, a_prev, delta in layer_deltas(net, cache, dlogits)]
-    return np.concatenate(grads[::-1])
+    grads = np.empty(net.param_count())
+    slices = net.arch.layer_slices()
+    for i, a_prev, delta in layer_deltas(net, cache, dlogits):
+        w_sl, b_sl = slices[i]
+        grads[w_sl] = (a_prev.T @ delta).ravel()
+        grads[b_sl] = delta.sum(axis=0)
+    return grads
 
 
 def sgd_step(net: DenseNet, grads: np.ndarray, lr: float, momentum: float = 0.0,
              velocity: np.ndarray | None = None) -> np.ndarray:
-    """One (momentum) SGD step in place; returns the updated velocity buffer."""
+    """One (momentum) SGD step on net.params in place; returns the updated
+    velocity buffer."""
     if velocity is None:
         velocity = np.zeros_like(grads)
     velocity = momentum * velocity + grads
-    net.set_flat(net.get_flat() - lr * velocity)
+    net.params -= lr * velocity
     return velocity
 
 

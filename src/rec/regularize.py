@@ -1,18 +1,24 @@
-"""Fisher-diagonal estimation and the consolidation penalty family.
+"""Fisher-diagonal estimation, the consolidation penalty family, and the one
+minibatch SGD loop every model in the package is trained with.
 
 The combined loss is CE + quadratic Fisher anchoring + smoothed l2,1 coupling
 of current/previous weights + smoothed l1 sparsity. With an expansion mask the
-anchored terms skip new coordinates and the l1 term applies only to them.
+anchored terms skip new coordinates and the l1 term applies only to them; an
+absent or all-False mask means no expansion, and l1 covers every coordinate.
+`consolidation` builds that objective for a net whose previous-task reference
+is re-indexed through an IndexMap; `train_task` runs SGD on any objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
 from .netcore import Batch, DenseNet, backward, forward, layer_deltas, loss_ce, sgd_step
+from .transform import IndexMap, align_reference
 
 FISHER_CHUNK = 512  # rows per forward/backward sweep in estimate_fisher
 
@@ -70,7 +76,7 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     n = min(max_samples, len(dataset))
     idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
     acc = np.zeros(net.param_count())
-    slices = net.layer_slices()
+    slices = net.arch.layer_slices()
     for start in range(0, n, FISHER_CHUNK):
         rows = idx[start:start + FISHER_CHUNK]
         batch = Batch(dataset.inputs[rows], dataset.labels[rows])
@@ -129,9 +135,11 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherD
              cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Full consolidation objective: value and flat gradient.
 
-    anchor/fisher absent disables every penalty (first-task objective). With a
-    mask, anchor and fisher must already be aligned to the current flat view
-    (zeros at masked positions; see transform.align_reference).
+    anchor/fisher absent disables every penalty (first-task objective). A mask
+    with any True entry marks expanded coordinates: anchor and fisher must then
+    already be aligned to the current flat view (zeros at masked positions; see
+    transform.align_reference). None and an all-False mask both mean no
+    expansion.
     """
     logits, cache = forward(net, batch)
     value, dlogits = loss_ce(logits, batch.labels)
@@ -140,43 +148,57 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherD
         return value, grads
 
     assert fisher is not None
-    params = net.get_flat()
-    if mask is None:
-        old_anchor, old_fisher = anchor, fisher
-        v, g = ewc_term(params, old_anchor, old_fisher, cfg.lambda_ewc)
-        value += v
-        grads += g
-        v, g = l21_term(params, old_anchor, cfg.lambda_21, cfg.epsilon)
-        value += v
-        grads += g
-        v, g = l1_term(params, None, cfg.lambda_1, cfg.epsilon)
-        value += v
-        grads += g
-        return value, grads
-
-    if mask.shape != params.shape:
+    params = net.params
+    if mask is not None and mask.shape != params.shape:
         raise ValueError("mask length differs from net parameter count")
-    old = ~mask
+    expanded = mask is not None and bool(mask.any())
     # Anchored terms on surviving coordinates only; aligned vectors carry zeros
     # at masked positions so restricting by `old` is exact.
-    v, g = ewc_term(params[old], Anchor(anchor.params[old]),
-                    FisherDiag(fisher.values[old], fisher.sample_count), cfg.lambda_ewc)
-    value += v
-    grads[old] += g
-    v, g = l21_term(params[old], Anchor(anchor.params[old]), cfg.lambda_21, cfg.epsilon)
-    value += v
-    grads[old] += g
-    v, g = l1_term(params, mask, cfg.lambda_1, cfg.epsilon)
-    value += v
+    old = ~mask if expanded else slice(None)
+    ref = Anchor(anchor.params[old])
+    for v, g in (ewc_term(params[old], ref, FisherDiag(fisher.values[old], fisher.sample_count),
+                          cfg.lambda_ewc),
+                 l21_term(params[old], ref, cfg.lambda_21, cfg.epsilon)):
+        value += v
+        grads[old] += g
+    v, g = l1_term(params, mask if expanded else None, cfg.lambda_1, cfg.epsilon)
     grads += g
-    return value, grads
+    return value + v, grads
 
 
-def train_task(net: DenseNet, train_set: Dataset, anchor: Anchor | None,
-               fisher: FisherDiag | None, cfg: PenaltyConfig, mask: np.ndarray | None,
-               epochs: int, batch_size: int, lr: float, seed: int,
-               momentum: float = 0.0) -> DenseNet:
-    """Minibatch SGD over mwc_loss; seeded shuffling; mutates and returns net."""
+# objective(net, batch, rows, epoch) -> (loss value, flat gradient); rows are
+# the batch's row indices into the training set, epoch counts from 0.
+Objective = Callable[[DenseNet, Batch, np.ndarray, int], tuple[float, np.ndarray]]
+
+
+def consolidation(anchor: Anchor | None, fisher: FisherDiag | None, cfg: PenaltyConfig,
+                  count: int, index_map: IndexMap | None = None,
+                  mask: np.ndarray | None = None, old_invalid: np.ndarray | None = None
+                  ) -> Objective:
+    """The mwc_loss objective for a net of `count` parameters.
+
+    The previous-task anchor and Fisher are re-indexed into the net's flat view
+    through `index_map` (identity when None). The loss mask is `mask` (the
+    expansion's new coordinates, none when None) OR the new positions of the
+    `old_invalid` coordinates (old parameters that must not be anchored, such
+    as a replaced output head). Without an anchor the objective is plain CE.
+    """
+    if anchor is None:
+        return lambda net, batch, rows, epoch: mwc_loss(net, batch, None, None, cfg)
+    a_vec, f_vec, extra = align_reference(anchor.params, fisher.values,
+                                          index_map or IndexMap.identity(count), count,
+                                          old_invalid)
+    mask = extra if mask is None else mask | extra
+    aligned = Anchor(a_vec), FisherDiag(f_vec, fisher.sample_count)
+    return lambda net, batch, rows, epoch: mwc_loss(net, batch, *aligned, cfg, mask)
+
+
+def train_task(net: DenseNet, train_set: Dataset, objective: Objective, epochs: int,
+               batch_size: int, lr: float, seed: int, momentum: float = 0.0) -> DenseNet:
+    """Minibatch SGD on `objective`; seeded shuffling; mutates and returns net.
+
+    Raises TrainingDiverged on the first non-finite loss value or gradient.
+    """
     rng = np.random.default_rng(seed)
     velocity = None
     n = len(train_set)
@@ -185,7 +207,7 @@ def train_task(net: DenseNet, train_set: Dataset, anchor: Anchor | None,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             batch = Batch(train_set.inputs[idx], train_set.labels[idx])
-            value, grads = mwc_loss(net, batch, anchor, fisher, cfg, mask)
+            value, grads = objective(net, batch, idx, epoch)
             if not np.isfinite(value) or not np.all(np.isfinite(grads)):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch offset {start}: value={value}")

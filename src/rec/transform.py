@@ -56,15 +56,10 @@ class IndexMap:
 
 def _flat_grids(arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (weight, bias) arrays of flat-view positions."""
-    grids, off = [], 0
     ws = arch.widths
-    for fi, fo in zip(ws[:-1], ws[1:]):
-        w_idx = np.arange(off, off + fi * fo, dtype=np.int64).reshape(fi, fo)
-        off += fi * fo
-        b_idx = np.arange(off, off + fo, dtype=np.int64)
-        off += fo
-        grids.append((w_idx, b_idx))
-    return grids
+    return [(np.arange(w_sl.start, w_sl.stop, dtype=np.int64).reshape(fi, fo),
+             np.arange(b_sl.start, b_sl.stop, dtype=np.int64))
+            for (w_sl, b_sl), fi, fo in zip(arch.layer_slices(), ws[:-1], ws[1:])]
 
 
 def net2wider(net: DenseNet, action: WiderAction, seed: int
@@ -82,11 +77,10 @@ def net2wider(net: DenseNet, action: WiderAction, seed: int
     pi = np.concatenate([np.arange(w), rng.integers(0, w, size=nw - w)])
     counts = np.bincount(pi, minlength=w)
 
-    layers = [ly.copy() for ly in net.layers]
+    layers = list(net.layers)  # DenseNet copies them into its own vector
     inc, out = net.layers[l], net.layers[l + 1]
-    layers[l] = Layer(inc.weight[:, pi].copy(), inc.bias[pi].copy(), inc.activation)
-    layers[l + 1] = Layer((out.weight[pi, :] / counts[pi][:, None]).copy(),
-                          out.bias.copy(), out.activation)
+    layers[l] = Layer(inc.weight[:, pi], inc.bias[pi], inc.activation)
+    layers[l + 1] = Layer(out.weight[pi, :] / counts[pi][:, None], out.bias, out.activation)
     new_hidden = list(net.arch.hidden_widths)
     new_hidden[l] = nw
     new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
@@ -128,7 +122,7 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, IndexMap,
         raise ValueError("identity insertion requires a ReLU predecessor")
     w = net.arch.hidden_widths[k]
 
-    layers = [ly.copy() for ly in net.layers]
+    layers = list(net.layers)
     layers.insert(k + 1, Layer(np.eye(w), np.zeros(w), RELU))
     new_hidden = list(net.arch.hidden_widths)
     new_hidden.insert(k + 1, w)
@@ -136,7 +130,7 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, IndexMap,
     net2 = DenseNet(new_arch, layers)
 
     old_count = net.param_count()
-    shift_at = _flat_grids(net.arch)[k][1][-1] + 1  # flat offset just past layer k
+    shift_at = net.arch.layer_slices()[k][1].stop  # flat offset just past layer k
     inserted = w * w + w
     new_pos = np.arange(old_count, dtype=np.int64)
     new_pos[shift_at:] += inserted

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from rec.netcore import Arch, evaluate, init_network
@@ -127,3 +129,54 @@ class TestCorruption:
     def test_magic_constant(self):
         assert MAGIC == b"RECNET01"
         assert len(MAGIC) == 8
+
+    @pytest.mark.parametrize("shape, message", [
+        ([2 ** 32, 2 ** 32], "truncated array 'w0'"),  # 2**64 elements, no int64 overflow
+        ([2.7, 2], "not a list of non-negative integers"),
+        ("42", "not a list of non-negative integers"),
+        ([True, 2], "not a list of non-negative integers"),
+        ([-1, 2], "not a list of non-negative integers"),
+    ])
+    def test_bad_array_shape(self, tmp_path, shape, message):
+        header = {"arch": {"input_dim": 2, "hidden_widths": [], "output_dim": 2},
+                  "fisher_samples": None,
+                  "arrays": [{"name": "w0", "shape": shape}, {"name": "b0", "shape": [2]}]}
+        blob = json.dumps(header, sort_keys=True).encode()
+        p = tmp_path / "n.recnet"
+        p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + np.zeros(6).tobytes())
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory) -> bytes:
+    p = tmp_path_factory.mktemp("fuzz") / "n.recnet"
+    net = init_network(Arch(3, (2,), 2), seed=0)
+    save_checkpoint(p, net, Anchor(net.get_flat()), FisherDiag(np.ones(net.param_count()), 5))
+    return p.read_bytes()
+
+
+def _load_mutated(raw: bytes, path) -> None:
+    """Only CheckpointError may escape; a readable file must give a net."""
+    path.write_bytes(raw)
+    try:
+        net, _, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert net.param_count() > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_truncated_checkpoint(valid_checkpoint, tmp_path_factory, data):
+    size = data.draw(st.integers(0, len(valid_checkpoint) - 1))
+    _load_mutated(valid_checkpoint[:size], tmp_path_factory.mktemp("t") / "n.recnet")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_bit_flipped_checkpoint(valid_checkpoint, tmp_path_factory, data):
+    bit = data.draw(st.integers(0, 8 * len(valid_checkpoint) - 1))
+    raw = bytearray(valid_checkpoint)
+    raw[bit // 8] ^= 1 << (bit % 8)
+    _load_mutated(bytes(raw), tmp_path_factory.mktemp("f") / "n.recnet")

@@ -124,6 +124,33 @@ class TestRunCommand:
             assert (tmp_path / "o1" / name).read_bytes() == \
                 (tmp_path / "o2" / name).read_bytes()
 
+    def test_diverging_job_does_not_stop_the_others(self, tmp_path, capsys):
+        # lambda_ewc = 1e6 blows up rec's consolidation; sn has no penalty.
+        body = ("methods = rec,sn\nseeds = 0\ntasks = 2\nside = 4\nclasses = 3\n"
+                "train_samples = 200\ntest_samples = 50\nhidden = 8\nepochs = 2\n"
+                "batch_size = 16\nfisher_samples = 50\nsearch_budget = 2\n"
+                "m_children = 2\ncompress_epochs = 2\nlambda_ewc = 1e6\n")
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, body, out))]) == 1
+        assert "job rec s0 diverged: non-finite loss" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "final_sn_s0.recnet", "results_sn_s0.jsonl", "series.csv", "summary.csv"]
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["sn"]
+
+    def test_rerun_removes_stale_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, SMALL_CFG, out, "a.txt"))]) == 0
+        (out / "search_ewc_s0.jsonl").write_text("{}\n")
+        (out / "notes.txt").write_text("kept\n")
+        body = SMALL_CFG.replace("methods = sn,ewc", "methods = sn")
+        assert main(["run", str(write_cfg(tmp_path, body, out, "b.txt"))]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "final_sn_s0.recnet", "notes.txt", "results_sn_s0.jsonl", "series.csv",
+            "summary.csv"]
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["sn"]
+
 
 class TestReportCommand:
     def test_report_recomputes_from_jsonl(self, tmp_path, capsys):

@@ -8,7 +8,8 @@ from rec.controller import (BaselineState, SearchConfig, _deeper_probs, _wider_p
                             sample_episode, search_child)
 from rec.data import Dataset
 from rec.netcore import Arch, init_network
-from rec.regularize import Anchor, FisherDiag, PenaltyConfig, estimate_fisher, train_task
+from rec.regularize import (Anchor, FisherDiag, PenaltyConfig, consolidation, estimate_fisher,
+                            train_task)
 from rec.transform import DeeperAction, WiderAction
 
 ARCH = Arch(6, (8, 8), 3)
@@ -19,7 +20,8 @@ def trained_prev(seed=0):
     train = Dataset(rng.standard_normal((300, 6)), rng.integers(0, 3, 300))
     val = Dataset(rng.standard_normal((80, 6)), rng.integers(0, 3, 80))
     net = init_network(ARCH, seed)
-    train_task(net, train, None, None, PenaltyConfig(), None, 2, 64, 0.01, seed)
+    train_task(net, train, consolidation(None, None, PenaltyConfig(), net.param_count()),
+               2, 64, 0.01, seed)
     fisher = estimate_fisher(net, train, 100, seed)
     return net, train, val, Anchor(net.get_flat()), fisher
 
@@ -222,7 +224,8 @@ class TestSearchChild:
                                  policy, BaselineState(), seed=5, search_cfg=scfg)
         assert result.actions == []
         expect = net.copy()
-        train_task(expect, train, anchor, fisher, cfg, None, 2, 64, 0.01, seed=5 + 2)
+        objective = consolidation(anchor, fisher, cfg, net.param_count())
+        train_task(expect, train, objective, 2, 64, 0.01, seed=5 + 2)
         assert np.array_equal(result.net.get_flat(), expect.get_flat())
 
     def test_best_of_seen(self):

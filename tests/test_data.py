@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_idx_dataset,
                       load_idx_images, load_idx_labels)
@@ -53,3 +55,39 @@ class TestIdx:
         cfg.write_text(f"dataset = {img},{lab}\nout_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 1
         assert "truncated IDX image header" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def idx_files(tmp_path_factory) -> dict:
+    """Reader -> bytes of a valid file it reads."""
+    d = tmp_path_factory.mktemp("idx")
+    img, lab = write_idx_pair(d, np.arange(3 * 2 * 2).reshape(3, 2, 2), np.array([0, 2, 1]))
+    return {load_idx_images: img.read_bytes(), load_idx_labels: lab.read_bytes()}
+
+
+def _read_mutated(reader, raw: bytes, path) -> None:
+    """A mutated IDX file either reads or raises ValueError, nothing else."""
+    path.write_bytes(raw)
+    try:
+        reader(path)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_truncated_idx(idx_files, tmp_path_factory, data):
+    reader = data.draw(st.sampled_from([load_idx_images, load_idx_labels]))
+    raw = idx_files[reader]
+    size = data.draw(st.integers(0, len(raw) - 1))
+    _read_mutated(reader, raw[:size], tmp_path_factory.mktemp("t") / "f.idx")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzz_bit_flipped_idx(idx_files, tmp_path_factory, data):
+    reader = data.draw(st.sampled_from([load_idx_images, load_idx_labels]))
+    raw = bytearray(idx_files[reader])
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    _read_mutated(reader, bytes(raw), tmp_path_factory.mktemp("f") / "f.idx")

@@ -3,8 +3,9 @@ import pytest
 
 from rec.data import Dataset
 from rec.distill import (CompressConfig, SoftTargets, collect_soft_targets, compress,
-                         kd_loss, teacher_fingerprint)
+                         kd_loss)
 from rec.netcore import Arch, DenseNet, IDENTITY, Layer, forward, init_network, predict_logits
+from rec.regularize import TrainingDiverged
 
 from conftest import central_diff, max_rel_err
 
@@ -95,8 +96,9 @@ class TestCompress:
             SoftTargets(np.array([[np.inf, 0.0]]))
 
 
-def test_teacher_fingerprint_changes_with_weights():
-    a = init_network(Arch(3, (4,), 2), seed=0)
-    b = init_network(Arch(3, (4,), 2), seed=1)
-    assert teacher_fingerprint(a) != teacher_fingerprint(b)
-    assert teacher_fingerprint(a) == teacher_fingerprint(a.copy())
+def test_compress_divergence_raises(rng):
+    teacher = init_network(Arch(4, (6,), 3), seed=5)
+    ds = Dataset(rng.standard_normal((64, 4)), rng.integers(0, 3, 64))
+    # The shared training loop's message, not a copy of it in compress.
+    with pytest.raises(TrainingDiverged, match="non-finite loss"), np.errstate(all="ignore"):
+        compress(teacher, Arch(4, (6,), 3), ds, CompressConfig(epochs=20, lr=1e3), seed=0)

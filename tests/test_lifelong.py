@@ -3,10 +3,9 @@ import pytest
 
 from rec.data import Dataset, synthetic_classes
 from rec.distill import CompressConfig
-from rec.lifelong import (AccuracyMatrix, MethodConfig, ablation_suite, avg_per_task,
-                          forgetting_curve, gen_permuted_tasks, gen_rotated_tasks,
-                          gen_split_tasks, method_config, rotate_images, run_sequence,
-                          subseed)
+from rec.lifelong import (AccuracyMatrix, MethodConfig, ablation_suite, gen_permuted_tasks,
+                          gen_rotated_tasks, gen_split_tasks, method_config, rotate_images,
+                          run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.regularize import PenaltyConfig
 from rec.transform import action_to_line, parse_action_line
@@ -139,18 +138,18 @@ class TestAccuracyMatrix:
 
     def test_avg_per_task(self):
         m = AccuracyMatrix([[0.9], [0.8, 0.6]])
-        assert avg_per_task(m, 1) == 0.9
-        assert avg_per_task(m, 2) == pytest.approx(0.7)
+        assert m.avg_per_task(1) == 0.9
+        assert m.avg_per_task(2) == pytest.approx(0.7)
 
     def test_forgetting_curve(self):
         m = AccuracyMatrix([[0.9], [0.8, 0.6], [0.7, 0.5, 0.95]])
-        assert forgetting_curve(m, 1) == [0.9, 0.8, 0.7]
-        assert forgetting_curve(m, 3) == [0.95]
+        assert m.forgetting_curve(1) == [0.9, 0.8, 0.7]
+        assert m.forgetting_curve(3) == [0.95]
 
     def test_curve_of_unlearned_task(self):
         m = AccuracyMatrix([[0.9]])
         with pytest.raises(ValueError):
-            forgetting_curve(m, 2)
+            m.forgetting_curve(2)
 
 
 class TestMethodConfig:
@@ -182,7 +181,7 @@ class TestMethodConfig:
 class TestRunSequence:
     def test_sn_forgets_first_task(self, small_bench):
         r = run_sequence(small_bench, _cfg("sn", epochs=10, lr=0.06), seed=0)
-        curve = forgetting_curve(r.acc, 1)
+        curve = r.acc.forgetting_curve(1)
         assert curve[0] > 0.9
         assert curve[0] - curve[-1] >= 0.15
 

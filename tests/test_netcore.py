@@ -42,6 +42,41 @@ class TestInit:
             Arch(4, (0,), 2)
 
 
+class TestParameterVector:
+    def test_layers_are_views_of_params(self):
+        net = init_network(Arch(4, (3,), 2), seed=0)
+        for l, (w_sl, b_sl) in zip(net.layers, net.arch.layer_slices()):
+            assert np.shares_memory(l.weight, net.params[w_sl])
+            assert np.shares_memory(l.bias, net.params[b_sl])
+
+    def test_sgd_step_moves_layer_weights(self):
+        net = init_network(Arch(4, (3,), 2), seed=0)
+        before = [l.weight.copy() for l in net.layers]
+        sgd_step(net, np.ones(net.param_count()), lr=0.5)
+        for l, w in zip(net.layers, before):
+            assert np.array_equal(l.weight, w - 0.5)
+
+    def test_constructor_leaves_caller_arrays_alone(self):
+        layers = [Layer(np.ones((2, 3)), np.zeros(3), RELU),
+                  Layer(np.ones((3, 2)), np.zeros(2), IDENTITY)]
+        net = DenseNet(Arch(2, (3,), 2), layers)
+        sgd_step(net, np.ones(net.param_count()), lr=1.0)
+        for mine, theirs in zip(layers, net.layers):
+            assert mine is not theirs
+            assert not np.shares_memory(mine.weight, net.params)
+            assert not np.shares_memory(mine.bias, net.params)
+        assert np.all(layers[0].weight == 1.0) and np.all(layers[1].bias == 0.0)
+
+    def test_copy_shares_no_memory(self):
+        net = init_network(Arch(4, (3,), 2), seed=0)
+        other = net.copy()
+        assert not np.shares_memory(other.params, net.params)
+        for a, b in zip(other.layers, net.layers):
+            assert not np.shares_memory(a.weight, net.params)
+            assert not np.shares_memory(a.bias, net.params)
+        assert np.array_equal(other.params, net.params)
+
+
 class TestForward:
     def test_identity_single_layer(self, rng):
         net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3), IDENTITY)])
@@ -125,7 +160,7 @@ class TestBackward:
         logits, cache = forward(net, batch)
         _, dlogits = loss_ce(logits, batch.labels)
         grads = backward(net, cache, dlogits)
-        w_sl, b_sl = net.layer_slices()[0]
+        w_sl, b_sl = net.arch.layer_slices()[0]
         assert np.all(grads[w_sl] == 0)
         assert np.all(grads[b_sl] == 0)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rec.data import Dataset
 from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, backward, forward,
                          init_network, loss_ce)
-from rec.regularize import (FISHER_CHUNK, Anchor, FisherDiag, PenaltyConfig,
+from rec.regularize import (FISHER_CHUNK, Anchor, FisherDiag, PenaltyConfig, consolidation,
                             estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
                             train_task)
 from rec.transform import DeeperAction, WiderAction, apply_actions
@@ -283,6 +283,20 @@ class TestMwcLoss:
         assert v_with == pytest.approx(v_without + v_l1, rel=1e-12)
 
 
+def test_all_false_mask_is_no_expansion():
+    rng = np.random.default_rng(4)
+    net = init_network(Arch(5, (4,), 3), seed=4)
+    n = net.param_count()
+    anchor = Anchor(rng.standard_normal(n))
+    fisher = FisherDiag(rng.random(n), 10)
+    batch = Batch(rng.standard_normal((6, 5)), rng.integers(0, 3, 6))
+    cfg = PenaltyConfig(1.5, 0.3, 0.2, EPS)
+    v_none, g_none = mwc_loss(net, batch, anchor, fisher, cfg, None)
+    v_empty, g_empty = mwc_loss(net, batch, anchor, fisher, cfg, np.zeros(n, dtype=bool))
+    assert v_none == v_empty
+    assert g_none.tobytes() == g_empty.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 5000), lam=st.floats(0.0, 10.0))
 def test_penalties_nonnegative(seed, lam):
@@ -306,7 +320,7 @@ class TestTrainTask:
     def test_paper_hyperparameters_on_separable_data(self):
         train = separable_blobs(2000, 0)
         net = init_network(Arch(2, (16,), 2), seed=0)
-        train_task(net, train, None, None, PenaltyConfig(), None,
+        train_task(net, train, consolidation(None, None, PenaltyConfig(), net.param_count()),
                    epochs=8, batch_size=256, lr=0.001, seed=1)
         from rec.netcore import evaluate
         assert evaluate(net, train.inputs, train.labels) > 0.90
@@ -317,14 +331,14 @@ class TestTrainTask:
         anchor = Anchor(np.random.default_rng(3).standard_normal(net.param_count()))
         fisher = FisherDiag(np.ones(net.param_count()), 1)
         cfg = PenaltyConfig(1e6, 0.0, 0.0, EPS)
-        train_task(net, train, anchor, fisher, cfg, None,
-                   epochs=3, batch_size=64, lr=1e-6, seed=4)
+        objective = consolidation(anchor, fisher, cfg, net.param_count())
+        train_task(net, train, objective, epochs=3, batch_size=64, lr=1e-6, seed=4)
         assert np.max(np.abs(net.get_flat() - anchor.params)) < 1e-2
 
     def test_zero_epochs_unchanged(self):
         train = separable_blobs(50, 2)
         net = init_network(Arch(2, (4,), 2), seed=5)
         before = net.get_flat()
-        train_task(net, train, None, None, PenaltyConfig(), None,
+        train_task(net, train, consolidation(None, None, PenaltyConfig(), net.param_count()),
                    epochs=0, batch_size=16, lr=0.1, seed=6)
         assert np.array_equal(net.get_flat(), before)
