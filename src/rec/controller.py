@@ -17,15 +17,16 @@ from .data import Dataset
 from .netcore import Arch, DenseNet, evaluate
 from .regularize import (Anchor, FisherDiag, PenaltyConfig, TrainingDiverged,
                          consolidation, train_task)
-from .transform import (MAX_DEEPER_ACTIONS, MAX_WIDER_ACTIONS, DeeperAction, IndexMap,
-                        WiderAction, action_to_line, apply_actions)
+from .transform import (MAX_DEEPER_ACTIONS, MAX_WIDER_ACTIONS, DeeperAction, WiderAction,
+                        action_to_line, apply_actions)
 
 PROB_FLOOR = 1e-6
+N_BUCKETS = 12  # embedding rows: log2 width buckets
 
 
 @dataclass
 class ControllerPolicy:
-    emb: np.ndarray      # [n_buckets, emb_dim]
+    emb: np.ndarray      # [N_BUCKETS, emb_dim]
     wx_f: np.ndarray     # [emb_dim, hidden]
     wh_f: np.ndarray     # [hidden, hidden]
     b_f: np.ndarray      # [hidden]
@@ -48,13 +49,12 @@ class ControllerPolicy:
                 "w_wider", "b_wider", "w_deep", "b_deep", "w_stop", "b_stop"]
 
 
-def init_policy(seed: int, hidden_size: int = 32, emb_dim: int = 16,
-                n_buckets: int = 12) -> ControllerPolicy:
+def init_policy(seed: int, hidden_size: int = 32, emb_dim: int = 16) -> ControllerPolicy:
     """Heads start at zero so the untrained policy is uniform."""
     rng = np.random.default_rng(seed)
     s = 0.1
     return ControllerPolicy(
-        emb=rng.normal(0, s, (n_buckets, emb_dim)),
+        emb=rng.normal(0, s, (N_BUCKETS, emb_dim)),
         wx_f=rng.normal(0, s, (emb_dim, hidden_size)),
         wh_f=rng.normal(0, s, (hidden_size, hidden_size)),
         b_f=np.zeros(hidden_size),
@@ -146,10 +146,14 @@ class BaselineState:
     decay: float = 0.95
 
 
+def raw_reward(a_val: float) -> float:
+    """tan(a_val * pi/2), with a_val clamped to [0, 0.999]."""
+    return float(np.tan(min(max(a_val, 0.0), 0.999) * np.pi / 2.0))
+
+
 def reward_transform(a_val: float, baseline: BaselineState) -> tuple[float, BaselineState]:
-    """tan(a_val * pi/2) reward, centered by an exponential moving average."""
-    clamped = min(max(a_val, 0.0), 0.999)
-    raw = float(np.tan(clamped * np.pi / 2.0))
+    """raw_reward centered by an exponential moving average."""
+    raw = raw_reward(a_val)
     prev = raw if baseline.ema is None else baseline.ema
     reward = raw - prev
     new_ema = baseline.decay * prev + (1.0 - baseline.decay) * raw
@@ -165,7 +169,6 @@ class SearchConfig:
     momentum: float = 0.0
     controller_lr: float = 0.05
     width_cap_factor: int = 4
-    max_wider: int = MAX_WIDER_ACTIONS
     max_deeper: int = MAX_DEEPER_ACTIONS
 
 
@@ -198,7 +201,7 @@ def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
     states, _ = encode(policy, tuple(widths))
     n_wider = 0
     for i in range(len(widths)):
-        if n_wider >= cfg.max_wider:
+        if n_wider >= MAX_WIDER_ACTIONS:
             break
         p = _wider_prob(policy, states[i])
         a = int(rng.random() < p)
@@ -264,8 +267,7 @@ def reinforce_update(policy: ControllerPolicy, episodes: list[Episode], lr: floa
 class SearchResult:
     net: DenseNet
     actions: list[WiderAction | DeeperAction]
-    index_map: IndexMap
-    mask: np.ndarray  # the child's new coordinates (apply_actions)
+    ref: np.ndarray  # the child's reference vector (apply_actions)
     a_val: float
     log: list[dict]
 
@@ -274,13 +276,13 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
                  anchor: Anchor | None, fisher: FisherDiag | None, cfg: PenaltyConfig,
                  budget: int, policy: ControllerPolicy, baseline: BaselineState,
                  seed: int, search_cfg: SearchConfig = SearchConfig(),
-                 old_invalid: np.ndarray | None = None
-                 ) -> tuple[SearchResult, BaselineState]:
+                 ref: np.ndarray | None = None) -> tuple[SearchResult, BaselineState]:
     """Episode loop of the expansion search.
 
     Each child is created by the sampled morphisms, fine-tuned briefly with the
     masked consolidation loss, and scored on the validation data (union over
-    val_sets); rewards update the policy in batches of m. Returns the
+    val_sets); rewards update the policy in batches of m. `ref` is the
+    reference vector of prev_net (identity when None). Returns the
     best-scoring child seen.
     """
     if budget < 1:
@@ -301,9 +303,9 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
             diverged = False
             try:
-                child, imap, mask = apply_actions(prev_net.copy(), ep.actions, seed=ep_seed + 1)
-                objective = consolidation(anchor, fisher, cfg, child.param_count(), imap, mask,
-                                          old_invalid)
+                child, child_ref, _ = apply_actions(prev_net.copy(), ep.actions,
+                                                    ep_seed + 1, ref)
+                objective = consolidation(anchor, fisher, cfg, child_ref)
                 train_task(child, train_set, objective, search_cfg.child_epochs,
                            search_cfg.batch_size, search_cfg.lr, ep_seed + 2,
                            search_cfg.momentum)
@@ -313,7 +315,6 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
                 # failure; score it at the floor so the policy steers away.
                 diverged = True
                 ep.a_val = 0.0
-            raw = float(np.tan(min(max(ep.a_val, 0.0), 0.999) * np.pi / 2.0))
             ep.reward, baseline = reward_transform(ep.a_val, baseline)
             episodes.append(ep)
             log.append({
@@ -321,15 +322,14 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
                 "actions": "; ".join(action_to_line(a) for a in ep.actions),
                 "a_val": ep.a_val,
                 "diverged": diverged,
-                "raw_reward": raw,
+                "raw_reward": raw_reward(ep.a_val),
                 "shaped_reward": ep.reward,
             })
             if not diverged and (best is None or ep.a_val > best.a_val):
-                best = SearchResult(child, ep.actions, imap, mask, ep.a_val, log)
+                best = SearchResult(child, ep.actions, child_ref, ep.a_val, log)
         reinforce_update(policy, episodes, search_cfg.controller_lr)
         done += batch_n
     if best is None:
         raise TrainingDiverged("every sampled child diverged during the search")
-    best.log = log
     return best, baseline
 

@@ -10,6 +10,7 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+SYNTHETIC_NOISE = 0.6  # std of the isotropic noise added to class prototypes
 
 
 @dataclass
@@ -40,7 +41,7 @@ def split_train_val(ds: Dataset, val_ratio: float, seed: int) -> tuple[Dataset, 
 
 
 def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
-                      seed: int, noise: float = 0.6) -> tuple[Dataset, Dataset]:
+                      seed: int) -> tuple[Dataset, Dataset]:
     """Gaussian-mixture image-like classes on a side x side grid.
 
     Each class is a smooth random pattern plus isotropic noise; separable enough
@@ -61,7 +62,7 @@ def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
 
     def draw(n):
         labels = rng.integers(0, n_classes, size=n)
-        inputs = protos[labels] + noise * rng.standard_normal((n, d))
+        inputs = protos[labels] + SYNTHETIC_NOISE * rng.standard_normal((n, d))
         return Dataset(inputs, labels)
 
     return draw(n_train), draw(n_test)

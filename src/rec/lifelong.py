@@ -21,6 +21,7 @@ ROTATED = "rotated"
 SPLIT = "split"
 
 METHOD_NAMES = ("sn", "ewc", "ewc_l1", "ewc_l21", "mwc", "net2net", "net2net_ewc", "rec")
+VAL_RATIO = 0.1  # share of each task's training split held out for validation
 
 
 def subseed(seed: int, name: str, t: int = 0) -> int:
@@ -49,16 +50,16 @@ class TaskSequence:
 
 
 def _transformed_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
-                       val_ratio: float, transforms: list[tuple]) -> TaskSequence:
+                       transforms: list[tuple]) -> TaskSequence:
     """One task per (input map, spec) pair: the map applied to every split."""
     n_classes = int(train_ds.labels.max()) + 1
-    tr, va = split_train_val(train_ds, val_ratio, subseed(seed, "valsplit"))
+    tr, va = split_train_val(train_ds, VAL_RATIO, subseed(seed, "valsplit"))
     return TaskSequence([Task(tr.map_inputs(fn), va.map_inputs(fn), test_ds.map_inputs(fn),
                               kind, n_classes, spec) for fn, spec in transforms], kind, seed)
 
 
-def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed: int,
-                       val_ratio: float = 0.1) -> TaskSequence:
+def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
+                       seed: int) -> TaskSequence:
     """Task 1 is the identity; later tasks apply an independent fixed pixel
     permutation to every split."""
     if num_tasks < 1:
@@ -66,7 +67,7 @@ def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed
     rng = np.random.default_rng(subseed(seed, "perm"))
     d = train_ds.input_dim
     perms = [np.arange(d) if t == 0 else rng.permutation(d) for t in range(num_tasks)]
-    return _transformed_tasks(train_ds, test_ds, PERMUTED, seed, val_ratio,
+    return _transformed_tasks(train_ds, test_ds, PERMUTED, seed,
                               [(lambda x, p=p: x[:, p], {"permutation": p.tolist()})
                                for p in perms])
 
@@ -92,19 +93,19 @@ def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
     return out
 
 
-def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed: int,
-                      val_ratio: float = 0.1) -> TaskSequence:
+def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
+                      seed: int) -> TaskSequence:
     """Task t rotates every image by (t-1) * 180/T degrees."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
     angles = [t * 180.0 / num_tasks for t in range(num_tasks)]
-    return _transformed_tasks(train_ds, test_ds, ROTATED, seed, val_ratio,
+    return _transformed_tasks(train_ds, test_ds, ROTATED, seed,
                               [(lambda x, a=a: x if a == 0 else rotate_images(x, a),
                                 {"angle_deg": a}) for a in angles])
 
 
-def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed: int,
-                    val_ratio: float = 0.1) -> TaskSequence:
+def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
+                    seed: int) -> TaskSequence:
     """Contiguous class blocks per task, labels remapped to 0..K_t-1."""
     n_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     if n_classes % num_tasks != 0:
@@ -119,7 +120,7 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int, seed: i
             sel = np.isin(ds.labels, classes)
             return Dataset(ds.inputs[sel].copy(), ds.labels[sel] - lo)
 
-        tr, va = split_train_val(take(train_ds), val_ratio, subseed(seed, "valsplit", t))
+        tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
         tasks.append(Task(train=tr, val=va, test=take(test_ds), kind=SPLIT,
                           num_classes=per, transform_spec={"classes": classes.tolist()}))
     return TaskSequence(tasks, SPLIT, seed)
@@ -249,29 +250,28 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
 
     for t, task in enumerate(tasks.tasks):
         extra: dict = {}
-        old_invalid = None
+        ref = None  # identity: every coordinate holds its anchor value
         if t > 0 and split_mode:
             net = _attach_head(net, task.num_classes, subseed(seed, "head", t))
-            # the replaced output head: old parameters that must not be anchored
-            old_invalid = np.arange(net.param_count()) >= net.arch.layer_slices()[-1][0].start
-        child, imap, mask, actions = net, None, None, []
+            ref = np.arange(net.param_count())
+            ref[net.arch.layer_slices()[-1][0].start:] = -1  # the replaced output head
+        child, actions = net, []
         if t > 0 and method.expansion and method.compression:
             val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]
                         if method.reward_scope == "all-learned" else [task.val])
             result, baseline = search_child(
                 net, task.train, val_sets, anchor, fisher, method.penalty,
                 method.search_budget, policy, baseline,
-                subseed(seed, "search", t), method.search, old_invalid)
+                subseed(seed, "search", t), method.search, ref)
             search_log.extend({"task": t + 1, **rec} for rec in result.log)
-            child, imap, mask, actions = result.net, result.index_map, result.mask, result.actions
+            child, ref, actions = result.net, result.ref, result.actions
         elif t > 0 and method.expansion:
             w = net.arch.hidden_widths[0]
             cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
             actions = [WiderAction(0, min(2 * w, cap))]
-            child, imap, mask = apply_actions(net, actions, subseed(seed, "expand", t))
+            child, ref, _ = apply_actions(net, actions, subseed(seed, "expand", t), ref)
 
-        objective = consolidation(anchor, fisher, method.penalty, child.param_count(), imap,
-                                  mask, old_invalid)
+        objective = consolidation(anchor, fisher, method.penalty, ref)
         train_task(child, task.train, objective, method.epochs, method.batch_size,
                    method.lr, subseed(seed, "train", t), method.momentum)
         if t > 0 and method.expansion:
@@ -306,7 +306,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             **extra,
         })
 
-        if penalized:
+        if penalized and t + 1 < len(tasks):  # the last task anchors nothing
             fisher = estimate_fisher(net, task.train, method.fisher_samples,
                                      subseed(seed, "fisher", t))
             anchor = Anchor(net.get_flat())

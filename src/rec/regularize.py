@@ -5,8 +5,9 @@ The combined loss is CE + quadratic Fisher anchoring + smoothed l2,1 coupling
 of current/previous weights + smoothed l1 sparsity. With an expansion mask the
 anchored terms skip new coordinates and the l1 term applies only to them; an
 absent or all-False mask means no expansion, and l1 covers every coordinate.
-`consolidation` builds that objective for a net whose previous-task reference
-is re-indexed through an IndexMap; `train_task` runs SGD on any objective.
+`consolidation` builds that objective for a net whose previous-task anchor is
+gathered through a reference vector (transform); `train_task` runs SGD on any
+objective.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .netcore import Batch, DenseNet, backward, forward, layer_deltas, loss_ce, sgd_step
-from .transform import IndexMap, align_reference
+from .transform import align_reference
 
 FISHER_CHUNK = 512  # rows per forward/backward sweep in estimate_fisher
 
@@ -172,24 +173,20 @@ Objective = Callable[[DenseNet, Batch, np.ndarray, int], tuple[float, np.ndarray
 
 
 def consolidation(anchor: Anchor | None, fisher: FisherDiag | None, cfg: PenaltyConfig,
-                  count: int, index_map: IndexMap | None = None,
-                  mask: np.ndarray | None = None, old_invalid: np.ndarray | None = None
-                  ) -> Objective:
-    """The mwc_loss objective for a net of `count` parameters.
+                  ref: np.ndarray | None = None) -> Objective:
+    """The mwc_loss objective for a net whose flat view `ref` describes.
 
-    The previous-task anchor and Fisher are re-indexed into the net's flat view
-    through `index_map` (identity when None). The loss mask is `mask` (the
-    expansion's new coordinates, none when None) OR the new positions of the
-    `old_invalid` coordinates (old parameters that must not be anchored, such
-    as a replaced output head). Without an anchor the objective is plain CE.
+    The previous-task anchor and Fisher are gathered through the reference
+    vector (identity when None; see transform), and the coordinates with
+    ref < 0 form the loss mask. Without an anchor the objective is plain CE.
     """
     if anchor is None:
         return lambda net, batch, rows, epoch: mwc_loss(net, batch, None, None, cfg)
-    a_vec, f_vec, extra = align_reference(anchor.params, fisher.values,
-                                          index_map or IndexMap.identity(count), count,
-                                          old_invalid)
-    mask = extra if mask is None else mask | extra
-    aligned = Anchor(a_vec), FisherDiag(f_vec, fisher.sample_count)
+    if ref is None:
+        ref = np.arange(anchor.params.size)
+    aligned = (Anchor(align_reference(anchor.params, ref)),
+               FisherDiag(align_reference(fisher.values, ref), fisher.sample_count))
+    mask = ref < 0
     return lambda net, batch, rows, epoch: mwc_loss(net, batch, *aligned, cfg, mask)
 
 
@@ -197,19 +194,21 @@ def train_task(net: DenseNet, train_set: Dataset, objective: Objective, epochs: 
                batch_size: int, lr: float, seed: int, momentum: float = 0.0) -> DenseNet:
     """Minibatch SGD on `objective`; seeded shuffling; mutates and returns net.
 
-    Raises TrainingDiverged on the first non-finite loss value or gradient.
+    Raises TrainingDiverged on the first non-finite loss value or gradient;
+    floating-point warnings on the way there are silenced.
     """
     rng = np.random.default_rng(seed)
     velocity = None
     n = len(train_set)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            batch = Batch(train_set.inputs[idx], train_set.labels[idx])
-            value, grads = objective(net, batch, idx, epoch)
-            if not np.isfinite(value) or not np.all(np.isfinite(grads)):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}: value={value}")
-            velocity = sgd_step(net, grads, lr, momentum, velocity)
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                batch = Batch(train_set.inputs[idx], train_set.labels[idx])
+                value, grads = objective(net, batch, idx, epoch)
+                if not np.isfinite(value) or not np.all(np.isfinite(grads)):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch offset {start}: value={value}")
+                velocity = sgd_step(net, grads, lr, momentum, velocity)
     return net

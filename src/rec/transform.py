@@ -1,9 +1,11 @@
 """Function-preserving morphisms: widen a hidden layer by unit replication
 (with outgoing-weight rescaling) or insert a ReLU identity layer.
 
-Every transform returns, besides the new network, an IndexMap relating old
-flat coordinates to new ones and a boolean mask over the new flat view that
-marks parameters with no valid previous-task anchor (fresh or rescaled).
+Every transform returns, besides the new network, a reference vector: an
+int64 array `ref` over the new net's flat view where `ref[j]` is the old flat
+position whose value coordinate j still holds, or -1 when it holds none
+(replicated, rescaled or inserted). Composing steps and aligning the
+previous-task anchor and Fisher both go through this one vector.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import IDENTITY, RELU, Arch, DenseNet, Layer
+from .netcore import RELU, Arch, DenseNet, Layer
 
 MAX_WIDER_ACTIONS = 2
 MAX_DEEPER_ACTIONS = 3
@@ -33,27 +35,6 @@ class DeeperAction:
     insert_after: int  # hidden-layer position the identity layer follows
 
 
-@dataclass
-class IndexMap:
-    """Old flat coordinate -> new flat coordinate, with a survival flag.
-
-    preserved[i] is False when the coordinate's value changed in the transform
-    (rescaled outgoing weights); such coordinates land inside the new mask and
-    must not be anchored.
-    """
-
-    new_pos: np.ndarray    # int64 [old_count]
-    preserved: np.ndarray  # bool  [old_count]
-
-    @staticmethod
-    def identity(count: int) -> "IndexMap":
-        return IndexMap(np.arange(count, dtype=np.int64), np.ones(count, dtype=bool))
-
-    def compose(self, later: "IndexMap") -> "IndexMap":
-        return IndexMap(later.new_pos[self.new_pos],
-                        self.preserved & later.preserved[self.new_pos])
-
-
 def _flat_grids(arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (weight, bias) arrays of flat-view positions."""
     ws = arch.widths
@@ -62,8 +43,7 @@ def _flat_grids(arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
             for (w_sl, b_sl), fi, fo in zip(arch.layer_slices(), ws[:-1], ws[1:])]
 
 
-def net2wider(net: DenseNet, action: WiderAction, seed: int
-              ) -> tuple[DenseNet, IndexMap, np.ndarray]:
+def net2wider(net: DenseNet, action: WiderAction, seed: int) -> tuple[DenseNet, np.ndarray]:
     n_hidden = len(net.arch.hidden_widths)
     l = action.layer_index
     if not (0 <= l < n_hidden):
@@ -86,34 +66,17 @@ def net2wider(net: DenseNet, action: WiderAction, seed: int
     new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
     net2 = DenseNet(new_arch, layers)
 
-    old_grids = _flat_grids(net.arch)
-    new_grids = _flat_grids(new_arch)
-    new_pos = np.empty(net.param_count(), dtype=np.int64)
-    preserved = np.ones(net.param_count(), dtype=bool)
-    for k, ((ow, ob), (nw_g, nb_g)) in enumerate(zip(old_grids, new_grids)):
-        if k == l:
-            # Original units keep their column index (pi(j) = j for j < w).
-            new_pos[ow.ravel()] = nw_g[:, :w].ravel()
-            new_pos[ob] = nb_g[:w]
-        elif k == l + 1:
-            new_pos[ow.ravel()] = nw_g[:w, :].ravel()
-            new_pos[ob] = nb_g
-            changed_rows = counts > 1
-            preserved[ow[changed_rows, :].ravel()] = False
-        else:
-            new_pos[ow.ravel()] = nw_g.ravel()
-            new_pos[ob] = nb_g
-
-    mask = np.zeros(net2.param_count(), dtype=bool)
-    (in_w, in_b), (out_w, _) = new_grids[l], new_grids[l + 1]
-    mask[in_w[:, w:].ravel()] = True
-    mask[in_b[w:]] = True
-    rescaled = counts[pi] > 1
-    mask[out_w[rescaled, :].ravel()] = True
-    return net2, IndexMap(new_pos, preserved), mask
+    # The same gathers on flat positions; -1 for replicas and rescaled rows.
+    grids = _flat_grids(net.arch)
+    (in_w, in_b), (out_w, out_b) = grids[l], grids[l + 1]
+    replica = np.arange(nw) >= w
+    grids[l] = np.where(replica, -1, in_w[:, pi]), np.where(replica, -1, in_b[pi])
+    grids[l + 1] = np.where((counts[pi] > 1)[:, None], -1, out_w[pi, :]), out_b
+    ref = np.concatenate([g.ravel() for pair in grids for g in pair])
+    return net2, ref
 
 
-def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, IndexMap, np.ndarray]:
+def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarray]:
     n_hidden = len(net.arch.hidden_widths)
     k = action.insert_after
     if not (0 <= k < n_hidden):
@@ -129,19 +92,19 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, IndexMap,
     new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
     net2 = DenseNet(new_arch, layers)
 
-    old_count = net.param_count()
     shift_at = net.arch.layer_slices()[k][1].stop  # flat offset just past layer k
-    inserted = w * w + w
-    new_pos = np.arange(old_count, dtype=np.int64)
-    new_pos[shift_at:] += inserted
-    mask = np.zeros(net2.param_count(), dtype=bool)
-    mask[shift_at:shift_at + inserted] = True
-    return net2, IndexMap(new_pos, np.ones(old_count, dtype=bool)), mask
+    ref = np.concatenate([np.arange(shift_at), np.full(w * w + w, -1),
+                          np.arange(shift_at, net.param_count())])
+    return net2, ref
 
 
-def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed: int = 0
-                  ) -> tuple[DenseNet, IndexMap, np.ndarray]:
-    """Sequential composition of morphisms; enforces the per-episode caps."""
+def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed: int = 0,
+                  ref: np.ndarray | None = None) -> tuple[DenseNet, np.ndarray, np.ndarray]:
+    """Sequential composition of morphisms; enforces the per-episode caps.
+
+    `ref` is the base reference vector over `net`'s flat view (identity when
+    None). Returns (child, the child's reference vector, ref < 0).
+    """
     n_wider = sum(isinstance(a, WiderAction) for a in actions)
     n_deeper = sum(isinstance(a, DeeperAction) for a in actions)
     if n_wider > MAX_WIDER_ACTIONS:
@@ -150,41 +113,21 @@ def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed
         raise CapViolation(f"{n_deeper} deeper actions exceed the cap of {MAX_DEEPER_ACTIONS}")
 
     current = net
-    index_map = IndexMap.identity(net.param_count())
-    mask = np.zeros(net.param_count(), dtype=bool)
+    if ref is None:
+        ref = np.arange(net.param_count())
     for i, action in enumerate(actions):
         if isinstance(action, WiderAction):
-            current, step_map, step_mask = net2wider(current, action, seed + i)
+            current, step = net2wider(current, action, seed + i)
         else:
-            current, step_map, step_mask = net2deeper(current, action)
-        carried = step_mask.copy()
-        carried[step_map.new_pos[mask]] = True
-        mask = carried
-        index_map = index_map.compose(step_map)
-    return current, index_map, mask
+            current, step = net2deeper(current, action)
+        ref = np.where(step >= 0, ref[step], -1)
+    return current, ref, ref < 0
 
 
-def align_reference(anchor_params: np.ndarray, fisher_values: np.ndarray,
-                    index_map: IndexMap, new_count: int,
-                    old_invalid: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re-index previous-task anchor/Fisher vectors into a transformed net's
-    flat view.
-
-    Returns (anchor_new, fisher_new, extra_mask): zeros where no old value
-    survives, plus the mask positions contributed by old_invalid coordinates
-    (old parameters that must not be anchored, e.g. a replaced output head).
-    """
-    keep = index_map.preserved.copy()
-    extra_mask = np.zeros(new_count, dtype=bool)
-    if old_invalid is not None:
-        extra_mask[index_map.new_pos[old_invalid & keep]] = True
-        keep &= ~old_invalid
-    anchor_new = np.zeros(new_count)
-    fisher_new = np.zeros(new_count)
-    anchor_new[index_map.new_pos[keep]] = anchor_params[keep]
-    fisher_new[index_map.new_pos[keep]] = fisher_values[keep]
-    return anchor_new, fisher_new, extra_mask
+def align_reference(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Previous-task per-coordinate values (anchor or Fisher) in the flat view
+    that `ref` describes; zero where no previous value survives."""
+    return np.where(ref >= 0, values[ref], 0.0)
 
 
 def action_to_line(action: WiderAction | DeeperAction) -> str:

@@ -20,7 +20,7 @@ def trained_prev(seed=0):
     train = Dataset(rng.standard_normal((300, 6)), rng.integers(0, 3, 300))
     val = Dataset(rng.standard_normal((80, 6)), rng.integers(0, 3, 80))
     net = init_network(ARCH, seed)
-    train_task(net, train, consolidation(None, None, PenaltyConfig(), net.param_count()),
+    train_task(net, train, consolidation(None, None, PenaltyConfig()),
                2, 64, 0.01, seed)
     fisher = estimate_fisher(net, train, 100, seed)
     return net, train, val, Anchor(net.get_flat()), fisher
@@ -224,7 +224,7 @@ class TestSearchChild:
                                  policy, BaselineState(), seed=5, search_cfg=scfg)
         assert result.actions == []
         expect = net.copy()
-        objective = consolidation(anchor, fisher, cfg, net.param_count())
+        objective = consolidation(anchor, fisher, cfg)
         train_task(expect, train, objective, 2, 64, 0.01, seed=5 + 2)
         assert np.array_equal(result.net.get_flat(), expect.get_flat())
 

@@ -7,7 +7,7 @@ from rec.lifelong import (AccuracyMatrix, MethodConfig, ablation_suite, gen_perm
                           gen_rotated_tasks, gen_split_tasks, method_config, rotate_images,
                           run_sequence, subseed)
 from rec.controller import SearchConfig
-from rec.regularize import PenaltyConfig
+from rec.regularize import PenaltyConfig, estimate_fisher
 from rec.transform import action_to_line, parse_action_line
 
 
@@ -258,6 +258,19 @@ class TestRunSequence:
         r = run_sequence(seq, _cfg("ewc"), seed=0)
         assert len(r.acc.rows) == 3
         assert np.mean(r.acc.rows[-1]) > 0.5
+
+    @pytest.mark.parametrize("method,calls", [("ewc", 2), ("sn", 0)])
+    def test_fisher_only_for_tasks_that_follow(self, small_bench, monkeypatch, method,
+                                                calls):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return estimate_fisher(*args, **kwargs)
+
+        monkeypatch.setattr("rec.lifelong.estimate_fisher", counting)
+        run_sequence(small_bench, _cfg(method, epochs=1), seed=0)
+        assert len(seen) == calls
 
 
 class TestAblationSuite:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from rec.data import Dataset
 from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, backward, forward,
                          init_network, loss_ce)
 from rec.regularize import (FISHER_CHUNK, Anchor, FisherDiag, PenaltyConfig, consolidation,
-                            estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
-                            train_task)
+                            TrainingDiverged, estimate_fisher, ewc_term, l1_term, l21_term,
+                            mwc_loss, train_task)
 from rec.transform import DeeperAction, WiderAction, apply_actions
 
 from conftest import central_diff, max_rel_err
@@ -320,7 +322,7 @@ class TestTrainTask:
     def test_paper_hyperparameters_on_separable_data(self):
         train = separable_blobs(2000, 0)
         net = init_network(Arch(2, (16,), 2), seed=0)
-        train_task(net, train, consolidation(None, None, PenaltyConfig(), net.param_count()),
+        train_task(net, train, consolidation(None, None, PenaltyConfig()),
                    epochs=8, batch_size=256, lr=0.001, seed=1)
         from rec.netcore import evaluate
         assert evaluate(net, train.inputs, train.labels) > 0.90
@@ -331,14 +333,23 @@ class TestTrainTask:
         anchor = Anchor(np.random.default_rng(3).standard_normal(net.param_count()))
         fisher = FisherDiag(np.ones(net.param_count()), 1)
         cfg = PenaltyConfig(1e6, 0.0, 0.0, EPS)
-        objective = consolidation(anchor, fisher, cfg, net.param_count())
+        objective = consolidation(anchor, fisher, cfg)
         train_task(net, train, objective, epochs=3, batch_size=64, lr=1e-6, seed=4)
         assert np.max(np.abs(net.get_flat() - anchor.params)) < 1e-2
+
+    def test_divergence_raises_without_warnings(self):
+        train = random_dataset(200, 6, 3, 3)
+        net = init_network(Arch(6, (8,), 3), seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged):
+                train_task(net, train, consolidation(None, None, PenaltyConfig()),
+                           epochs=5, batch_size=32, lr=1e6, seed=8)
 
     def test_zero_epochs_unchanged(self):
         train = separable_blobs(50, 2)
         net = init_network(Arch(2, (4,), 2), seed=5)
         before = net.get_flat()
-        train_task(net, train, consolidation(None, None, PenaltyConfig(), net.param_count()),
+        train_task(net, train, consolidation(None, None, PenaltyConfig()),
                    epochs=0, batch_size=16, lr=0.1, seed=6)
         assert np.array_equal(net.get_flat(), before)

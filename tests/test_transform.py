@@ -22,15 +22,13 @@ def logits_close(a, b, x, tol):
 class TestNet2Wider:
     def test_degenerate_same_width(self):
         net = random_net(0)
-        net2, imap, mask = net2wider(net, WiderAction(0, 4), seed=1)
+        net2, ref = net2wider(net, WiderAction(0, 4), seed=1)
         assert np.array_equal(net2.get_flat(), net.get_flat())
-        assert not mask.any()
-        assert np.array_equal(imap.new_pos, np.arange(net.param_count()))
-        assert imap.preserved.all()
+        assert np.array_equal(ref, np.arange(net.param_count()))
 
     def test_widen_one_to_two_halves_outgoing(self):
         net = random_net(1, Arch(3, (1,), 2))
-        net2, _, _ = net2wider(net, WiderAction(0, 2), seed=0)
+        net2, _ = net2wider(net, WiderAction(0, 2), seed=0)
         assert np.array_equal(net2.layers[0].weight[:, 0], net2.layers[0].weight[:, 1])
         assert np.allclose(net2.layers[1].weight[0], net.layers[1].weight[0] / 2)
         x = np.random.default_rng(0).standard_normal((100, 3))
@@ -38,7 +36,7 @@ class TestNet2Wider:
 
     def test_replication_counts(self):
         net = random_net(2, Arch(4, (2,), 3))
-        net2, _, _ = net2wider(net, WiderAction(0, 4), seed=7)
+        net2, _ = net2wider(net, WiderAction(0, 4), seed=7)
         # recover pi from incoming columns
         pi = [int(np.argmax([np.array_equal(net2.layers[0].weight[:, j],
                                             net.layers[0].weight[:, u])
@@ -49,7 +47,7 @@ class TestNet2Wider:
 
     def test_column_sum_invariant(self):
         net = random_net(3, Arch(4, (3,), 2))
-        net2, _, _ = net2wider(net, WiderAction(0, 7), seed=5)
+        net2, _ = net2wider(net, WiderAction(0, 7), seed=5)
         pi = [int(np.argmax([np.array_equal(net2.layers[0].weight[:, j],
                                             net.layers[0].weight[:, u])
                              for u in range(3)])) for j in range(7)]
@@ -72,20 +70,20 @@ class TestNet2Wider:
 class TestNet2Deeper:
     def test_function_preserved(self):
         net = random_net(6)
-        net2, _, _ = net2deeper(net, DeeperAction(1))
+        net2, _ = net2deeper(net, DeeperAction(1))
         x = np.random.default_rng(1).standard_normal((100, 5))
         assert logits_close(net, net2, x, 1e-12)
 
     def test_mask_counts(self):
         net = random_net(7, Arch(5, (4, 3), 2))
         w = 4
-        _, _, mask = net2deeper(net, DeeperAction(0))
-        assert mask.sum() == w * w + w
+        _, ref = net2deeper(net, DeeperAction(0))
+        assert np.sum(ref < 0) == w * w + w
 
     def test_two_successive_deepens(self):
         net = random_net(8)
-        net2, _, _ = net2deeper(net, DeeperAction(0))
-        net3, _, _ = net2deeper(net2, DeeperAction(0))
+        net2, _ = net2deeper(net, DeeperAction(0))
+        net3, _ = net2deeper(net2, DeeperAction(0))
         x = np.random.default_rng(2).standard_normal((100, 5))
         assert logits_close(net, net3, x, 1e-12)
 
@@ -98,10 +96,10 @@ class TestNet2Deeper:
 class TestApplyActions:
     def test_empty_is_identity(self):
         net = random_net(10)
-        net2, imap, mask = apply_actions(net, [])
+        net2, ref, mask = apply_actions(net, [])
         assert np.array_equal(net2.get_flat(), net.get_flat())
         assert not mask.any()
-        assert imap.preserved.all()
+        assert np.array_equal(ref, np.arange(net.param_count()))
 
     def test_wider_plus_deeper_preserves(self):
         net = random_net(11)
@@ -128,24 +126,24 @@ class TestApplyActions:
 
     def test_mask_map_partition(self):
         net = random_net(15)
-        net2, imap, mask = apply_actions(
+        net2, ref, mask = apply_actions(
             net, [WiderAction(0, 8), DeeperAction(1), WiderAction(1, 6)], seed=9)
-        image = imap.new_pos[imap.preserved]
+        assert ref.shape == mask.shape == (net2.param_count(),)
+        assert np.array_equal(mask, ref < 0)
+        image = ref[ref >= 0]
         assert len(set(image.tolist())) == image.size  # injective
-        covered = np.zeros(net2.param_count(), dtype=bool)
-        covered[image] = True
-        assert not np.any(covered & mask)
-        assert np.all(covered | mask)
+        assert image.max() < net.param_count()
+        assert 0 < image.size < net.param_count()  # rescaled rows lost their anchor
 
     def test_preserved_values_survive(self):
         net = random_net(16)
-        net2, imap, _ = apply_actions(net, [WiderAction(0, 8), DeeperAction(1)], seed=4)
-        old_flat, new_flat = net.get_flat(), net2.get_flat()
-        keep = imap.preserved
-        assert np.array_equal(new_flat[imap.new_pos[keep]], old_flat[keep])
+        net2, ref, _ = apply_actions(net, [WiderAction(0, 8), DeeperAction(1)], seed=4)
+        keep = ref >= 0
+        assert np.array_equal(net2.get_flat()[keep], net.get_flat()[ref[keep]])
 
 
-def test_function_preservation_randomized():
+def random_action_lists():
+    """60 (trial, net, actions, inputs) cases: random nets and valid action lists."""
     rng = np.random.default_rng(99)
     for trial in range(60):
         arch = Arch(int(rng.integers(2, 7)),
@@ -163,9 +161,22 @@ def test_function_preservation_randomized():
             k = int(rng.integers(0, len(widths)))
             actions.append(DeeperAction(k))
             widths.insert(k + 1, widths[k])
+        yield trial, net, actions, rng.standard_normal((20, arch.input_dim))
+
+
+def test_function_preservation_randomized():
+    for trial, net, actions, x in random_action_lists():
         net2, _, _ = apply_actions(net, actions, seed=trial)
-        x = rng.standard_normal((20, arch.input_dim))
         assert logits_close(net, net2, x, 1e-8)
+
+
+def test_ref_points_at_surviving_values_randomized():
+    for trial, net, actions, _ in random_action_lists():
+        child, ref, mask = apply_actions(net, actions, seed=trial)
+        keep = ref >= 0
+        assert np.array_equal(mask, ~keep)
+        assert np.array_equal(child.params[keep], net.params[ref[keep]])
+        assert np.unique(ref[keep]).size == ref[keep].size
 
 
 class TestAlignReference:
@@ -173,25 +184,27 @@ class TestAlignReference:
         net = random_net(20)
         anchor = np.random.default_rng(5).standard_normal(net.param_count())
         fisher = np.random.default_rng(6).random(net.param_count())
-        net2, imap, mask = apply_actions(net, [WiderAction(0, 8)], seed=2)
-        a2, f2, extra = align_reference(anchor, fisher, imap, net2.param_count())
-        keep = imap.preserved
-        assert np.array_equal(a2[imap.new_pos[keep]], anchor[keep])
-        assert np.array_equal(f2[imap.new_pos[keep]], fisher[keep])
+        net2, ref, mask = apply_actions(net, [WiderAction(0, 8)], seed=2)
+        a2, f2 = align_reference(anchor, ref), align_reference(fisher, ref)
+        keep = ref >= 0
+        assert np.array_equal(a2[keep], anchor[ref[keep]])
+        assert np.array_equal(f2[keep], fisher[ref[keep]])
         assert np.all(a2[mask] == 0) and np.all(f2[mask] == 0)
-        assert not extra.any()
 
-    def test_old_invalid_contributes_mask(self):
+    def test_base_ref_head_stays_unanchored(self):
+        # split mode: the replaced output head holds no anchor value before
+        # the expansion and must hold none after it
         net = random_net(21)
-        n = net.param_count()
-        anchor = np.ones(n)
-        fisher = np.ones(n)
-        invalid = np.zeros(n, dtype=bool)
-        invalid[:5] = True
-        net2, imap, _ = apply_actions(net, [DeeperAction(0)], seed=0)
-        a2, _, extra = align_reference(anchor, fisher, imap, net2.param_count(), invalid)
-        assert extra.sum() == 5
-        assert np.all(a2[extra] == 0)
+        head_start = net.arch.layer_slices()[-1][0].start
+        base = np.arange(net.param_count())
+        base[head_start:] = -1
+        child, ref, mask = apply_actions(net, [DeeperAction(0), WiderAction(1, 6)], seed=0,
+                                         ref=base)
+        child_head = child.arch.layer_slices()[-1][0].start
+        assert np.all(ref[child_head:] == -1) and np.all(mask[child_head:])
+        assert np.all(ref[ref >= 0] < head_start)
+        a2 = align_reference(np.ones(net.param_count()), ref)
+        assert np.all(a2[child_head:] == 0)
 
 
 def test_action_line_round_trip():
