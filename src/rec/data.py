@@ -1,4 +1,10 @@
-"""Dataset containers, the bundled synthetic generator, and the IDX reader."""
+"""Dataset containers, the bundled synthetic generator, and the IDX reader.
+
+Dataset inputs are C-contiguous (row-major) by invariant, so a minibatch
+gather `inputs[idx]` reads whole rows; code that maps inputs column-wise
+should build a C-ordered result (np.take(x, cols, axis=1), not x[:, cols])
+rather than rely on the copy Dataset makes.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +21,14 @@ SYNTHETIC_NOISE = 0.6  # std of the isotropic noise added to class prototypes
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray  # [n, d] float64
+    """Samples and labels; `inputs` is made C-contiguous on construction (a
+    no-op for input that already is), `labels` is kept as given."""
+
+    inputs: np.ndarray  # [n, d] float64, C-contiguous
     labels: np.ndarray  # [n] int64
+
+    def __post_init__(self):
+        self.inputs = np.ascontiguousarray(self.inputs)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

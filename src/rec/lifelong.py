@@ -68,8 +68,8 @@ def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
     d = train_ds.input_dim
     perms = [np.arange(d) if t == 0 else rng.permutation(d) for t in range(num_tasks)]
     return _transformed_tasks(train_ds, test_ds, PERMUTED, seed,
-                              [(lambda x, p=p: x[:, p], {"permutation": p.tolist()})
-                               for p in perms])
+                              [(lambda x, p=p: np.take(x, p, axis=1),
+                                {"permutation": p.tolist()}) for p in perms])
 
 
 def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -88,7 +88,7 @@ def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
     sc = np.rint(src_c).astype(int)
     inside = (sr >= 0) & (sr < side) & (sc >= 0) & (sc < side)
     flat_src = np.clip(sr, 0, side - 1) * side + np.clip(sc, 0, side - 1)
-    out = inputs[:, flat_src.ravel()]
+    out = np.take(inputs, flat_src.ravel(), axis=1)
     out[:, ~inside.ravel()] = 0.0
     return out
 
@@ -210,7 +210,7 @@ def _attach_head(hidden_net: DenseNet, num_classes: int, seed: int) -> DenseNet:
     """Fresh output head on carried hidden layers (split-task protocol)."""
     arch = Arch(hidden_net.arch.input_dim, hidden_net.arch.hidden_widths, num_classes)
     fresh = init_network(arch, seed)
-    head_start = arch.layer_slices()[-1][0].start
+    head_start = arch.layer_slices[-1][0].start
     fresh.params[:head_start] = hidden_net.params[:head_start]
     return fresh
 
@@ -254,7 +254,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         if t > 0 and split_mode:
             net = _attach_head(net, task.num_classes, subseed(seed, "head", t))
             ref = np.arange(net.param_count())
-            ref[net.arch.layer_slices()[-1][0].start:] = -1  # the replaced output head
+            ref[net.arch.layer_slices[-1][0].start:] = -1  # the replaced output head
         child, actions = net, []
         if t > 0 and method.expansion and method.compression:
             val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]

@@ -3,7 +3,7 @@
 All math is float64. A DenseNet owns one contiguous parameter vector
 `params`; each layer's weight and bias are views into it. The flat ordering
 is, per layer, W.ravel() (row-major) followed by b, with the offsets given by
-Arch.layer_slices(); every module in this package that talks about "aligned
+Arch.layer_slices; every module in this package that talks about "aligned
 vectors" means this ordering.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,16 +43,17 @@ class Arch:
         return len(self.hidden_widths) + 1
 
     def param_count(self) -> int:
-        return self.layer_slices()[-1][1].stop
+        return self.layer_slices[-1][1].stop
 
-    def layer_slices(self) -> list[tuple[slice, slice]]:
-        """Flat-vector (weight_slice, bias_slice) per layer."""
+    @cached_property
+    def layer_slices(self) -> tuple[tuple[slice, slice], ...]:
+        """Flat-vector (weight_slice, bias_slice) per layer, computed once per Arch."""
         out, off = [], 0
         ws = self.widths
         for fi, fo in zip(ws[:-1], ws[1:]):
             out.append((slice(off, off + fi * fo), slice(off + fi * fo, off + fi * fo + fo)))
             off += fi * fo + fo
-        return out
+        return tuple(out)
 
 
 @dataclass
@@ -86,7 +88,7 @@ class DenseNet:
         self.params = np.concatenate([a for l in layers for a in (l.weight.ravel(), l.bias)],
                                      dtype=np.float64)
         self.layers = [Layer(self.params[w_sl].reshape(l.weight.shape), self.params[b_sl],
-                             l.activation) for l, (w_sl, b_sl) in zip(layers, arch.layer_slices())]
+                             l.activation) for l, (w_sl, b_sl) in zip(layers, arch.layer_slices)]
 
     def copy(self) -> "DenseNet":
         return DenseNet(self.arch, self.layers)
@@ -151,10 +153,10 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    value = float(np.mean(logz - shifted[np.arange(n), labels]))
     probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    z = probs.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), labels]))
+    probs /= z
     dlogits = probs
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
@@ -185,10 +187,13 @@ def backward(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray) -> np.ndar
     if dlogits.shape != cache.pre[-1].shape:
         raise ValueError("dlogits shape does not match cached forward")
     grads = np.empty(net.param_count())
-    slices = net.arch.layer_slices()
+    slices = net.arch.layer_slices
     for i, a_prev, delta in layer_deltas(net, cache, dlogits):
         w_sl, b_sl = slices[i]
-        grads[w_sl] = (a_prev.T @ delta).ravel()
+        # The weight gradient goes straight into its slice (no temporary, no
+        # copy); the bias row is small enough that np.sum(out=)'s argument
+        # handling costs more than the copy it saves.
+        np.matmul(a_prev.T, delta, out=grads[w_sl].reshape(a_prev.shape[1], delta.shape[1]))
         grads[b_sl] = delta.sum(axis=0)
     return grads
 

@@ -5,6 +5,9 @@ The combined loss is CE + quadratic Fisher anchoring + smoothed l2,1 coupling
 of current/previous weights + smoothed l1 sparsity. With an expansion mask the
 anchored terms skip new coordinates and the l1 term applies only to them; an
 absent or all-False mask means no expansion, and l1 covers every coordinate.
+`mwc_loss` evaluates the terms on full-length vectors (aligned anchor and
+Fisher hold zeros at new coordinates) and skips every term whose lambda is 0;
+`ewc_term`, `l21_term` and `l1_term` are the reference formulas it matches.
 `consolidation` builds that objective for a net whose previous-task anchor is
 gathered through a reference vector (transform); `train_task` runs SGD on any
 objective.
@@ -77,7 +80,7 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     n = min(max_samples, len(dataset))
     idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
     acc = np.zeros(net.param_count())
-    slices = net.arch.layer_slices()
+    slices = net.arch.layer_slices
     for start in range(0, n, FISHER_CHUNK):
         rows = idx[start:start + FISHER_CHUNK]
         batch = Batch(dataset.inputs[rows], dataset.labels[rows])
@@ -141,6 +144,15 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherD
     already be aligned to the current flat view (zeros at masked positions; see
     transform.align_reference). None and an all-False mask both mean no
     expansion.
+
+    Each term is computed on full-length vectors, and a term whose lambda is 0
+    is skipped. The zeros of aligned vectors make the Fisher term vanish on
+    masked coordinates, and there sqrt(p^2 + a^2 + eps^2) is the l1 root, so
+    an expanded net gets one root weighted lambda_21 on anchored and lambda_1
+    on new coordinates. The gradient equals ewc_term and l21_term over the
+    unmasked coordinates plus l1_term over the masked ones, added in that
+    order, bit for bit (up to the sign of an exact zero, which a skipped term
+    can flip); the value equals their sum up to summation order.
     """
     logits, cache = forward(net, batch)
     value, dlogits = loss_ce(logits, batch.labels)
@@ -149,22 +161,50 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherD
         return value, grads
 
     assert fisher is not None
-    params = net.params
-    if mask is not None and mask.shape != params.shape:
+    p, a = net.params, anchor.params
+    if mask is not None and mask.shape != p.shape:
         raise ValueError("mask length differs from net parameter count")
-    expanded = mask is not None and bool(mask.any())
-    # Anchored terms on surviving coordinates only; aligned vectors carry zeros
-    # at masked positions so restricting by `old` is exact.
-    old = ~mask if expanded else slice(None)
-    ref = Anchor(anchor.params[old])
-    for v, g in (ewc_term(params[old], ref, FisherDiag(fisher.values[old], fisher.sample_count),
-                          cfg.lambda_ewc),
-                 l21_term(params[old], ref, cfg.lambda_21, cfg.epsilon)):
-        value += v
-        grads[old] += g
-    v, g = l1_term(params, mask if expanded else None, cfg.lambda_1, cfg.epsilon)
-    grads += g
-    return value + v, grads
+    lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
+    if not (cfg.lambda_ewc or lam_21 or lam_1):
+        return value, grads
+    # Every temporary of the penalty lives in these two vectors, updated in
+    # place, so a step allocates two parameter-length arrays, not one per op.
+    buf, work = np.empty_like(p), np.empty_like(p)
+    if cfg.lambda_ewc:
+        diff = np.subtract(p, a, out=buf)
+        np.multiply(cfg.lambda_ewc, fisher.values, out=work)
+        work *= diff
+        value += 0.5 * float(work @ diff)
+        grads += work
+    eps2 = cfg.epsilon ** 2
+    if mask is not None and mask.any():
+        if lam_21 or lam_1:
+            root = _smoothed_root(p, a, eps2, buf, work)
+            work.fill(lam_21)
+            work[mask] = lam_1
+            value += float(work @ root)
+            work *= p
+            work /= root
+            grads += work
+        return value, grads
+    for lam, anchored in ((lam_21, a), (lam_1, None)):
+        if lam:
+            root = _smoothed_root(p, anchored, eps2, buf, work)
+            value += lam * float(np.sum(root))
+            np.multiply(lam, p, out=work)
+            work /= root
+            grads += work
+    return value, grads
+
+
+def _smoothed_root(p: np.ndarray, a: np.ndarray | None, eps2: float, out: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """out <- sqrt(p^2 + a^2 + eps2), or sqrt(p^2 + eps2) without a; work is scratch."""
+    np.square(p, out=out)
+    if a is not None:
+        out += np.square(a, out=work)
+    out += eps2
+    return np.sqrt(out, out=out)
 
 
 # objective(net, batch, rows, epoch) -> (loss value, flat gradient); rows are

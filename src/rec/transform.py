@@ -40,7 +40,7 @@ def _flat_grids(arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
     ws = arch.widths
     return [(np.arange(w_sl.start, w_sl.stop, dtype=np.int64).reshape(fi, fo),
              np.arange(b_sl.start, b_sl.stop, dtype=np.int64))
-            for (w_sl, b_sl), fi, fo in zip(arch.layer_slices(), ws[:-1], ws[1:])]
+            for (w_sl, b_sl), fi, fo in zip(arch.layer_slices, ws[:-1], ws[1:])]
 
 
 def net2wider(net: DenseNet, action: WiderAction, seed: int) -> tuple[DenseNet, np.ndarray]:
@@ -92,7 +92,7 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarra
     new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
     net2 = DenseNet(new_arch, layers)
 
-    shift_at = net.arch.layer_slices()[k][1].stop  # flat offset just past layer k
+    shift_at = net.arch.layer_slices[k][1].stop  # flat offset just past layer k
     ref = np.concatenate([np.arange(shift_at), np.full(w * w + w, -1),
                           np.arange(shift_at, net.param_count())])
     return net2, ref

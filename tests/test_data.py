@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_idx_dataset,
+from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, load_idx_dataset,
                       load_idx_images, load_idx_labels)
 
 
@@ -17,6 +17,14 @@ def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):
                     + images.astype(np.uint8).tobytes())
     lab.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, n) + labels.astype(np.uint8).tobytes())
     return img, lab
+
+
+def test_dataset_inputs_become_row_major():
+    x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    ds = Dataset(x, np.zeros(4, dtype=np.int64))
+    assert ds.inputs.flags.c_contiguous
+    assert np.array_equal(ds.inputs, x)
+    assert ds.subset(np.array([3, 1])).inputs.flags.c_contiguous
 
 
 class TestIdx:

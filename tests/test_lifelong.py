@@ -96,6 +96,14 @@ class TestTaskGenerators:
         with pytest.raises(ValueError):
             gen_permuted_tasks(train, test, 0, seed=0)
 
+    def test_every_split_is_row_major(self):
+        # minibatch gathers inputs[idx] read whole rows only from C order
+        train, test = synthetic_classes(120, 60, 6, 4, seed=4)
+        for gen in (gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks):
+            for task in gen(train, test, 2, seed=0).tasks:
+                for split in (task.train, task.val, task.test):
+                    assert split.inputs.flags.c_contiguous, (gen.__name__, task.transform_spec)
+
 
 class TestRotateImages:
     def test_zero_rotation_identity(self, rng):

@@ -45,7 +45,7 @@ class TestInit:
 class TestParameterVector:
     def test_layers_are_views_of_params(self):
         net = init_network(Arch(4, (3,), 2), seed=0)
-        for l, (w_sl, b_sl) in zip(net.layers, net.arch.layer_slices()):
+        for l, (w_sl, b_sl) in zip(net.layers, net.arch.layer_slices):
             assert np.shares_memory(l.weight, net.params[w_sl])
             assert np.shares_memory(l.bias, net.params[b_sl])
 
@@ -160,7 +160,7 @@ class TestBackward:
         logits, cache = forward(net, batch)
         _, dlogits = loss_ce(logits, batch.labels)
         grads = backward(net, cache, dlogits)
-        w_sl, b_sl = net.arch.layer_slices()[0]
+        w_sl, b_sl = net.arch.layer_slices[0]
         assert np.all(grads[w_sl] == 0)
         assert np.all(grads[b_sl] == 0)
 

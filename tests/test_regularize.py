@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec.data import Dataset
+from rec.lifelong import method_config
 from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, backward, forward,
                          init_network, loss_ce)
 from rec.regularize import (FISHER_CHUNK, Anchor, FisherDiag, PenaltyConfig, consolidation,
                             TrainingDiverged, estimate_fisher, ewc_term, l1_term, l21_term,
                             mwc_loss, train_task)
-from rec.transform import DeeperAction, WiderAction, apply_actions
+from rec.transform import DeeperAction, WiderAction, align_reference, apply_actions
 
 from conftest import central_diff, max_rel_err
 
@@ -297,6 +298,75 @@ def test_all_false_mask_is_no_expansion():
     v_empty, g_empty = mwc_loss(net, batch, anchor, fisher, cfg, np.zeros(n, dtype=bool))
     assert v_none == v_empty
     assert g_none.tobytes() == g_empty.tobytes()
+
+
+def mwc_by_terms(net, batch, anchor, fisher, cfg, mask=None):
+    """Reference objective built from the term functions: CE, then ewc_term and
+    l21_term over the unmasked coordinates, then l1_term over the masked ones
+    (every coordinate when nothing is masked), each evaluated whatever its
+    lambda."""
+    logits, cache = forward(net, batch)
+    value, dlogits = loss_ce(logits, batch.labels)
+    grads = backward(net, cache, dlogits)
+    p = net.get_flat()
+    expanded = mask is not None and bool(mask.any())
+    old = ~mask if expanded else slice(None)
+    kept = Anchor(anchor.params[old])
+    for v, g in (ewc_term(p[old], kept, FisherDiag(fisher.values[old], 1), cfg.lambda_ewc),
+                 l21_term(p[old], kept, cfg.lambda_21, EPS)):
+        value += v
+        grads[old] += g
+    v, g = l1_term(p, mask if expanded else None, cfg.lambda_1, EPS)
+    return value + v, grads + g
+
+
+WIRED = PenaltyConfig(2.0, 0.3, 0.2, EPS)
+PENALIZED = ("ewc", "ewc_l1", "ewc_l21", "mwc")
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+@pytest.mark.parametrize("masking", ["none", "partial", "all-false"])
+def test_mwc_loss_matches_term_functions_bitwise(method, masking):
+    rng = np.random.default_rng(PENALIZED.index(method))
+    net = random_net(Arch(6, (7, 5), 3), 8)
+    n = net.param_count()
+    batch = Batch(rng.standard_normal((9, 6)), rng.integers(0, 3, 9))
+    anchor = Anchor(rng.standard_normal(n))
+    fisher = FisherDiag(rng.random(n), 1)
+    mask = {"none": None, "partial": rng.random(n) < 0.3,
+            "all-false": np.zeros(n, dtype=bool)}[masking]
+    if masking == "partial":  # aligned vectors hold zeros at new coordinates
+        anchor.params[mask] = 0.0
+        fisher.values[mask] = 0.0
+    cfg = method_config(method, WIRED).penalty
+    v, g = mwc_loss(net, batch, anchor, fisher, cfg, mask)
+    v_ref, g_ref = mwc_by_terms(net, batch, anchor, fisher, cfg, mask)
+    assert v == pytest.approx(v_ref, rel=1e-12)
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value's bits alone: a
+    # skipped zero-lambda term no longer adds a signed zero, which SGD ignores.
+    assert (g + 0.0).tobytes() == (g_ref + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+def test_train_task_on_expanded_child_matches_term_functions(method):
+    parent = random_net(Arch(6, (5,), 3), 6)
+    child, ref, mask = apply_actions(parent, [WiderAction(0, 8), DeeperAction(0)], seed=2)
+    assert mask.any() and not mask.all()
+    ds = random_dataset(150, 6, 3, 9)
+    anchor, fisher = Anchor(parent.get_flat()), estimate_fisher(parent, ds, 60, 0)
+    cfg = method_config(method, WIRED).penalty
+    aligned = (Anchor(align_reference(anchor.params, ref)),
+               FisherDiag(align_reference(fisher.values, ref), fisher.sample_count))
+
+    def by_terms(net, batch, rows, epoch):
+        return mwc_by_terms(net, batch, *aligned, cfg, mask)
+
+    fast, slow = child.copy(), child.copy()
+    train_task(fast, ds, consolidation(anchor, fisher, cfg, ref), epochs=2, batch_size=32,
+               lr=0.05, seed=3)
+    train_task(slow, ds, by_terms, epochs=2, batch_size=32, lr=0.05, seed=3)
+    assert not np.array_equal(fast.params, child.params)
+    assert fast.params.tobytes() == slow.params.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

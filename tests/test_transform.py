@@ -195,12 +195,12 @@ class TestAlignReference:
         # split mode: the replaced output head holds no anchor value before
         # the expansion and must hold none after it
         net = random_net(21)
-        head_start = net.arch.layer_slices()[-1][0].start
+        head_start = net.arch.layer_slices[-1][0].start
         base = np.arange(net.param_count())
         base[head_start:] = -1
         child, ref, mask = apply_actions(net, [DeeperAction(0), WiderAction(1, 6)], seed=0,
                                          ref=base)
-        child_head = child.arch.layer_slices()[-1][0].start
+        child_head = child.arch.layer_slices[-1][0].start
         assert np.all(ref[child_head:] == -1) and np.all(mask[child_head:])
         assert np.all(ref[ref >= 0] < head_start)
         a2 = align_reference(np.ones(net.param_count()), ref)
