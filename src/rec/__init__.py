@@ -3,11 +3,11 @@ expansion searched by a REINFORCE controller, and distillation back to a fixed
 model size."""
 
 from .netcore import Arch, Batch, DenseNet, init_network, forward, loss_ce, backward, evaluate
-from .regularize import Anchor, FisherDiag, PenaltyConfig, estimate_fisher, mwc_loss, train_task
+from .regularize import PenaltyConfig, estimate_fisher, mwc_loss, train_task
 from .transform import DeeperAction, WiderAction, apply_actions, net2deeper, net2wider
-from .controller import BaselineState, SearchConfig, init_policy, reward_transform, search_child
+from .controller import SearchConfig, init_policy, reward_transform, search_child
 from .distill import CompressConfig, compress, kd_loss
-from .lifelong import (AccuracyMatrix, MethodConfig, TaskSequence, ablation_suite,
+from .lifelong import (METHODS, AccuracyMatrix, MethodConfig, TaskSequence,
                        gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks,
                        method_config, run_sequence)
 

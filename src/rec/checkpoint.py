@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .netcore import Arch, DenseNet, Layer, IDENTITY, RELU
-from .regularize import Anchor, FisherDiag
 
 MAGIC = b"RECNET01"
 
@@ -25,23 +24,22 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path: str | Path, net: DenseNet, anchor: Anchor | None = None,
-                    fisher: FisherDiag | None = None) -> None:
+def save_checkpoint(path: str | Path, net: DenseNet, anchor: np.ndarray | None = None,
+                    fisher: np.ndarray | None = None) -> None:
     arrays: list[tuple[str, np.ndarray]] = []
     for i, l in enumerate(net.layers):
         arrays.append((f"w{i}", l.weight))
         arrays.append((f"b{i}", l.bias))
     if anchor is not None:
-        arrays.append(("anchor", anchor.params))
+        arrays.append(("anchor", anchor))
     if fisher is not None:
-        arrays.append(("fisher", fisher.values))
+        arrays.append(("fisher", fisher))
     header = {
         "arch": {
             "input_dim": net.arch.input_dim,
             "hidden_widths": list(net.arch.hidden_widths),
             "output_dim": net.arch.output_dim,
         },
-        "fisher_samples": fisher.sample_count if fisher is not None else None,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -54,8 +52,9 @@ def save_checkpoint(path: str | Path, net: DenseNet, anchor: Anchor | None = Non
 
 
 def load_checkpoint(path: str | Path
-                    ) -> tuple[DenseNet, Anchor | None, FisherDiag | None]:
-    """Read a RECNET01 file; every malformed container raises CheckpointError."""
+                    ) -> tuple[DenseNet, np.ndarray | None, np.ndarray | None]:
+    """Read a RECNET01 file as (net, anchor, fisher); every malformed container
+    raises CheckpointError. Older files' `fisher_samples` header key is ignored."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:8]!r}, expected {MAGIC!r}")
@@ -97,9 +96,13 @@ def load_checkpoint(path: str | Path
         net = DenseNet(arch, [Layer(loaded[f"w{i}"], loaded[f"b{i}"],
                                     IDENTITY if i == arch.num_layers - 1 else RELU)
                               for i in range(arch.num_layers)])
-        anchor = Anchor(loaded["anchor"]) if "anchor" in loaded else None
-        fisher = (FisherDiag(loaded["fisher"], int(header["fisher_samples"] or 0))
-                  if "fisher" in loaded else None)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"inconsistent checkpoint: {type(e).__name__}: {e}") from None
+    anchor, fisher = loaded.get("anchor"), loaded.get("fisher")
+    for name, vec in (("anchor", anchor), ("fisher", fisher)):
+        if vec is not None and vec.shape != (net.param_count(),):
+            raise CheckpointError(f"{name} has shape {list(vec.shape)}, expected "
+                                  f"[{net.param_count()}] (one entry per parameter)")
+    if fisher is not None and np.any(fisher < 0):
+        raise CheckpointError("fisher has negative entries")
     return net, anchor, fisher

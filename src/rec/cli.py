@@ -19,8 +19,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .controller import SearchConfig
 from .data import load_idx_dataset, synthetic_classes
 from .distill import CompressConfig
-from .lifelong import (METHOD_NAMES, gen_permuted_tasks, gen_rotated_tasks,
-                       gen_split_tasks, method_config, run_sequence, subseed)
+from .lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks,
+                       method_config, run_sequence, subseed)
 from .netcore import Arch, init_network
 from .regularize import PenaltyConfig, TrainingDiverged
 
@@ -117,8 +117,8 @@ def parse_config(path: str | Path) -> RunConfig:
         values[key] = val
     cfg = RunConfig(values)
     for m in cfg.get_list("methods"):
-        if m not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHOD_NAMES)}")
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHODS)}")
     if cfg["task_kind"] not in ("permuted", "rotated", "split"):
         raise ConfigError(f"unknown task_kind {cfg['task_kind']!r}")
     if cfg["reward_scope"] not in ("new-only", "all-learned"):

@@ -9,19 +9,19 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
 from .netcore import Arch, DenseNet, evaluate
-from .regularize import (Anchor, FisherDiag, PenaltyConfig, TrainingDiverged,
-                         consolidation, train_task)
+from .regularize import PenaltyConfig, TrainingDiverged, consolidation, train_task
 from .transform import (MAX_DEEPER_ACTIONS, MAX_WIDER_ACTIONS, DeeperAction, WiderAction,
                         action_to_line, apply_actions)
 
 PROB_FLOOR = 1e-6
 N_BUCKETS = 12  # embedding rows: log2 width buckets
+BASELINE_DECAY = 0.95  # weight of the old reward moving average per update
 
 
 @dataclass
@@ -45,8 +45,7 @@ class ControllerPolicy:
         return self.b_f.shape[0]
 
     def param_items(self) -> list[str]:
-        return ["emb", "wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b",
-                "w_wider", "b_wider", "w_deep", "b_deep", "w_stop", "b_stop"]
+        return [f.name for f in fields(self)]
 
 
 def init_policy(seed: int, hidden_size: int = 32, emb_dim: int = 16) -> ControllerPolicy:
@@ -140,24 +139,17 @@ class Episode:
         return sum(d.logp for d in self.decisions)
 
 
-@dataclass
-class BaselineState:
-    ema: float | None = None
-    decay: float = 0.95
-
-
 def raw_reward(a_val: float) -> float:
     """tan(a_val * pi/2), with a_val clamped to [0, 0.999]."""
     return float(np.tan(min(max(a_val, 0.0), 0.999) * np.pi / 2.0))
 
 
-def reward_transform(a_val: float, baseline: BaselineState) -> tuple[float, BaselineState]:
-    """raw_reward centered by an exponential moving average."""
+def reward_transform(a_val: float, baseline: float | None) -> tuple[float, float]:
+    """raw_reward centered by an exponential moving average of the earlier raw
+    rewards (None before the first); returns the reward and the new average."""
     raw = raw_reward(a_val)
-    prev = raw if baseline.ema is None else baseline.ema
-    reward = raw - prev
-    new_ema = baseline.decay * prev + (1.0 - baseline.decay) * raw
-    return reward, BaselineState(new_ema, baseline.decay)
+    prev = raw if baseline is None else baseline
+    return raw - prev, BASELINE_DECAY * prev + (1.0 - BASELINE_DECAY) * raw
 
 
 @dataclass(frozen=True)
@@ -273,17 +265,17 @@ class SearchResult:
 
 
 def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset],
-                 anchor: Anchor | None, fisher: FisherDiag | None, cfg: PenaltyConfig,
-                 budget: int, policy: ControllerPolicy, baseline: BaselineState,
+                 anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
+                 budget: int, policy: ControllerPolicy, baseline: float | None,
                  seed: int, search_cfg: SearchConfig = SearchConfig(),
-                 ref: np.ndarray | None = None) -> tuple[SearchResult, BaselineState]:
+                 ref: np.ndarray | None = None) -> tuple[SearchResult, float]:
     """Episode loop of the expansion search.
 
     Each child is created by the sampled morphisms, fine-tuned briefly with the
     masked consolidation loss, and scored on the validation data (union over
     val_sets); rewards update the policy in batches of m. `ref` is the
     reference vector of prev_net (identity when None). Returns the
-    best-scoring child seen.
+    best-scoring child seen and the reward moving average (reward_transform).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -1,6 +1,7 @@
 """Logit-matching knowledge distillation: compress an expanded child back to
 the initial architecture (l2 loss on teacher logits, then joint hard+soft).
-The student trains through regularize.train_task with a KD/CE objective."""
+The student trains through regularize.train_task with a KD/CE objective
+against the teacher's logits, a plain [n, K] array collected once."""
 
 from __future__ import annotations
 
@@ -14,19 +15,14 @@ from .netcore import (Arch, Batch, DenseNet, backward, forward, init_network, lo
 from .regularize import train_task
 
 
-@dataclass
-class SoftTargets:
-    logits: np.ndarray  # [n, K], row-aligned with the dataset
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("soft targets must be finite")
-
-
-def collect_soft_targets(teacher: DenseNet, dataset: Dataset) -> SoftTargets:
+def collect_soft_targets(teacher: DenseNet, dataset: Dataset) -> np.ndarray:
+    """The teacher's logits [n, K], row-aligned with the dataset; all finite."""
     if dataset.input_dim != teacher.arch.input_dim:
         raise ValueError("teacher input dim does not match dataset")
-    return SoftTargets(predict_logits(teacher, dataset.inputs))
+    logits = predict_logits(teacher, dataset.inputs)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("soft targets must be finite")
+    return logits
 
 
 def kd_loss(student_logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -57,7 +53,7 @@ def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
     start from the carried model) and from a fresh init otherwise. The
     student's parameter count never exceeds the initial network's.
     """
-    targets = collect_soft_targets(teacher, dataset).logits
+    targets = collect_soft_targets(teacher, dataset)
     if init_net is not None:
         if init_net.arch != initial_arch:
             raise ValueError("warm-start network does not match the target architecture")

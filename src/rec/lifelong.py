@@ -1,5 +1,8 @@
 """Task-sequence generation, the full lifelong loop across methods, and the
-reported metrics (accuracy matrix, per-task averages, forgetting curves)."""
+reported metrics (accuracy matrix, per-task averages, forgetting curves).
+
+A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
+`run_sequence` reads only the MethodConfig built from it, never the name."""
 
 from __future__ import annotations
 
@@ -8,19 +11,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import BaselineState, SearchConfig, init_policy, search_child
+from .controller import SearchConfig, init_policy, search_child
 from .data import Dataset, split_train_val
 from .distill import CompressConfig, compress
 from .netcore import Arch, DenseNet, Layer, evaluate, init_network
-from .regularize import (Anchor, FisherDiag, PenaltyConfig, consolidation, estimate_fisher,
-                         train_task)
+from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
 from .transform import WiderAction, action_to_line, apply_actions
 
 PERMUTED = "permuted"
 ROTATED = "rotated"
 SPLIT = "split"
 
-METHOD_NAMES = ("sn", "ewc", "ewc_l1", "ewc_l21", "mwc", "net2net", "net2net_ewc", "rec")
+# name -> (PenaltyConfig lambdas set to 0, expansion, compression)
+METHODS: dict[str, tuple[tuple[str, ...], bool, bool]] = {
+    "sn": (("lambda_ewc", "lambda_21", "lambda_1"), False, False),
+    "ewc": (("lambda_21", "lambda_1"), False, False),
+    "ewc_l1": (("lambda_21",), False, False),
+    "ewc_l21": (("lambda_1",), False, False),
+    "mwc": ((), False, False),
+    "net2net": (("lambda_ewc", "lambda_21", "lambda_1"), True, False),
+    "net2net_ewc": (("lambda_21", "lambda_1"), True, False),
+    "rec": ((), True, True),
+}
 VAL_RATIO = 0.1  # share of each task's training split held out for validation
 
 
@@ -152,7 +164,6 @@ class AccuracyMatrix:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    method: str
     penalty: PenaltyConfig = PenaltyConfig()
     expansion: bool = False
     compression: bool = False
@@ -167,34 +178,17 @@ class MethodConfig:
     compress_cfg: CompressConfig = CompressConfig()
 
     def __post_init__(self):
-        if self.method not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "rec" and not (self.expansion and self.compression):
-            raise ValueError("rec requires expansion and compression")
-        if self.method in ("sn", "ewc", "ewc_l1", "ewc_l21", "mwc") and self.expansion:
-            raise ValueError(f"{self.method} is a fixed-architecture method")
         if self.reward_scope not in ("new-only", "all-learned"):
             raise ValueError(f"bad reward scope {self.reward_scope!r}")
 
 
 def method_config(method: str, penalty: PenaltyConfig, **kw) -> MethodConfig:
-    """Per-method penalty wiring: which lambdas are active."""
-    zeroed = {
-        "sn": dict(lambda_ewc=0.0, lambda_21=0.0, lambda_1=0.0),
-        "ewc": dict(lambda_21=0.0, lambda_1=0.0),
-        "ewc_l1": dict(lambda_21=0.0),
-        "ewc_l21": dict(lambda_1=0.0),
-        "mwc": {},
-        "net2net": dict(lambda_ewc=0.0, lambda_21=0.0, lambda_1=0.0),
-        "net2net_ewc": dict(lambda_21=0.0, lambda_1=0.0),
-        "rec": {},
-    }[method]
-    flags = {
-        "net2net": dict(expansion=True),
-        "net2net_ewc": dict(expansion=True),
-        "rec": dict(expansion=True, compression=True),
-    }.get(method, {})
-    return MethodConfig(method=method, penalty=replace(penalty, **zeroed), **flags, **kw)
+    """The named method's METHODS row applied to `penalty`; `kw` sets the rest."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    zeroed, expansion, compression = METHODS[method]
+    return MethodConfig(penalty=replace(penalty, **dict.fromkeys(zeroed, 0.0)),
+                        expansion=expansion, compression=compression, **kw)
 
 
 @dataclass
@@ -237,10 +231,10 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     p = method.penalty
     penalized = max(p.lambda_ewc, p.lambda_21, p.lambda_1) > 0
 
-    anchor: Anchor | None = None
-    fisher: FisherDiag | None = None
+    anchor: np.ndarray | None = None  # previous task's parameters
+    fisher: np.ndarray | None = None  # their Fisher diagonal
     policy = init_policy(subseed(seed, "controller"))  # searched expansion only
-    baseline = BaselineState()
+    baseline: float | None = None  # reward moving average of the search
     heads: list[Layer] = []  # per-task output layers, read in split mode
 
     acc = AccuracyMatrix()
@@ -309,23 +303,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         if penalized and t + 1 < len(tasks):  # the last task anchors nothing
             fisher = estimate_fisher(net, task.train, method.fisher_samples,
                                      subseed(seed, "fisher", t))
-            anchor = Anchor(net.get_flat())
+            anchor = net.get_flat()
 
     return RunResult(acc, size_trace, records, search_log, net)
 
-
-def ablation_suite(tasks: TaskSequence, seeds: list[int], penalty: PenaltyConfig,
-                   hidden_widths: tuple[int, ...] = (40, 40),
-                   **run_kw) -> dict[str, float]:
-    """Table of mean final average-per-task accuracy for the penalty variants."""
-    if len(seeds) < 3:
-        raise ValueError("ablation requires at least 3 seeds")
-    out: dict[str, float] = {}
-    for variant in ("ewc", "ewc_l1", "ewc_l21", "mwc"):
-        cfg = method_config(variant, penalty, **run_kw)
-        finals = []
-        for s in seeds:
-            res = run_sequence(tasks, cfg, s, hidden_widths)
-            finals.append(res.acc.avg_per_task(len(tasks)))
-        out[variant] = float(np.mean(finals))
-    return out

@@ -1,6 +1,8 @@
 """Fisher-diagonal estimation, the consolidation penalty family, and the one
 minibatch SGD loop every model in the package is trained with.
 
+The anchor (previous-task parameters) and its Fisher diagonal are plain
+float64 vectors aligned with a net's flat view, one number per parameter.
 The combined loss is CE + quadratic Fisher anchoring + smoothed l2,1 coupling
 of current/previous weights + smoothed l1 sparsity. With an expansion mask the
 anchored terms skip new coordinates and the l1 term applies only to them; an
@@ -31,21 +33,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-@dataclass
-class FisherDiag:
-    values: np.ndarray  # nonnegative, aligned with a flat view
-    sample_count: int
-
-    def __post_init__(self):
-        if np.any(self.values < 0):
-            raise ValueError("Fisher entries must be nonnegative")
-
-
-@dataclass
-class Anchor:
-    params: np.ndarray  # frozen previous-task parameters
-
-
 @dataclass(frozen=True)
 class PenaltyConfig:
     lambda_ewc: float = 2.0
@@ -60,8 +47,9 @@ class PenaltyConfig:
             raise ValueError("epsilon must be in (0, 1e-4]")
 
 
-def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int) -> FisherDiag:
-    """Empirical diagonal Fisher: mean squared gradient of log p(true label).
+def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int) -> np.ndarray:
+    """Empirical diagonal Fisher: mean squared gradient of log p(true label),
+    over min(max_samples, len(dataset)) rows drawn without replacement.
 
     Per-sample gradients are never formed. Sample n's weight gradient in a
     dense layer is the outer product of its layer input a_n and its
@@ -96,29 +84,29 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
             w_sl, b_sl = slices[i]
             acc[w_sl] += ((a_prev * a_prev).T @ sq).ravel()
             acc[b_sl] += sq.sum(axis=0)
-    return FisherDiag(acc / n, n)
+    return acc / n
 
 
-def ewc_term(params: np.ndarray, anchor: Anchor, fisher: FisherDiag,
+def ewc_term(params: np.ndarray, anchor: np.ndarray, fisher: np.ndarray,
              lambda_ewc: float) -> tuple[float, np.ndarray]:
     """(lambda/2) * sum_i F_i (theta_i - anchor_i)^2 and its gradient."""
-    if params.shape != anchor.params.shape or params.shape != fisher.values.shape:
+    if params.shape != anchor.shape or params.shape != fisher.shape:
         raise ValueError("params/anchor/fisher lengths differ")
-    diff = params - anchor.params
-    value = 0.5 * lambda_ewc * float(np.sum(fisher.values * diff * diff))
-    return value, lambda_ewc * fisher.values * diff
+    diff = params - anchor
+    value = 0.5 * lambda_ewc * float(np.sum(fisher * diff * diff))
+    return value, lambda_ewc * fisher * diff
 
 
-def l21_term(params: np.ndarray, anchor: Anchor, lambda_21: float,
+def l21_term(params: np.ndarray, anchor: np.ndarray, lambda_21: float,
              epsilon: float) -> tuple[float, np.ndarray]:
     """Row-wise l2,1 coupling: sum_i sqrt(theta_i^2 + anchor_i^2), smoothed.
 
     Groups are coordinate pairs (current, previous); the anchor is frozen so
     no gradient flows to it.
     """
-    if params.shape != anchor.params.shape:
+    if params.shape != anchor.shape:
         raise ValueError("params/anchor lengths differ")
-    root = np.sqrt(params ** 2 + anchor.params ** 2 + epsilon ** 2)
+    root = np.sqrt(params ** 2 + anchor ** 2 + epsilon ** 2)
     return lambda_21 * float(np.sum(root)), lambda_21 * params / root
 
 
@@ -135,7 +123,7 @@ def l1_term(params: np.ndarray, mask: np.ndarray | None, lambda_1: float,
     return lambda_1 * float(np.sum(root[mask])), grad
 
 
-def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherDiag | None,
+def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.ndarray | None,
              cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Full consolidation objective: value and flat gradient.
 
@@ -161,7 +149,7 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherD
         return value, grads
 
     assert fisher is not None
-    p, a = net.params, anchor.params
+    p, a = net.params, anchor
     if mask is not None and mask.shape != p.shape:
         raise ValueError("mask length differs from net parameter count")
     lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
@@ -172,7 +160,7 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: Anchor | None, fisher: FisherD
     buf, work = np.empty_like(p), np.empty_like(p)
     if cfg.lambda_ewc:
         diff = np.subtract(p, a, out=buf)
-        np.multiply(cfg.lambda_ewc, fisher.values, out=work)
+        np.multiply(cfg.lambda_ewc, fisher, out=work)
         work *= diff
         value += 0.5 * float(work @ diff)
         grads += work
@@ -212,7 +200,7 @@ def _smoothed_root(p: np.ndarray, a: np.ndarray | None, eps2: float, out: np.nda
 Objective = Callable[[DenseNet, Batch, np.ndarray, int], tuple[float, np.ndarray]]
 
 
-def consolidation(anchor: Anchor | None, fisher: FisherDiag | None, cfg: PenaltyConfig,
+def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
                   ref: np.ndarray | None = None) -> Objective:
     """The mwc_loss objective for a net whose flat view `ref` describes.
 
@@ -223,9 +211,8 @@ def consolidation(anchor: Anchor | None, fisher: FisherDiag | None, cfg: Penalty
     if anchor is None:
         return lambda net, batch, rows, epoch: mwc_loss(net, batch, None, None, cfg)
     if ref is None:
-        ref = np.arange(anchor.params.size)
-    aligned = (Anchor(align_reference(anchor.params, ref)),
-               FisherDiag(align_reference(fisher.values, ref), fisher.sample_count))
+        ref = np.arange(anchor.size)
+    aligned = align_reference(anchor, ref), align_reference(fisher, ref)
     mask = ref < 0
     return lambda net, batch, rows, epoch: mwc_loss(net, batch, *aligned, cfg, mask)
 

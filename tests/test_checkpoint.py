@@ -8,12 +8,32 @@ from hypothesis import strategies as st
 
 from rec.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from rec.netcore import Arch, evaluate, init_network
-from rec.regularize import Anchor, FisherDiag
 
 
 @pytest.fixture
 def net():
     return init_network(Arch(6, (9, 5), 4), seed=3)
+
+
+def read_header(path) -> dict:
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + hlen])
+
+
+def write_raw(path, net, extra_header: dict, extra_arrays: list) -> None:
+    """A RECNET01 file built by hand: the net's layers, then `extra_arrays`
+    (name, array) pairs, with `extra_header` keys added to the header."""
+    arrays = [(f"{k}{i}", a) for i, l in enumerate(net.layers)
+              for k, a in (("w", l.weight), ("b", l.bias))] + extra_arrays
+    header = {"arch": {"input_dim": net.arch.input_dim,
+                       "hidden_widths": list(net.arch.hidden_widths),
+                       "output_dim": net.arch.output_dim},
+              "arrays": [{"name": k, "shape": list(a.shape)} for k, a in arrays],
+              **extra_header}
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                     + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
 
 
 class TestRoundTrip:
@@ -27,14 +47,23 @@ class TestRoundTrip:
 
     def test_with_anchor_and_fisher(self, tmp_path, net, rng):
         n = net.param_count()
-        a = Anchor(rng.standard_normal(n))
-        f = FisherDiag(np.abs(rng.standard_normal(n)), 123)
+        a = rng.standard_normal(n)
+        f = np.abs(rng.standard_normal(n))
         p = tmp_path / "n.recnet"
         save_checkpoint(p, net, a, f)
         _, a2, f2 = load_checkpoint(p)
-        assert np.array_equal(a2.params, a.params)
-        assert np.array_equal(f2.values, f.values)
-        assert f2.sample_count == 123
+        assert np.array_equal(a2, a)
+        assert np.array_equal(f2, f)
+        assert "fisher_samples" not in read_header(p)
+
+    def test_old_format_with_fisher_samples_loads(self, tmp_path, net, rng):
+        n = net.param_count()
+        a, f = rng.standard_normal(n), np.abs(rng.standard_normal(n))
+        p = tmp_path / "n.recnet"
+        write_raw(p, net, {"fisher_samples": 5}, [("anchor", a), ("fisher", f)])
+        loaded, a2, f2 = load_checkpoint(p)
+        assert np.array_equal(loaded.get_flat(), net.get_flat())
+        assert np.array_equal(a2, a) and np.array_equal(f2, f)
 
     def test_save_load_save_bytes_identical(self, tmp_path, net):
         p1, p2 = tmp_path / "a.recnet", tmp_path / "b.recnet"
@@ -126,6 +155,24 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="1 trailing bytes"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("name, shape", [
+        ("anchor", lambda n: (n - 1,)), ("anchor", lambda n: (n + 1,)),
+        ("fisher", lambda n: (n - 1,)), ("anchor", lambda n: (1, n)),
+    ], ids=["short-anchor", "long-anchor", "short-fisher", "2d-anchor"])
+    def test_vector_not_one_entry_per_parameter(self, tmp_path, net, name, shape):
+        p = tmp_path / "n.recnet"
+        write_raw(p, net, {}, [(name, np.ones(shape(net.param_count())))])
+        with pytest.raises(CheckpointError, match=f"{name} has shape"):
+            load_checkpoint(p)
+
+    def test_negative_fisher(self, tmp_path, net):
+        fisher = np.ones(net.param_count())
+        fisher[7] = -1e-3
+        p = tmp_path / "n.recnet"
+        save_checkpoint(p, net, net.get_flat(), fisher)
+        with pytest.raises(CheckpointError, match="negative"):
+            load_checkpoint(p)
+
     def test_magic_constant(self):
         assert MAGIC == b"RECNET01"
         assert len(MAGIC) == 8
@@ -152,7 +199,7 @@ class TestCorruption:
 def valid_checkpoint(tmp_path_factory) -> bytes:
     p = tmp_path_factory.mktemp("fuzz") / "n.recnet"
     net = init_network(Arch(3, (2,), 2), seed=0)
-    save_checkpoint(p, net, Anchor(net.get_flat()), FisherDiag(np.ones(net.param_count()), 5))
+    save_checkpoint(p, net, net.get_flat(), np.ones(net.param_count()))
     return p.read_bytes()
 
 

@@ -3,13 +3,11 @@ import copy
 import numpy as np
 import pytest
 
-from rec.controller import (BaselineState, SearchConfig, _deeper_probs, _wider_prob,
-                            encode, init_policy, reinforce_update, reward_transform,
-                            sample_episode, search_child)
+from rec.controller import (SearchConfig, _deeper_probs, _wider_prob, encode, init_policy,
+                            reinforce_update, reward_transform, sample_episode, search_child)
 from rec.data import Dataset
 from rec.netcore import Arch, init_network
-from rec.regularize import (Anchor, FisherDiag, PenaltyConfig, consolidation, estimate_fisher,
-                            train_task)
+from rec.regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
 from rec.transform import DeeperAction, WiderAction
 
 ARCH = Arch(6, (8, 8), 3)
@@ -23,7 +21,7 @@ def trained_prev(seed=0):
     train_task(net, train, consolidation(None, None, PenaltyConfig()),
                2, 64, 0.01, seed)
     fisher = estimate_fisher(net, train, 100, seed)
-    return net, train, val, Anchor(net.get_flat()), fisher
+    return net, train, val, net.get_flat(), fisher
 
 
 class TestEncode:
@@ -89,15 +87,15 @@ class TestSampleEpisode:
 
 class TestRewardTransform:
     def test_tan_zero(self):
-        r, _ = reward_transform(0.0, BaselineState(ema=0.0))
+        r, _ = reward_transform(0.0, 0.0)
         assert r == 0.0
 
     def test_tan_half(self):
-        r, _ = reward_transform(0.5, BaselineState(ema=0.0))
+        r, _ = reward_transform(0.5, 0.0)
         assert r == pytest.approx(1.0)  # tan(pi/4)
 
     def test_constant_stream_reward_decays(self):
-        baseline = BaselineState(ema=0.0)
+        baseline = 0.0
         rewards = []
         for _ in range(120):
             r, baseline = reward_transform(0.6, baseline)
@@ -105,18 +103,18 @@ class TestRewardTransform:
         assert abs(rewards[-1]) < 1e-2 * abs(rewards[0])
 
     def test_singularity_clamped(self):
-        r, b = reward_transform(1.0, BaselineState())
-        assert np.isfinite(r) and np.isfinite(b.ema)
+        r, b = reward_transform(1.0, None)
+        assert np.isfinite(r) and np.isfinite(b)
 
     def test_ema_stays_in_raw_range(self):
         rng = np.random.default_rng(0)
-        baseline = BaselineState()
+        baseline = None
         raws = []
         for _ in range(200):
             a = float(rng.random())
             raws.append(np.tan(min(a, 0.999) * np.pi / 2))
             _, baseline = reward_transform(a, baseline)
-            assert min(raws) - 1e-12 <= baseline.ema <= max(raws) + 1e-12
+            assert min(raws) - 1e-12 <= baseline <= max(raws) + 1e-12
 
 
 def bandit_reward(ep) -> float:
@@ -221,7 +219,7 @@ class TestSearchChild:
         cfg = PenaltyConfig()
         scfg = SearchConfig(m_children=1, child_epochs=2, batch_size=64, lr=0.01)
         result, _ = search_child(net, train, [val], anchor, fisher, cfg, 1,
-                                 policy, BaselineState(), seed=5, search_cfg=scfg)
+                                 policy, None, seed=5, search_cfg=scfg)
         assert result.actions == []
         expect = net.copy()
         objective = consolidation(anchor, fisher, cfg)
@@ -233,7 +231,7 @@ class TestSearchChild:
         policy = init_policy(13)
         scfg = SearchConfig(m_children=3, child_epochs=1, batch_size=64, lr=0.01)
         result, _ = search_child(net, train, [val], anchor, fisher, PenaltyConfig(),
-                                 6, policy, BaselineState(), seed=7, search_cfg=scfg)
+                                 6, policy, None, seed=7, search_cfg=scfg)
         assert result.a_val == pytest.approx(max(r["a_val"] for r in result.log))
         assert len(result.log) == 6
 
@@ -244,7 +242,7 @@ class TestSearchChild:
             policy = init_policy(14)
             scfg = SearchConfig(m_children=2, child_epochs=1, batch_size=64, lr=0.01)
             result, _ = search_child(net, train, [val], anchor, fisher, PenaltyConfig(),
-                                     4, policy, BaselineState(), seed=9, search_cfg=scfg)
+                                     4, policy, None, seed=9, search_cfg=scfg)
             flats.append(result.net.get_flat())
         assert np.array_equal(flats[0], flats[1])
 
@@ -253,4 +251,4 @@ class TestSearchChild:
         empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             search_child(net, train, [empty], anchor, fisher, PenaltyConfig(), 1,
-                         init_policy(15), BaselineState(), seed=0)
+                         init_policy(15), None, seed=0)

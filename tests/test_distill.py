@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rec.data import Dataset
-from rec.distill import (CompressConfig, SoftTargets, collect_soft_targets, compress,
-                         kd_loss)
+from rec.distill import CompressConfig, collect_soft_targets, compress, kd_loss
 from rec.netcore import Arch, DenseNet, IDENTITY, Layer, forward, init_network, predict_logits
 from rec.regularize import TrainingDiverged
 
@@ -23,19 +22,19 @@ class TestCollectSoftTargets:
     def test_identity_teacher(self, rng):
         net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3), IDENTITY)])
         ds = Dataset(rng.standard_normal((7, 3)), np.zeros(7, dtype=int))
-        assert np.array_equal(collect_soft_targets(net, ds).logits, ds.inputs)
+        assert np.array_equal(collect_soft_targets(net, ds), ds.inputs)
 
     def test_repeat_determinism(self, rng):
         net = init_network(Arch(4, (5,), 2), seed=1)
         ds = Dataset(rng.standard_normal((9, 4)), rng.integers(0, 2, 9))
-        a = collect_soft_targets(net, ds).logits
-        b = collect_soft_targets(net, ds).logits
+        a = collect_soft_targets(net, ds)
+        b = collect_soft_targets(net, ds)
         assert np.array_equal(a, b)
 
     def test_rows_match_per_sample_forward(self, rng):
         net = init_network(Arch(4, (5,), 2), seed=2)
         ds = Dataset(rng.standard_normal((12, 4)), rng.integers(0, 2, 12))
-        targets = collect_soft_targets(net, ds).logits
+        targets = collect_soft_targets(net, ds)
         from rec.netcore import Batch
         for i in range(12):
             row, _ = forward(net, Batch(ds.inputs[i:i + 1], ds.labels[i:i + 1]))
@@ -88,12 +87,15 @@ class TestCompress:
         teacher = init_network(Arch(4, (5,), 2), seed=4)
         ds = Dataset(rng.standard_normal((10, 4)), rng.integers(0, 2, 10))
         targets = collect_soft_targets(teacher, ds)
-        v, _ = kd_loss(predict_logits(teacher, ds.inputs), targets.logits)
+        v, _ = kd_loss(predict_logits(teacher, ds.inputs), targets)
         assert v == 0.0
 
-    def test_nonfinite_targets_rejected(self):
-        with pytest.raises(ValueError):
-            SoftTargets(np.array([[np.inf, 0.0]]))
+    def test_nonfinite_targets_rejected(self, rng):
+        teacher = init_network(Arch(4, (5,), 2), seed=4)
+        teacher.layers[-1].bias[0] = np.inf
+        ds = Dataset(rng.standard_normal((10, 4)), rng.integers(0, 2, 10))
+        with pytest.raises(ValueError, match="finite"):
+            collect_soft_targets(teacher, ds)
 
 
 def test_compress_divergence_raises(rng):

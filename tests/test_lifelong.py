@@ -3,9 +3,8 @@ import pytest
 
 from rec.data import Dataset, synthetic_classes
 from rec.distill import CompressConfig
-from rec.lifelong import (AccuracyMatrix, MethodConfig, ablation_suite, gen_permuted_tasks,
-                          gen_rotated_tasks, gen_split_tasks, method_config, rotate_images,
-                          run_sequence, subseed)
+from rec.lifelong import (METHODS, AccuracyMatrix, gen_permuted_tasks, gen_rotated_tasks,
+                          gen_split_tasks, method_config, rotate_images, run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.regularize import PenaltyConfig, estimate_fisher
 from rec.transform import action_to_line, parse_action_line
@@ -160,18 +159,35 @@ class TestAccuracyMatrix:
             m.forgetting_curve(2)
 
 
-class TestMethodConfig:
-    def test_rec_requires_expansion_and_compression(self):
-        with pytest.raises(ValueError):
-            MethodConfig(method="rec")
+ALL_LAMBDAS = {"lambda_ewc", "lambda_21", "lambda_1"}
+# The paper's eight methods: (lambdas set to 0, expansion, compression).
+EXPECTED_ROWS = {
+    "sn": (ALL_LAMBDAS, False, False),
+    "ewc": ({"lambda_21", "lambda_1"}, False, False),
+    "ewc_l1": ({"lambda_21"}, False, False),
+    "ewc_l21": ({"lambda_1"}, False, False),
+    "mwc": (set(), False, False),
+    "net2net": (ALL_LAMBDAS, True, False),
+    "net2net_ewc": ({"lambda_21", "lambda_1"}, True, False),
+    "rec": (set(), True, True),
+}
 
-    def test_fixed_arch_methods_reject_expansion(self):
-        with pytest.raises(ValueError):
-            MethodConfig(method="ewc", expansion=True)
+
+class TestMethodConfig:
+    @pytest.mark.parametrize("method", list(EXPECTED_ROWS))
+    def test_table_row(self, method):
+        assert list(METHODS) == list(EXPECTED_ROWS)
+        zeroed, expansion, compression = EXPECTED_ROWS[method]
+        pc = PenaltyConfig(40.0, 0.01, 0.001, 1e-7)
+        mc = method_config(method, pc, epochs=3)
+        for lam in sorted(ALL_LAMBDAS):
+            assert getattr(mc.penalty, lam) == (0.0 if lam in zeroed else getattr(pc, lam))
+        assert mc.penalty.epsilon == pc.epsilon
+        assert (mc.expansion, mc.compression, mc.epochs) == (expansion, compression, 3)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            MethodConfig(method="finetune")
+        with pytest.raises(ValueError, match="unknown method 'finetune'"):
+            method_config("finetune", PenaltyConfig())
 
     def test_lambda_zeroing(self):
         pc = PenaltyConfig(40.0, 0.01, 0.001, 1e-8)
@@ -280,14 +296,3 @@ class TestRunSequence:
         run_sequence(small_bench, _cfg(method, epochs=1), seed=0)
         assert len(seen) == calls
 
-
-class TestAblationSuite:
-    def test_requires_three_seeds(self, small_bench):
-        with pytest.raises(ValueError):
-            ablation_suite(small_bench, [0, 1], PenaltyConfig())
-
-    def test_returns_all_variants(self, small_bench):
-        out = ablation_suite(small_bench, [0, 1, 2], PenaltyConfig(40.0, 3e-5, 1e-5, 1e-8),
-                             epochs=4, batch_size=128, lr=0.03, fisher_samples=200)
-        assert set(out) == {"ewc", "ewc_l1", "ewc_l21", "mwc"}
-        assert all(0.0 <= v <= 1.0 for v in out.values())

@@ -9,9 +9,9 @@ from rec.data import Dataset
 from rec.lifelong import method_config
 from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, backward, forward,
                          init_network, loss_ce)
-from rec.regularize import (FISHER_CHUNK, Anchor, FisherDiag, PenaltyConfig, consolidation,
-                            TrainingDiverged, estimate_fisher, ewc_term, l1_term, l21_term,
-                            mwc_loss, train_task)
+from rec.regularize import (FISHER_CHUNK, PenaltyConfig, consolidation, TrainingDiverged,
+                            estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
+                            train_task)
 from rec.transform import DeeperAction, WiderAction, align_reference, apply_actions
 
 from conftest import central_diff, max_rel_err
@@ -52,8 +52,8 @@ def random_dataset(n, dim, classes, seed):
 
 def assert_matches_loop(net, ds, max_samples, seed):
     batched = estimate_fisher(net, ds, max_samples, seed)
-    assert batched.sample_count == min(max_samples, len(ds))
-    np.testing.assert_allclose(batched.values, fisher_by_loop(net, ds, max_samples, seed),
+    assert batched.dtype == np.float64
+    np.testing.assert_allclose(batched, fisher_by_loop(net, ds, max_samples, seed),
                                rtol=1e-12, atol=0)
 
 
@@ -64,14 +64,14 @@ class TestFisher:
         net = DenseNet(Arch(1, (), 2), [Layer(np.zeros((1, 2)), np.zeros(2), IDENTITY)])
         ds = Dataset(np.array([[1.0]]), np.array([1]))
         fisher = estimate_fisher(net, ds, max_samples=10, seed=0)
-        assert np.allclose(fisher.values, 0.25)
+        assert np.allclose(fisher, 0.25)
 
     def test_zero_gradient_net(self):
         # Single-class softmax has log p = 0 identically, so gradients vanish.
         net = init_network(Arch(3, (2,), 1), seed=0)
         ds = Dataset(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5, dtype=int))
         fisher = estimate_fisher(net, ds, max_samples=5, seed=0)
-        assert np.all(fisher.values == 0)
+        assert np.all(fisher == 0)
 
     def test_two_sample_average(self):
         net = init_network(Arch(2, (3,), 2), seed=1)
@@ -81,7 +81,7 @@ class TestFisher:
         both = estimate_fisher(net, Dataset(x, y), max_samples=2, seed=0)
         f0 = estimate_fisher(net, Dataset(x[:1], y[:1]), max_samples=1, seed=0)
         f1 = estimate_fisher(net, Dataset(x[1:], y[1:]), max_samples=1, seed=0)
-        assert np.allclose(both.values, (f0.values + f1.values) / 2)
+        assert np.allclose(both, (f0 + f1) / 2)
 
     def test_deterministic(self):
         net = init_network(Arch(4, (3,), 2), seed=1)
@@ -89,8 +89,7 @@ class TestFisher:
         ds = Dataset(rng.standard_normal((20, 4)), rng.integers(0, 2, 20))
         a = estimate_fisher(net, ds, max_samples=10, seed=9)
         b = estimate_fisher(net, ds, max_samples=10, seed=9)
-        assert np.array_equal(a.values, b.values)
-        assert a.sample_count == b.sample_count == 10
+        assert np.array_equal(a, b)
 
     def test_empty_dataset_rejected(self):
         net = init_network(Arch(2, (2,), 2), seed=0)
@@ -126,7 +125,8 @@ class TestFisher:
         net = random_net(Arch(4, (6,), 3), 4)
         ds = random_dataset(30, 4, 3, 7)
         assert_matches_loop(net, ds, max_samples=1000, seed=3)
-        assert estimate_fisher(net, ds, 1000, 3).sample_count == 30
+        # capped at the dataset: every row once, as with max_samples = len(ds)
+        assert np.array_equal(estimate_fisher(net, ds, 1000, 3), estimate_fisher(net, ds, 30, 3))
 
     def test_count_not_a_multiple_of_the_chunk(self):
         n = 2 * FISHER_CHUNK + 37
@@ -137,42 +137,42 @@ class TestFisher:
 class TestEwcTerm:
     def test_zero_at_anchor(self):
         p = np.array([1.0, -2.0, 3.0])
-        v, g = ewc_term(p, Anchor(p.copy()), FisherDiag(np.ones(3), 1), 2.0)
+        v, g = ewc_term(p, p.copy(), np.ones(3), 2.0)
         assert v == 0 and np.all(g == 0)
 
     def test_hand_value(self):
-        anchor = Anchor(np.zeros(2))
-        v, g = ewc_term(np.array([1.0, 1.0]), anchor, FisherDiag(np.array([1.0, 2.0]), 1), 2.0)
+        anchor = np.zeros(2)
+        v, g = ewc_term(np.array([1.0, 1.0]), anchor, np.array([1.0, 2.0]), 2.0)
         assert v == pytest.approx(3.0)  # (2/2)*(1*1 + 2*1)
         assert np.allclose(g, [2.0, 4.0])
 
     def test_grad_vs_fd(self, rng):
         p = rng.standard_normal(6)
-        anchor = Anchor(rng.standard_normal(6))
-        fisher = FisherDiag(rng.random(6), 1)
+        anchor = rng.standard_normal(6)
+        fisher = rng.random(6)
         _, g = ewc_term(p, anchor, fisher, 1.7)
         fd = central_diff(lambda x: ewc_term(x, anchor, fisher, 1.7)[0], p)
         assert max_rel_err(g, fd) < 1e-8
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ewc_term(np.zeros(3), Anchor(np.zeros(2)), FisherDiag(np.zeros(3), 1), 1.0)
+            ewc_term(np.zeros(3), np.zeros(2), np.zeros(3), 1.0)
 
 
 class TestL21Term:
     def test_hand_value(self):
-        v, _ = l21_term(np.array([3.0, 0.0]), Anchor(np.array([4.0, 0.0])), 1.0, EPS)
+        v, _ = l21_term(np.array([3.0, 0.0]), np.array([4.0, 0.0]), 1.0, EPS)
         assert v == pytest.approx(5.0, abs=1e-6)  # sqrt(9+16) + ~eps
 
     def test_smoothed_origin(self):
         n = 4
-        v, g = l21_term(np.zeros(n), Anchor(np.zeros(n)), 2.0, EPS)
+        v, g = l21_term(np.zeros(n), np.zeros(n), 2.0, EPS)
         assert v == pytest.approx(2.0 * n * EPS)
         assert np.all(g == 0)
 
     def test_grad_vs_fd(self, rng):
         p = rng.standard_normal(8)
-        anchor = Anchor(rng.standard_normal(8))
+        anchor = rng.standard_normal(8)
         _, g = l21_term(p, anchor, 0.3, EPS)
         fd = central_diff(lambda x: l21_term(x, anchor, 0.3, EPS)[0], p)
         assert max_rel_err(g, fd) < 1e-6
@@ -202,8 +202,8 @@ def small_problem(seed=0, n_params_net=Arch(3, (4,), 2)):
     net.set_flat(net.get_flat() + 0.05 * rng.standard_normal(net.param_count()))
     batch = Batch(rng.standard_normal((6, net.arch.input_dim)),
                   rng.integers(0, net.arch.output_dim, 6))
-    anchor = Anchor(rng.standard_normal(net.param_count()))
-    fisher = FisherDiag(rng.random(net.param_count()), 6)
+    anchor = rng.standard_normal(net.param_count())
+    fisher = rng.random(net.param_count())
     return net, batch, anchor, fisher
 
 
@@ -244,8 +244,8 @@ class TestMwcLoss:
         cfg = PenaltyConfig(2.0, 0.5, 0.4, EPS)
         mask = np.zeros(net.param_count(), dtype=bool)
         mask[::3] = True
-        anchor.params[mask] = 0.0
-        fisher.values[mask] = 0.0
+        anchor[mask] = 0.0
+        fisher[mask] = 0.0
         _, g_full = mwc_loss(net, batch, anchor, fisher, cfg, mask)
         _, g_ce = mwc_loss(net, batch, anchor, fisher, PenaltyConfig(0, 0, 0, EPS), mask)
         penalty_grad = g_full - g_ce
@@ -254,9 +254,8 @@ class TestMwcLoss:
         assert np.allclose(penalty_grad[mask], g_l1[mask], atol=1e-12)
         # On unmasked coordinates the l1 term contributes nothing.
         p, old = net.get_flat(), ~mask
-        _, g_e = ewc_term(p[old], Anchor(anchor.params[old]),
-                          FisherDiag(fisher.values[old], 1), cfg.lambda_ewc)
-        _, g_21 = l21_term(p[old], Anchor(anchor.params[old]), cfg.lambda_21, EPS)
+        _, g_e = ewc_term(p[old], anchor[old], fisher[old], cfg.lambda_ewc)
+        _, g_21 = l21_term(p[old], anchor[old], cfg.lambda_21, EPS)
         assert np.allclose(penalty_grad[old], g_e + g_21, atol=1e-12)
 
     def test_masked_grad_vs_fd(self):
@@ -264,8 +263,8 @@ class TestMwcLoss:
         cfg = PenaltyConfig(1.0, 0.3, 0.2, EPS)
         mask = np.zeros(net.param_count(), dtype=bool)
         mask[5:12] = True
-        anchor.params[mask] = 0.0
-        fisher.values[mask] = 0.0
+        anchor[mask] = 0.0
+        fisher[mask] = 0.0
         _, g = mwc_loss(net, batch, anchor, fisher, cfg, mask)
 
         def f(flat):
@@ -290,8 +289,8 @@ def test_all_false_mask_is_no_expansion():
     rng = np.random.default_rng(4)
     net = init_network(Arch(5, (4,), 3), seed=4)
     n = net.param_count()
-    anchor = Anchor(rng.standard_normal(n))
-    fisher = FisherDiag(rng.random(n), 10)
+    anchor = rng.standard_normal(n)
+    fisher = rng.random(n)
     batch = Batch(rng.standard_normal((6, 5)), rng.integers(0, 3, 6))
     cfg = PenaltyConfig(1.5, 0.3, 0.2, EPS)
     v_none, g_none = mwc_loss(net, batch, anchor, fisher, cfg, None)
@@ -311,8 +310,8 @@ def mwc_by_terms(net, batch, anchor, fisher, cfg, mask=None):
     p = net.get_flat()
     expanded = mask is not None and bool(mask.any())
     old = ~mask if expanded else slice(None)
-    kept = Anchor(anchor.params[old])
-    for v, g in (ewc_term(p[old], kept, FisherDiag(fisher.values[old], 1), cfg.lambda_ewc),
+    kept = anchor[old]
+    for v, g in (ewc_term(p[old], kept, fisher[old], cfg.lambda_ewc),
                  l21_term(p[old], kept, cfg.lambda_21, EPS)):
         value += v
         grads[old] += g
@@ -331,13 +330,13 @@ def test_mwc_loss_matches_term_functions_bitwise(method, masking):
     net = random_net(Arch(6, (7, 5), 3), 8)
     n = net.param_count()
     batch = Batch(rng.standard_normal((9, 6)), rng.integers(0, 3, 9))
-    anchor = Anchor(rng.standard_normal(n))
-    fisher = FisherDiag(rng.random(n), 1)
+    anchor = rng.standard_normal(n)
+    fisher = rng.random(n)
     mask = {"none": None, "partial": rng.random(n) < 0.3,
             "all-false": np.zeros(n, dtype=bool)}[masking]
     if masking == "partial":  # aligned vectors hold zeros at new coordinates
-        anchor.params[mask] = 0.0
-        fisher.values[mask] = 0.0
+        anchor[mask] = 0.0
+        fisher[mask] = 0.0
     cfg = method_config(method, WIRED).penalty
     v, g = mwc_loss(net, batch, anchor, fisher, cfg, mask)
     v_ref, g_ref = mwc_by_terms(net, batch, anchor, fisher, cfg, mask)
@@ -353,10 +352,9 @@ def test_train_task_on_expanded_child_matches_term_functions(method):
     child, ref, mask = apply_actions(parent, [WiderAction(0, 8), DeeperAction(0)], seed=2)
     assert mask.any() and not mask.all()
     ds = random_dataset(150, 6, 3, 9)
-    anchor, fisher = Anchor(parent.get_flat()), estimate_fisher(parent, ds, 60, 0)
+    anchor, fisher = parent.get_flat(), estimate_fisher(parent, ds, 60, 0)
     cfg = method_config(method, WIRED).penalty
-    aligned = (Anchor(align_reference(anchor.params, ref)),
-               FisherDiag(align_reference(fisher.values, ref), fisher.sample_count))
+    aligned = align_reference(anchor, ref), align_reference(fisher, ref)
 
     def by_terms(net, batch, rows, epoch):
         return mwc_by_terms(net, batch, *aligned, cfg, mask)
@@ -374,8 +372,8 @@ def test_train_task_on_expanded_child_matches_term_functions(method):
 def test_penalties_nonnegative(seed, lam):
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(7)
-    a = Anchor(rng.standard_normal(7))
-    f = FisherDiag(rng.random(7), 1)
+    a = rng.standard_normal(7)
+    f = rng.random(7)
     assert ewc_term(p, a, f, lam)[0] >= 0
     assert l21_term(p, a, lam, EPS)[0] >= 0
     assert l1_term(p, None, lam, EPS)[0] >= 0
@@ -400,12 +398,12 @@ class TestTrainTask:
     def test_penalty_domination(self):
         train = separable_blobs(200, 1)
         net = init_network(Arch(2, (6,), 2), seed=2)
-        anchor = Anchor(np.random.default_rng(3).standard_normal(net.param_count()))
-        fisher = FisherDiag(np.ones(net.param_count()), 1)
+        anchor = np.random.default_rng(3).standard_normal(net.param_count())
+        fisher = np.ones(net.param_count())
         cfg = PenaltyConfig(1e6, 0.0, 0.0, EPS)
         objective = consolidation(anchor, fisher, cfg)
         train_task(net, train, objective, epochs=3, batch_size=64, lr=1e-6, seed=4)
-        assert np.max(np.abs(net.get_flat() - anchor.params)) < 1e-2
+        assert np.max(np.abs(net.get_flat() - anchor)) < 1e-2
 
     def test_divergence_raises_without_warnings(self):
         train = random_dataset(200, 6, 3, 3)
