@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netcore import Arch, DenseNet, Layer, IDENTITY, RELU
+from .netcore import Arch, DenseNet, Layer
 
 MAGIC = b"RECNET01"
 
@@ -93,8 +93,7 @@ def load_checkpoint(path: str | Path
         raise CheckpointError(f"missing layer arrays: {', '.join(missing)}")
 
     try:
-        net = DenseNet(arch, [Layer(loaded[f"w{i}"], loaded[f"b{i}"],
-                                    IDENTITY if i == arch.num_layers - 1 else RELU)
+        net = DenseNet(arch, [Layer(loaded[f"w{i}"], loaded[f"b{i}"])
                               for i in range(arch.num_layers)])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"inconsistent checkpoint: {type(e).__name__}: {e}") from None

@@ -127,6 +127,12 @@ def parse_config(path: str | Path) -> RunConfig:
     for key in ("methods", "seeds"):
         if not cfg.get_list(key):
             raise ConfigError(f"{key} is empty")
+    expanding = [m for m in cfg.get_list("methods") if METHODS[m][1]]
+    if expanding and not cfg.get_list("hidden"):
+        raise ConfigError("hidden is empty, but expanding methods need a hidden layer: "
+                          + ", ".join(expanding))
+    if cfg["dataset"] != "synthetic":
+        _idx_pairs(cfg["dataset"])
     if (cfg["task_kind"] == "split" and cfg["dataset"] == "synthetic"
             and cfg.get_int("classes") % cfg.get_int("tasks")):
         raise ConfigError(f"split tasks need classes ({cfg['classes']}) divisible by "
@@ -153,6 +159,16 @@ def _check_numbers(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} = {cfg[key]!r}: must be finite and {wanted}")
 
 
+def _idx_pairs(spec: str) -> list[tuple[str, str]]:
+    """A non-synthetic `dataset` value as (images, labels) IDX path pairs:
+    the training pair, then optionally the test pair."""
+    parts = [tuple(path.strip() for path in part.split(",")) for part in spec.split(";")]
+    if len(parts) > 2 or any(len(p) != 2 or not all(p) for p in parts):
+        raise ConfigError(f"dataset = {spec!r}: expected synthetic or "
+                          "train_imgs,train_labels[;test_imgs,test_labels]")
+    return parts
+
+
 def _build_tasks(cfg: RunConfig):
     data_seed = cfg.get_int("data_seed")
     if cfg["dataset"] == "synthetic":
@@ -161,12 +177,10 @@ def _build_tasks(cfg: RunConfig):
                                         cfg.get_int("side"), cfg.get_int("classes"),
                                         subseed(data_seed, "data"))
     else:
-        parts = cfg["dataset"].split(";")
-        tr_img, tr_lab = parts[0].split(",")
-        train = load_idx_dataset(tr_img.strip(), tr_lab.strip())
-        if len(parts) > 1:
-            te_img, te_lab = parts[1].split(",")
-            test = load_idx_dataset(te_img.strip(), te_lab.strip())
+        pairs = _idx_pairs(cfg["dataset"])
+        train = load_idx_dataset(*pairs[0])
+        if len(pairs) > 1:
+            test = load_idx_dataset(*pairs[1])
         else:
             train, test = train.subset(range(0, int(len(train) * 0.8))), \
                 train.subset(range(int(len(train) * 0.8), len(train)))

@@ -1,5 +1,6 @@
-"""Task-sequence generation, the full lifelong loop across methods, and the
-reported metrics (accuracy matrix, per-task averages, forgetting curves).
+"""Task-sequence generation and the full lifelong loop across methods. A run's
+result is its per-task records: after task t, the accuracies on tasks 1..t
+(row t of the accuracy matrix), their mean and the model size.
 
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
@@ -46,7 +47,6 @@ class Task:
     train: Dataset
     val: Dataset
     test: Dataset
-    kind: str
     num_classes: int
     transform_spec: dict = field(default_factory=dict)
 
@@ -55,7 +55,6 @@ class Task:
 class TaskSequence:
     tasks: list[Task]
     kind: str
-    seed: int
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -67,7 +66,7 @@ def _transformed_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int
     n_classes = int(train_ds.labels.max()) + 1
     tr, va = split_train_val(train_ds, VAL_RATIO, subseed(seed, "valsplit"))
     return TaskSequence([Task(tr.map_inputs(fn), va.map_inputs(fn), test_ds.map_inputs(fn),
-                              kind, n_classes, spec) for fn, spec in transforms], kind, seed)
+                              n_classes, spec) for fn, spec in transforms], kind)
 
 
 def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -133,33 +132,9 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
             return Dataset(ds.inputs[sel].copy(), ds.labels[sel] - lo)
 
         tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
-        tasks.append(Task(train=tr, val=va, test=take(test_ds), kind=SPLIT,
-                          num_classes=per, transform_spec={"classes": classes.tolist()}))
-    return TaskSequence(tasks, SPLIT, seed)
-
-
-@dataclass
-class AccuracyMatrix:
-    rows: list[list[float]] = field(default_factory=list)
-
-    def add_row(self, accuracies: list[float]) -> None:
-        if len(accuracies) != len(self.rows) + 1:
-            raise ValueError("row t must have exactly t entries")
-        self.rows.append([float(a) for a in accuracies])
-
-    def acc(self, t: int, k: int) -> float:
-        """acc on task k after finishing task t; both 1-indexed."""
-        return self.rows[t - 1][k - 1]
-
-    def avg_per_task(self, t: int) -> float:
-        if not (1 <= t <= len(self.rows)):
-            raise ValueError(f"task index {t} out of range")
-        return float(np.mean(self.rows[t - 1]))
-
-    def forgetting_curve(self, k: int = 1) -> list[float]:
-        if k > len(self.rows):
-            raise ValueError(f"task {k} was never learned")
-        return [row[k - 1] for row in self.rows[k - 1:]]
+        tasks.append(Task(train=tr, val=va, test=take(test_ds), num_classes=per,
+                          transform_spec={"classes": classes.tolist()}))
+    return TaskSequence(tasks, SPLIT)
 
 
 @dataclass(frozen=True)
@@ -193,8 +168,6 @@ def method_config(method: str, penalty: PenaltyConfig, **kw) -> MethodConfig:
 
 @dataclass
 class RunResult:
-    acc: AccuracyMatrix
-    size_trace: list[int]
     records: list[dict]
     search_log: list[dict]
     final_net: DenseNet
@@ -235,10 +208,8 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     fisher: np.ndarray | None = None  # their Fisher diagonal
     policy = init_policy(subseed(seed, "controller"))  # searched expansion only
     baseline: float | None = None  # reward moving average of the search
-    heads: list[Layer] = []  # per-task output layers, read in split mode
+    heads: list[Layer] = []  # per-task output layers, split mode only
 
-    acc = AccuracyMatrix()
-    size_trace: list[int] = []
     records: list[dict] = []
     search_log: list[dict] = []
 
@@ -283,14 +254,13 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         else:
             net = child
 
-        heads.append(net.layers[-1].copy())
+        if split_mode:
+            heads.append(net.layers[-1].copy())
         row = []
         for k in range(t + 1):
             tk = tasks.tasks[k]
             model = _with_head(net, heads[k]) if split_mode else net
             row.append(evaluate(model, tk.test.inputs, tk.test.labels))
-        acc.add_row(row)
-        size_trace.append(net.param_count())
 
         records.append({
             "task": t + 1,
@@ -305,5 +275,5 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
                                      subseed(seed, "fisher", t))
             anchor = net.get_flat()
 
-    return RunResult(acc, size_trace, records, search_log, net)
+    return RunResult(records, search_log, net)
 

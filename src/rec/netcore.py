@@ -5,6 +5,9 @@ All math is float64. A DenseNet owns one contiguous parameter vector
 is, per layer, W.ravel() (row-major) followed by b, with the offsets given by
 Arch.layer_slices; every module in this package that talks about "aligned
 vectors" means this ordering.
+
+Every layer but the last applies ReLU; the last emits raw logits. The rule is
+positional: a Layer holds only its weight and bias.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-RELU = "relu"
-IDENTITY = "identity"
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ class Arch:
 class Layer:
     weight: np.ndarray  # [fan_in, fan_out]
     bias: np.ndarray    # [fan_out]
-    activation: str     # RELU or IDENTITY
 
     def copy(self) -> "Layer":
-        return Layer(self.weight.copy(), self.bias.copy(), self.activation)
+        return Layer(self.weight.copy(), self.bias.copy())
 
 
 class DenseNet:
@@ -82,13 +81,11 @@ class DenseNet:
         for l, (fi, fo) in zip(layers, zip(ws[:-1], ws[1:])):
             if l.weight.shape != (fi, fo) or l.bias.shape != (fo,):
                 raise ValueError(f"layer shape {l.weight.shape} does not chain with arch {ws}")
-        if layers[-1].activation != IDENTITY:
-            raise ValueError("final layer must emit raw logits")
         self.arch = arch
         self.params = np.concatenate([a for l in layers for a in (l.weight.ravel(), l.bias)],
                                      dtype=np.float64)
-        self.layers = [Layer(self.params[w_sl].reshape(l.weight.shape), self.params[b_sl],
-                             l.activation) for l, (w_sl, b_sl) in zip(layers, arch.layer_slices)]
+        self.layers = [Layer(self.params[w_sl].reshape(l.weight.shape), self.params[b_sl])
+                       for l, (w_sl, b_sl) in zip(layers, arch.layer_slices)]
 
     def copy(self) -> "DenseNet":
         return DenseNet(self.arch, self.layers)
@@ -128,12 +125,8 @@ def init_network(arch: Arch, seed: int) -> DenseNet:
     """He-initialized network: W ~ N(0, 2/fan_in), biases zero. Deterministic per seed."""
     rng = np.random.default_rng(seed)
     ws = arch.widths
-    layers = []
-    for i, (fi, fo) in enumerate(zip(ws[:-1], ws[1:])):
-        w = rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo))
-        act = IDENTITY if i == len(ws) - 2 else RELU
-        layers.append(Layer(w, np.zeros(fo), act))
-    return DenseNet(arch, layers)
+    return DenseNet(arch, [Layer(rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo)), np.zeros(fo))
+                           for fi, fo in zip(ws[:-1], ws[1:])])
 
 
 def forward(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
@@ -144,7 +137,7 @@ def forward(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
     for l in net.layers:
         z = a @ l.weight + l.bias
         cache.pre.append(z)
-        a = np.maximum(z, 0.0) if l.activation == RELU else z
+        a = z if l is net.layers[-1] else np.maximum(z, 0.0)
         cache.post.append(a)
     return a, cache
 
@@ -168,18 +161,15 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray
     """Backpropagate `dlogits` (one row per sample) from the output layer down.
 
     Yields (i, a_prev, delta) for i = last..0: delta is the loss gradient
-    w.r.t. layer i's pre-activations and a_prev the input layer i saw, so the
+    w.r.t. layer i's z = a_prev @ W + b, a_prev being the layer's input, so the
     layer's weight gradient is a_prev.T @ delta. Between layers the error goes
-    through W.T and, below a ReLU layer, the mask pre > 0; identity layers
-    pass it through unchanged.
+    through W.T and the ReLU mask pre > 0 of the layer below.
     """
     delta = dlogits
     for i in range(len(net.layers) - 1, -1, -1):
         yield i, (cache.inputs if i == 0 else cache.post[i - 1]), delta
         if i > 0:
-            delta = delta @ net.layers[i].weight.T
-            if net.layers[i - 1].activation == RELU:
-                delta = delta * (cache.pre[i - 1] > 0)
+            delta = (delta @ net.layers[i].weight.T) * (cache.pre[i - 1] > 0)
 
 
 def backward(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
@@ -215,10 +205,9 @@ def predict_logits(net: DenseNet, inputs: np.ndarray, batch_size: int = 512) -> 
     chunks = []
     for i in range(0, inputs.shape[0], batch_size):
         a = inputs[i:i + batch_size]
-        for l in net.layers:
-            z = a @ l.weight + l.bias
-            a = np.maximum(z, 0.0) if l.activation == RELU else z
-        chunks.append(a)
+        for l in net.layers[:-1]:
+            a = np.maximum(a @ l.weight + l.bias, 0.0)
+        chunks.append(a @ net.layers[-1].weight + net.layers[-1].bias)
     return np.vstack(chunks)
 
 

@@ -58,7 +58,7 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     sum_n (a_ni * delta_nj)^2 = ((A*A).T @ (D*D))_ij, and the bias entry is
     sum_n delta_nj^2 (Goodfellow, arXiv 1510.01799). The sampled rows go
     through one forward and one backward sweep per FISHER_CHUNK rows, which
-    bounds the cached activations when max_samples is the size of a large
+    bounds the cached layer outputs when max_samples is the size of a large
     dataset. Equal to a per-sample forward/backward loop up to rounding.
     """
     if len(dataset) == 0:

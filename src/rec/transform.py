@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import RELU, Arch, DenseNet, Layer
+from .netcore import Arch, DenseNet, Layer
 
 MAX_WIDER_ACTIONS = 2
 MAX_DEEPER_ACTIONS = 3
@@ -59,8 +59,8 @@ def net2wider(net: DenseNet, action: WiderAction, seed: int) -> tuple[DenseNet, 
 
     layers = list(net.layers)  # DenseNet copies them into its own vector
     inc, out = net.layers[l], net.layers[l + 1]
-    layers[l] = Layer(inc.weight[:, pi], inc.bias[pi], inc.activation)
-    layers[l + 1] = Layer(out.weight[pi, :] / counts[pi][:, None], out.bias, out.activation)
+    layers[l] = Layer(inc.weight[:, pi], inc.bias[pi])
+    layers[l + 1] = Layer(out.weight[pi, :] / counts[pi][:, None], out.bias)
     new_hidden = list(net.arch.hidden_widths)
     new_hidden[l] = nw
     new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
@@ -81,12 +81,11 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarra
     k = action.insert_after
     if not (0 <= k < n_hidden):
         raise ValueError(f"cannot insert after position {k}: only hidden layers 0..{n_hidden - 1}")
-    if net.layers[k].activation != RELU:
-        raise ValueError("identity insertion requires a ReLU predecessor")
     w = net.arch.hidden_widths[k]
 
+    # Layer k is hidden, so its output is already ReLU'd: relu(I relu(v)) = relu(v).
     layers = list(net.layers)
-    layers.insert(k + 1, Layer(np.eye(w), np.zeros(w), RELU))
+    layers.insert(k + 1, Layer(np.eye(w), np.zeros(w)))
     new_hidden = list(net.arch.hidden_widths)
     new_hidden.insert(k + 1, w)
     new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)

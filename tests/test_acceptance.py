@@ -19,7 +19,7 @@ from rec.controller import (SearchConfig, _wider_prob, encode, init_policy,
 from rec.data import Dataset, synthetic_classes
 from rec.distill import CompressConfig, compress, predict_logits
 from rec.lifelong import gen_permuted_tasks, method_config, run_sequence
-from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, forward,
+from rec.netcore import (Arch, Batch, DenseNet, Layer, forward,
                          init_network, loss_ce)
 from rec.regularize import PenaltyConfig, ewc_term, l1_term, l21_term, mwc_loss
 from rec.transform import DeeperAction, WiderAction, apply_actions
@@ -38,7 +38,7 @@ def desk_tasks():
 
 
 def _final_mean(result):
-    return float(np.mean(result.acc.rows[-1]))
+    return float(np.mean(result.records[-1]["accuracies"]))
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,8 @@ def test_criterion_3_non_expansive(rec_runs):
     runs, _ = rec_runs
     initial = Arch(64, (40, 40), 10).param_count()
     for run in runs:
-        assert run.size_trace == [initial] * len(run.size_trace)
+        sizes = [rec["param_count"] for rec in run.records]
+        assert sizes == [initial] * len(sizes)
         assert run.final_net.param_count() == initial
     print(f"\n[acceptance] criterion 3 PASS: parameter count {initial} after "
           f"every task, all {len(runs)} seeds")
@@ -273,7 +274,8 @@ def test_criterion_6_ablation_ordering(desk_tasks, ordering_runs):
                                        epochs=16, batch_size=256, lr=0.06,
                                        fisher_samples=600), s, (40, 40))
         assert np.array_equal(a.final_net.get_flat(), b.final_net.get_flat())
-        assert a.acc.rows == b.acc.rows
+        assert ([rec["accuracies"] for rec in a.records]
+                == [rec["accuracies"] for rec in b.records])
     assert ordering_runs["_elapsed"] < 1200
     print(f"\n[acceptance] criterion 6 PASS: ewc={ewc:.4f} <= ewc_l21={e21:.4f} "
           f"<= mwc={mwc:.4f}; lambda-zeroed mwc bit-identical to ewc")
@@ -287,7 +289,7 @@ def test_criterion_7_compression_fidelity(rec_runs):
     rng = np.random.default_rng(7)
     arch = Arch(6, (), 4)
     teacher = DenseNet(arch, [Layer(0.8 * rng.standard_normal((6, 4)),
-                                    0.1 * rng.standard_normal(4), IDENTITY)])
+                                    0.1 * rng.standard_normal(4))])
     ds = Dataset(rng.standard_normal((512, 6)), rng.integers(0, 4, 512))
     student = compress(teacher, arch, ds,
                        CompressConfig(epochs=120, batch_size=64, lr=0.05,

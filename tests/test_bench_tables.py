@@ -1,7 +1,8 @@
 """The benchmark keeps its own copy of the method classes, as plain tuples and
 strings in perfbench/checks.py and perfbench/workloads.py. Both are derived
 here from the method table, so a table change that the benchmark's checks do
-not follow fails in the unit tests instead of in a benchmark run."""
+not follow fails in the unit tests instead of in a benchmark run. The same
+holds for the rec function names perfbench/layers.py reads its spans by."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,51 @@ def test_benchmark_method_classes_match_the_table():
     assert constant("checks", "FIXED_SIZE_METHODS") == fixed
     assert constant("checks", "WIDENING_METHODS") == widening
     assert constant("workloads", "ALL_METHODS") == ",".join(METHODS)
+
+
+SRC_REC = Path(__file__).resolve().parents[1] / "src" / "rec"
+
+
+def _is_table(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == [name])
+
+
+def layer_span_names() -> set[str]:
+    """The '<module>.<function>' span names of rec functions that
+    perfbench/layers.py reads: its SELF_S, INCL_S and CALLS entries, its HOOKS
+    keys and the names pass_metrics passes to `total` or `by_name.get`."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    names = {n for table in ("SELF_S", "INCL_S", "CALLS") for n in constant("layers", table)}
+    names.update(k.value for node in tree.body if _is_table(node, "HOOKS")
+                 for k in node.value.keys)
+    pass_metrics = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "pass_metrics")
+    for call in ast.walk(pass_metrics):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        if ((isinstance(f, ast.Name) and f.id == "total")
+                or (isinstance(f, ast.Attribute) and f.attr == "get"
+                    and getattr(f.value, "id", None) == "by_name")):
+            names.update(a.value for a in call.args
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                         and "." in a.value)
+    # bench.pass is the benchmark's own root span, not a rec function.
+    return {n for n in names if not n.startswith("bench.")}
+
+
+def test_benchmark_span_names_are_rec_functions():
+    # A renamed or moved function would otherwise read 0 in a traced run.
+    names = layer_span_names()
+    assert len(names) >= 20, sorted(names)
+    missing = []
+    for name in sorted(names):
+        module, function = name.split(".")
+        path = SRC_REC / f"{module}.py"
+        defined = path.is_file() and any(
+            isinstance(node, ast.FunctionDef) and node.name == function
+            for node in ast.parse(path.read_text()).body)
+        if not defined:
+            missing.append(name)
+    assert not missing, f"perfbench/layers.py reads spans of no rec function: {missing}"

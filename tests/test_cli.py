@@ -70,12 +70,31 @@ class TestParseConfig:
         ("seeds = ,\n", "seeds is empty"),
         ("reward_scope = everything\n", "unknown reward_scope"),
         ("task_kind = split\ntasks = 3\n", "divisible"),
+        ("methods = net2net\nhidden =\n", "hidden is empty"),
+        ("methods = sn,net2net_ewc\nhidden =\n", "hidden is empty"),
+        ("methods = rec\nhidden =\n", "hidden is empty"),
+        ("dataset = foo\n", "dataset = 'foo'"),
+        ("dataset = a,b,c\n", "dataset = 'a,b,c'"),
+        ("dataset = a,\n", "dataset = 'a,'"),
+        ("dataset = a,b;c\n", "dataset = 'a,b;c'"),
+        ("dataset = a,b;\n", "dataset = 'a,b;'"),
+        ("dataset = a,b;c,d;e,f\n", "dataset = 'a,b;c,d;e,f'"),
     ])
     def test_bad_values_rejected(self, tmp_path, body, message):
         p = tmp_path / "c.txt"
         p.write_text(body)
         with pytest.raises(ConfigError, match=message):
             parse_config(p)
+
+    @pytest.mark.parametrize("body", [
+        "dataset = tr_imgs,tr_labels\n",
+        "dataset = tr_imgs , tr_labels ; te_imgs , te_labels\n",
+        "methods = sn,ewc,mwc\nhidden =\n",
+    ])
+    def test_well_formed_values_accepted(self, tmp_path, body):
+        p = tmp_path / "c.txt"
+        p.write_text(body)
+        parse_config(p)
 
 
 class TestRunCommand:
@@ -102,6 +121,20 @@ class TestRunCommand:
         p = write_cfg(tmp_path, "task_kind = split\ntasks = 0", tmp_path / "out")
         assert main(["run", str(p)]) == 2
         assert "tasks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, key", [("dataset = only_one_path", "dataset"),
+                                           ("methods = net2net\nhidden =", "hidden")])
+    def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, body, key):
+        p = write_cfg(tmp_path, body, tmp_path / "out")
+        assert main(["run", str(p)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_idx_files_exit_1(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, f"dataset = {tmp_path}/imgs,{tmp_path}/labels",
+                      tmp_path / "out")
+        assert main(["run", str(p)]) == 1
+        assert "run failed" in capsys.readouterr().err
 
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG, tmp_path / "out")

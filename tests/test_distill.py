@@ -3,24 +3,23 @@ import pytest
 
 from rec.data import Dataset
 from rec.distill import CompressConfig, collect_soft_targets, compress, kd_loss
-from rec.netcore import Arch, DenseNet, IDENTITY, Layer, forward, init_network, predict_logits
+from rec.netcore import Arch, DenseNet, Layer, forward, init_network, predict_logits
 from rec.regularize import TrainingDiverged
 
 from conftest import central_diff, max_rel_err
 
 
 def linear_teacher(seed, input_dim=6, hidden=8, out=3):
-    """Identity activations throughout: a purely linear map."""
+    """A purely linear map: two linear factors folded into one output layer."""
     rng = np.random.default_rng(seed)
-    return DenseNet(Arch(input_dim, (hidden,), out), [
-        Layer(0.5 * rng.standard_normal((input_dim, hidden)), np.zeros(hidden), IDENTITY),
-        Layer(0.5 * rng.standard_normal((hidden, out)), np.zeros(out), IDENTITY),
-    ])
+    w1 = 0.5 * rng.standard_normal((input_dim, hidden))
+    w2 = 0.5 * rng.standard_normal((hidden, out))
+    return DenseNet(Arch(input_dim, (), out), [Layer(w1 @ w2, np.zeros(out))])
 
 
 class TestCollectSoftTargets:
     def test_identity_teacher(self, rng):
-        net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3), IDENTITY)])
+        net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3))])
         ds = Dataset(rng.standard_normal((7, 3)), np.zeros(7, dtype=int))
         assert np.array_equal(collect_soft_targets(net, ds), ds.inputs)
 

@@ -3,7 +3,7 @@ import pytest
 
 from rec.data import Dataset, synthetic_classes
 from rec.distill import CompressConfig
-from rec.lifelong import (METHODS, AccuracyMatrix, gen_permuted_tasks, gen_rotated_tasks,
+from rec.lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks,
                           gen_split_tasks, method_config, rotate_images, run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.regularize import PenaltyConfig, estimate_fisher
@@ -22,6 +22,15 @@ def _cfg(method, **kw):
     base = dict(epochs=6, batch_size=128, lr=0.03, fisher_samples=300)
     base.update(kw)
     return method_config(method, pc, **base)
+
+
+def _rows(result):
+    """Row t of the accuracy matrix is record t's accuracies."""
+    return [rec["accuracies"] for rec in result.records]
+
+
+def _sizes(result):
+    return [rec["param_count"] for rec in result.records]
 
 
 class TestSubseed:
@@ -130,35 +139,6 @@ class TestRotateImages:
             rotate_images(rng.random((2, 30)), 45.0)
 
 
-class TestAccuracyMatrix:
-    def test_row_length_enforced(self):
-        m = AccuracyMatrix()
-        m.add_row([0.9])
-        with pytest.raises(ValueError):
-            m.add_row([0.8, 0.7, 0.6])
-
-    def test_acc_indexing(self):
-        m = AccuracyMatrix([[0.9], [0.8, 0.95]])
-        assert m.acc(1, 1) == 0.9
-        assert m.acc(2, 1) == 0.8
-        assert m.acc(2, 2) == 0.95
-
-    def test_avg_per_task(self):
-        m = AccuracyMatrix([[0.9], [0.8, 0.6]])
-        assert m.avg_per_task(1) == 0.9
-        assert m.avg_per_task(2) == pytest.approx(0.7)
-
-    def test_forgetting_curve(self):
-        m = AccuracyMatrix([[0.9], [0.8, 0.6], [0.7, 0.5, 0.95]])
-        assert m.forgetting_curve(1) == [0.9, 0.8, 0.7]
-        assert m.forgetting_curve(3) == [0.95]
-
-    def test_curve_of_unlearned_task(self):
-        m = AccuracyMatrix([[0.9]])
-        with pytest.raises(ValueError):
-            m.forgetting_curve(2)
-
-
 ALL_LAMBDAS = {"lambda_ewc", "lambda_21", "lambda_1"}
 # The paper's eight methods: (lambdas set to 0, expansion, compression).
 EXPECTED_ROWS = {
@@ -205,7 +185,7 @@ class TestMethodConfig:
 class TestRunSequence:
     def test_sn_forgets_first_task(self, small_bench):
         r = run_sequence(small_bench, _cfg("sn", epochs=10, lr=0.06), seed=0)
-        curve = r.acc.forgetting_curve(1)
+        curve = [row[0] for row in _rows(r)]
         assert curve[0] > 0.9
         assert curve[0] - curve[-1] >= 0.15
 
@@ -214,11 +194,11 @@ class TestRunSequence:
         ewc = run_sequence(small_bench, _cfg("ewc", epochs=10, lr=0.06,
                                              penalty=PenaltyConfig(60.0, 0, 0, 1e-8)),
                            seed=0)
-        assert np.mean(ewc.acc.rows[-1]) > np.mean(sn.acc.rows[-1])
+        assert np.mean(_rows(ewc)[-1]) > np.mean(_rows(sn)[-1])
 
     def test_fixed_methods_constant_size(self, small_bench):
         r = run_sequence(small_bench, _cfg("mwc"), seed=1)
-        assert len(set(r.size_trace)) == 1
+        assert len(set(_sizes(r))) == 1
 
     def test_rec_constant_size_and_distill_records(self, small_bench):
         mc = method_config(
@@ -228,8 +208,8 @@ class TestRunSequence:
                                 lr=0.03, controller_lr=0.05),
             compress_cfg=CompressConfig(epochs=16, batch_size=128, lr=0.005))
         r = run_sequence(small_bench, mc, seed=0)
-        assert len(set(r.size_trace)) == 1
-        assert r.size_trace[0] == r.final_net.param_count()
+        assert len(set(_sizes(r))) == 1
+        assert _sizes(r)[0] == r.final_net.param_count()
         later = [rec for rec in r.records if rec["task"] > 1]
         assert all("student_new_task_acc" in rec for rec in later)
 
@@ -247,7 +227,7 @@ class TestRunSequence:
 
     def test_net2net_grows(self, small_bench):
         r = run_sequence(small_bench, _cfg("net2net"), seed=0)
-        assert r.size_trace[-1] > r.size_trace[0]
+        assert _sizes(r)[-1] > _sizes(r)[0]
 
     def test_single_task_methods_agree(self):
         # With one task no penalty is ever active, so every fixed-architecture
@@ -268,20 +248,33 @@ class TestRunSequence:
                             _cfg("mwc", penalty=PenaltyConfig(40.0, 0.0, 0.0, 1e-8)),
                             seed=2)
         assert np.array_equal(ewc.final_net.get_flat(), mwc0.final_net.get_flat())
-        assert ewc.acc.rows == mwc0.acc.rows
+        assert _rows(ewc) == _rows(mwc0)
 
     def test_repeat_run_bit_identical(self, small_bench):
         a = run_sequence(small_bench, _cfg("mwc"), seed=3)
         b = run_sequence(small_bench, _cfg("mwc"), seed=3)
         assert np.array_equal(a.final_net.get_flat(), b.final_net.get_flat())
-        assert a.acc.rows == b.acc.rows
+        assert _rows(a) == _rows(b)
 
     def test_split_protocol_runs(self):
         train, test = synthetic_classes(400, 200, 6, 6, seed=13)
         seq = gen_split_tasks(train, test, 3, seed=0)
         r = run_sequence(seq, _cfg("ewc"), seed=0)
-        assert len(r.acc.rows) == 3
-        assert np.mean(r.acc.rows[-1]) > 0.5
+        assert len(_rows(r)) == 3
+        assert np.mean(_rows(r)[-1]) > 0.5
+
+    @pytest.mark.parametrize("kind", ["permuted", "split"])
+    def test_records_are_the_result(self, kind):
+        # Record t holds row t of the accuracy matrix, its mean and the model
+        # size after task t; nothing else keeps a copy of them.
+        train, test = synthetic_classes(300, 150, 6, 6, seed=17)
+        gen = gen_permuted_tasks if kind == "permuted" else gen_split_tasks
+        r = run_sequence(gen(train, test, 3, seed=0), _cfg("net2net_ewc", epochs=2), seed=0)
+        assert [rec["task"] for rec in r.records] == [1, 2, 3]
+        for rec in r.records:
+            assert len(rec["accuracies"]) == rec["task"]
+            assert rec["avg_per_task"] == float(np.mean(rec["accuracies"]))
+        assert r.records[-1]["param_count"] == r.final_net.param_count()
 
     @pytest.mark.parametrize("method,calls", [("ewc", 2), ("sn", 0)])
     def test_fisher_only_for_tasks_that_follow(self, small_bench, monkeypatch, method,

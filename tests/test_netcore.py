@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, RELU, backward,
+from rec.netcore import (Arch, Batch, DenseNet, Layer, backward,
                          evaluate, forward, init_network, loss_ce, predict_logits,
                          sgd_step)
 
@@ -13,8 +13,8 @@ from conftest import central_diff, max_rel_err
 def tiny_net(w1, b1, w2, b2):
     """1-1-1 net: relu hidden unit, identity output."""
     return DenseNet(Arch(1, (1,), 1), [
-        Layer(np.array([[w1]]), np.array([b1]), RELU),
-        Layer(np.array([[w2]]), np.array([b2]), IDENTITY),
+        Layer(np.array([[w1]]), np.array([b1])),
+        Layer(np.array([[w2]]), np.array([b2])),
     ])
 
 
@@ -57,8 +57,8 @@ class TestParameterVector:
             assert np.array_equal(l.weight, w - 0.5)
 
     def test_constructor_leaves_caller_arrays_alone(self):
-        layers = [Layer(np.ones((2, 3)), np.zeros(3), RELU),
-                  Layer(np.ones((3, 2)), np.zeros(2), IDENTITY)]
+        layers = [Layer(np.ones((2, 3)), np.zeros(3)),
+                  Layer(np.ones((3, 2)), np.zeros(2))]
         net = DenseNet(Arch(2, (3,), 2), layers)
         sgd_step(net, np.ones(net.param_count()), lr=1.0)
         for mine, theirs in zip(layers, net.layers):
@@ -79,7 +79,7 @@ class TestParameterVector:
 
 class TestForward:
     def test_identity_single_layer(self, rng):
-        net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3), IDENTITY)])
+        net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3))])
         x = rng.standard_normal((5, 3))
         logits, _ = forward(net, Batch(x, np.zeros(5, dtype=int)))
         assert np.array_equal(logits, x)
@@ -195,7 +195,7 @@ class TestSGD:
 class TestEvaluate:
     def test_constant_predictor(self):
         net = DenseNet(Arch(2, (), 2), [
-            Layer(np.zeros((2, 2)), np.array([1.0, 0.0]), IDENTITY)])
+            Layer(np.zeros((2, 2)), np.array([1.0, 0.0]))])
         x = np.zeros((10, 2))
         assert evaluate(net, x, np.zeros(10, dtype=int)) == 1.0
         labels = np.array([0, 1] * 5)
@@ -228,7 +228,7 @@ class TestPredictLogits:
             assert np.allclose(batched[i], row[0], atol=1e-12)
 
     def test_identity_net(self, rng):
-        net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3), IDENTITY)])
+        net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3))])
         x = rng.standard_normal((9, 3))
         assert np.array_equal(predict_logits(net, x), x)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rec.data import Dataset
 from rec.lifelong import method_config
-from rec.netcore import (Arch, Batch, DenseNet, IDENTITY, Layer, backward, forward,
+from rec.netcore import (Arch, Batch, DenseNet, Layer, backward, forward,
                          init_network, loss_ce)
 from rec.regularize import (FISHER_CHUNK, PenaltyConfig, consolidation, TrainingDiverged,
                             estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
@@ -61,7 +61,7 @@ class TestFisher:
     def test_logistic_unit_hand_value(self):
         # Two-class linear net, all params zero, one sample x=1, label 1:
         # p = 0.5 for both classes, d log p(y=1)/d w_1 = x*(1-p) = 0.5 -> F = 0.25.
-        net = DenseNet(Arch(1, (), 2), [Layer(np.zeros((1, 2)), np.zeros(2), IDENTITY)])
+        net = DenseNet(Arch(1, (), 2), [Layer(np.zeros((1, 2)), np.zeros(2))])
         ds = Dataset(np.array([[1.0]]), np.array([1]))
         fisher = estimate_fisher(net, ds, max_samples=10, seed=0)
         assert np.allclose(fisher, 0.25)
