@@ -193,22 +193,17 @@ def _build_tasks(cfg: RunConfig):
 def _method_cfg(cfg: RunConfig, method: str):
     penalty = PenaltyConfig(cfg.get_float("lambda_ewc"), cfg.get_float("lambda_21"),
                             cfg.get_float("lambda_1"), cfg.get_float("epsilon"))
-    search = SearchConfig(m_children=cfg.get_int("m_children"),
+    search = SearchConfig(budget=cfg.get_int("search_budget"),
+                          m_children=cfg.get_int("m_children"),
                           child_epochs=cfg.get_int("child_epochs"),
-                          batch_size=cfg.get_int("batch_size"),
-                          lr=cfg.get_float("lr"),
-                          momentum=cfg.get_float("momentum"),
                           controller_lr=cfg.get_float("controller_lr"))
     return method_config(
         method, penalty,
         epochs=cfg.get_int("epochs"), batch_size=cfg.get_int("batch_size"),
         lr=cfg.get_float("lr"), momentum=cfg.get_float("momentum"),
-        fisher_samples=cfg.get_int("fisher_samples"),
-        search_budget=cfg.get_int("search_budget"), search=search,
+        fisher_samples=cfg.get_int("fisher_samples"), search=search,
         compress_cfg=CompressConfig(epochs=cfg.get_int("compress_epochs"),
-                                    batch_size=cfg.get_int("batch_size"),
-                                    lr=cfg.get_float("compress_lr"),
-                                    momentum=0.0),
+                                    lr=cfg.get_float("compress_lr")),
         reward_scope=cfg["reward_scope"],
     )
 
@@ -241,19 +236,22 @@ def cmd_run(config_path: str) -> int:
                 stale.unlink()
         tasks = _build_tasks(cfg)
         jobs = [(m, int(s)) for m in cfg.get_list("methods") for s in cfg.get_list("seeds")]
-        diverged = 0
+        failed = 0
         for m, s in jobs:
-            try:
+            try:  # a failed job writes no files; the other jobs still run
                 _run_one(cfg, tasks, m, s, out)
-            except TrainingDiverged as e:  # the other jobs still run
+            except TrainingDiverged as e:
                 print(f"job {m} s{s} diverged: {e}", file=sys.stderr)
-                diverged += 1
-        if diverged < len(jobs):
+                failed += 1
+            except Exception as e:  # noqa: BLE001
+                print(f"job {m} s{s} failed: {type(e).__name__}: {e}", file=sys.stderr)
+                failed += 1
+        if failed < len(jobs):
             _write_reports(out)
     except Exception as e:  # noqa: BLE001 - diagnostics then nonzero exit
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    return 1 if diverged else 0
+    return 1 if failed else 0
 
 
 def _load_records(results_dir: Path) -> list[dict]:

@@ -10,12 +10,13 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
 from .netcore import Arch, DenseNet, evaluate
-from .regularize import PenaltyConfig, TrainingDiverged, consolidation, train_task
+from .regularize import TrainingDiverged
 from .transform import (MAX_DEEPER_ACTIONS, MAX_WIDER_ACTIONS, DeeperAction, WiderAction,
                         action_to_line, apply_actions)
 
@@ -124,7 +125,6 @@ class Decision:
     widths: tuple[int, ...]  # architecture descriptor the decision saw
     position: int          # layer position (wider) or chosen option (deeper)
     choice: int            # sampled value: 0/1 for wider; option index for deeper
-    logp: float
 
 
 @dataclass
@@ -133,10 +133,6 @@ class Episode:
     actions: list[WiderAction | DeeperAction] = field(default_factory=list)
     a_val: float = float("nan")
     reward: float = 0.0
-
-    @property
-    def log_prob(self) -> float:
-        return sum(d.logp for d in self.decisions)
 
 
 def raw_reward(a_val: float) -> float:
@@ -154,11 +150,9 @@ def reward_transform(a_val: float, baseline: float | None) -> tuple[float, float
 
 @dataclass(frozen=True)
 class SearchConfig:
-    m_children: int = 5
+    budget: int = 6  # children evaluated per search
+    m_children: int = 3
     child_epochs: int = 2
-    batch_size: int = 256
-    lr: float = 0.001
-    momentum: float = 0.0
     controller_lr: float = 0.05
     width_cap_factor: int = 4
     max_deeper: int = MAX_DEEPER_ACTIONS
@@ -197,8 +191,7 @@ def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
             break
         p = _wider_prob(policy, states[i])
         a = int(rng.random() < p)
-        ep.decisions.append(Decision("wider", tuple(arch.hidden_widths), i, a,
-                                     float(np.log(p if a else 1.0 - p))))
+        ep.decisions.append(Decision("wider", tuple(arch.hidden_widths), i, a))
         if a:
             n_wider += 1
             new_w = min(2 * widths[i], caps[i])
@@ -210,7 +203,7 @@ def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
         states, _ = encode(policy, desc)
         probs = _deeper_probs(policy, states)
         k = int(rng.choice(len(probs), p=probs / probs.sum()))
-        ep.decisions.append(Decision("deeper", desc, k, k, float(np.log(probs[k]))))
+        ep.decisions.append(Decision("deeper", desc, k, k))
         if k == len(desc):  # stop token
             break
         ep.actions.append(DeeperAction(k))
@@ -264,19 +257,25 @@ class SearchResult:
     log: list[dict]
 
 
-def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset],
-                 anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
-                 budget: int, policy: ControllerPolicy, baseline: float | None,
-                 seed: int, search_cfg: SearchConfig = SearchConfig(),
+# fit(net, ref, epochs, seed): train net, whose reference vector is ref, on
+# the task's own objective and SGD settings; mutates and returns net.
+Fit = Callable[[DenseNet, np.ndarray, int, int], DenseNet]
+
+
+def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
+                 policy: ControllerPolicy, baseline: float | None, seed: int,
+                 search_cfg: SearchConfig = SearchConfig(),
                  ref: np.ndarray | None = None) -> tuple[SearchResult, float]:
     """Episode loop of the expansion search.
 
-    Each child is created by the sampled morphisms, fine-tuned briefly with the
-    masked consolidation loss, and scored on the validation data (union over
-    val_sets); rewards update the policy in batches of m. `ref` is the
-    reference vector of prev_net (identity when None). Returns the
-    best-scoring child seen and the reward moving average (reward_transform).
+    Each child is created by the sampled morphisms, fine-tuned for
+    `search_cfg.child_epochs` through `fit` (the task's own objective and SGD
+    settings), and scored on the validation data (union over val_sets);
+    rewards update the policy in batches of m. `ref` is the reference vector
+    of prev_net (identity when None). Returns the best-scoring child seen and
+    the reward moving average (reward_transform).
     """
+    budget = search_cfg.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
     val_inputs = np.vstack([v.inputs for v in val_sets])
@@ -295,12 +294,8 @@ def search_child(prev_net: DenseNet, train_set: Dataset, val_sets: list[Dataset]
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
             diverged = False
             try:
-                child, child_ref, _ = apply_actions(prev_net.copy(), ep.actions,
-                                                    ep_seed + 1, ref)
-                objective = consolidation(anchor, fisher, cfg, child_ref)
-                train_task(child, train_set, objective, search_cfg.child_epochs,
-                           search_cfg.batch_size, search_cfg.lr, ep_seed + 2,
-                           search_cfg.momentum)
+                child, child_ref = apply_actions(prev_net.copy(), ep.actions, ep_seed + 1, ref)
+                fit(child, child_ref, search_cfg.child_epochs, ep_seed + 2)
                 ep.a_val = evaluate(child, val_inputs, val_labels)
             except TrainingDiverged:
                 # A diverged child is a legal search outcome, not a pipeline

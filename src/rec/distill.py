@@ -37,21 +37,21 @@ def kd_loss(student_logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
 @dataclass(frozen=True)
 class CompressConfig:
     epochs: int = 20
-    batch_size: int = 256
     lr: float = 0.005
     momentum: float = 0.0
     kd_warmup_frac: float = 0.25  # KD-only phase share of the epoch budget
 
 
 def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
-             cfg: CompressConfig, seed: int,
+             cfg: CompressConfig, batch_size: int, seed: int,
              init_net: DenseNet | None = None) -> DenseNet:
     """Train a student of the initial architecture against the teacher.
 
     Phase 1 minimizes the KD loss alone; phase 2 adds the ground-truth CE term
-    with unit weighting. The student starts from `init_net` when given (warm
-    start from the carried model) and from a fresh init otherwise. The
-    student's parameter count never exceeds the initial network's.
+    with unit weighting, in minibatches of the caller's `batch_size` (the
+    task's). The student starts from `init_net` when given (warm start from
+    the carried model) and from a fresh init otherwise. The student's
+    parameter count never exceeds the initial network's.
     """
     targets = collect_soft_targets(teacher, dataset)
     if init_net is not None:
@@ -70,5 +70,5 @@ def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
             value, dlogits = ce_v + value, ce_d + dlogits
         return value, backward(net, cache, dlogits)
 
-    return train_task(student, dataset, objective, cfg.epochs, cfg.batch_size, cfg.lr,
+    return train_task(student, dataset, objective, cfg.epochs, batch_size, cfg.lr,
                       seed, cfg.momentum)

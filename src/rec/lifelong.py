@@ -145,10 +145,9 @@ class MethodConfig:
     reward_scope: str = "new-only"  # or "all-learned"
     epochs: int = 8
     batch_size: int = 256
-    lr: float = 0.001
+    lr: float = 0.03
     momentum: float = 0.0
     fisher_samples: int = 600
-    search_budget: int = 10
     search: SearchConfig = SearchConfig()
     compress_cfg: CompressConfig = CompressConfig()
 
@@ -220,32 +219,37 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             net = _attach_head(net, task.num_classes, subseed(seed, "head", t))
             ref = np.arange(net.param_count())
             ref[net.arch.layer_slices[-1][0].start:] = -1  # the replaced output head
+
+        def fit(model: DenseNet, model_ref: np.ndarray | None, epochs: int,
+                fit_seed: int) -> DenseNet:
+            """The task's one training recipe (its consolidation objective and
+            the method's SGD settings), for its own net and every child."""
+            objective = consolidation(anchor, fisher, method.penalty, model_ref)
+            return train_task(model, task.train, objective, epochs, method.batch_size,
+                              method.lr, fit_seed, method.momentum)
+
         child, actions = net, []
         if t > 0 and method.expansion and method.compression:
             val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]
                         if method.reward_scope == "all-learned" else [task.val])
-            result, baseline = search_child(
-                net, task.train, val_sets, anchor, fisher, method.penalty,
-                method.search_budget, policy, baseline,
-                subseed(seed, "search", t), method.search, ref)
+            result, baseline = search_child(net, fit, val_sets, policy, baseline,
+                                            subseed(seed, "search", t), method.search, ref)
             search_log.extend({"task": t + 1, **rec} for rec in result.log)
             child, ref, actions = result.net, result.ref, result.actions
         elif t > 0 and method.expansion:
             w = net.arch.hidden_widths[0]
             cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
             actions = [WiderAction(0, min(2 * w, cap))]
-            child, ref, _ = apply_actions(net, actions, subseed(seed, "expand", t), ref)
+            child, ref = apply_actions(net, actions, subseed(seed, "expand", t), ref)
 
-        objective = consolidation(anchor, fisher, method.penalty, ref)
-        train_task(child, task.train, objective, method.epochs, method.batch_size,
-                   method.lr, subseed(seed, "train", t), method.momentum)
+        fit(child, ref, method.epochs, subseed(seed, "train", t))
         if t > 0 and method.expansion:
             extra["actions"] = [action_to_line(a) for a in actions]
         if t > 0 and method.compression:
             target_arch = Arch(initial_arch.input_dim, hidden_widths, task.num_classes)
             warm = net if net.arch == target_arch else None
             net = compress(child, target_arch, task.train, method.compress_cfg,
-                           subseed(seed, "distill", t), init_net=warm)
+                           method.batch_size, subseed(seed, "distill", t), init_net=warm)
             extra.update({
                 "child_param_count": child.param_count(),
                 "child_new_task_acc": evaluate(child, task.test.inputs, task.test.labels),

@@ -35,9 +35,9 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    lambda_ewc: float = 2.0
-    lambda_21: float = 1e-4
-    lambda_1: float = 1e-3
+    lambda_ewc: float = 40.0
+    lambda_21: float = 3e-5
+    lambda_1: float = 1e-5
     epsilon: float = 1e-8
 
     def __post_init__(self):

@@ -98,11 +98,11 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarra
 
 
 def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed: int = 0,
-                  ref: np.ndarray | None = None) -> tuple[DenseNet, np.ndarray, np.ndarray]:
+                  ref: np.ndarray | None = None) -> tuple[DenseNet, np.ndarray]:
     """Sequential composition of morphisms; enforces the per-episode caps.
 
     `ref` is the base reference vector over `net`'s flat view (identity when
-    None). Returns (child, the child's reference vector, ref < 0).
+    None). Returns the child and its reference vector.
     """
     n_wider = sum(isinstance(a, WiderAction) for a in actions)
     n_deeper = sum(isinstance(a, DeeperAction) for a in actions)
@@ -120,7 +120,7 @@ def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed
         else:
             current, step = net2deeper(current, action)
         ref = np.where(step >= 0, ref[step], -1)
-    return current, ref, ref < 0
+    return current, ref
 
 
 def align_reference(values: np.ndarray, ref: np.ndarray) -> np.ndarray:

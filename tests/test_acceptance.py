@@ -68,10 +68,8 @@ def rec_runs(desk_tasks):
     for s in SEEDS:
         mc = method_config(
             "rec", penalty, epochs=8, batch_size=256, lr=0.03, fisher_samples=600,
-            search_budget=6,
-            search=SearchConfig(m_children=3, child_epochs=2, batch_size=256,
-                                lr=0.03, controller_lr=0.05),
-            compress_cfg=CompressConfig(epochs=20, batch_size=256, lr=0.005))
+            search=SearchConfig(budget=6, m_children=3, child_epochs=2, controller_lr=0.05),
+            compress_cfg=CompressConfig(epochs=20, lr=0.005))
         out.append(run_sequence(desk_tasks, mc, s, hidden_widths=(40, 40)))
     return out, time.monotonic() - t0
 
@@ -156,7 +154,7 @@ def test_criterion_2_function_preservation():
         x = rng.standard_normal((4, arch.input_dim))
         batch = Batch(x, np.zeros(4, dtype=int))
         before, _ = forward(net, batch)
-        bigger, _, _ = apply_actions(net, actions, seed=trial)
+        bigger, _ = apply_actions(net, actions, seed=trial)
         after, _ = forward(bigger, batch)
         worst = max(worst, float(np.max(np.abs(after - before))))
         assert worst < 1e-8, f"trial {trial}: |dlogits| {worst:.2e}"
@@ -292,8 +290,8 @@ def test_criterion_7_compression_fidelity(rec_runs):
                                     0.1 * rng.standard_normal(4))])
     ds = Dataset(rng.standard_normal((512, 6)), rng.integers(0, 4, 512))
     student = compress(teacher, arch, ds,
-                       CompressConfig(epochs=120, batch_size=64, lr=0.05,
-                                      kd_warmup_frac=1.0), seed=1)
+                       CompressConfig(epochs=120, lr=0.05, kd_warmup_frac=1.0),
+                       batch_size=64, seed=1)
     diff = predict_logits(student, ds.inputs) - predict_logits(teacher, ds.inputs)
     rms = float(np.sqrt(np.mean(diff ** 2)))
     assert rms < 1e-2, f"realizable distillation RMS {rms:.4f}"

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from rec.cli import ConfigError, main, parse_config
+from rec import cli
+from rec.cli import ConfigError, _method_cfg, main, parse_config
+from rec.lifelong import METHODS, method_config
+from rec.regularize import PenaltyConfig
 
 SMALL_CFG = """
 # small smoke configuration
@@ -33,6 +36,13 @@ class TestParseConfig:
         cfg = parse_config(p)
         assert cfg.get_int("tasks") == 3
         assert cfg["task_kind"] == "permuted"
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        cfg = parse_config(p)
+        for m in METHODS:
+            assert _method_cfg(cfg, m) == method_config(m, PenaltyConfig())
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -166,6 +176,23 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", str(write_cfg(tmp_path, body, out))]) == 1
         assert "job rec s0 diverged: non-finite loss" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "final_sn_s0.recnet", "results_sn_s0.jsonl", "series.csv", "summary.csv"]
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["sn"]
+
+    def test_failing_job_does_not_stop_the_others(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_sequence
+
+        def ewc_fails(tasks, method, seed, hidden):
+            if method.penalty.lambda_ewc > 0:
+                raise ValueError("boom")
+            return real(tasks, method, seed, hidden)
+
+        monkeypatch.setattr(cli, "run_sequence", ewc_fails)
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, SMALL_CFG, out))]) == 1
+        assert "job ewc s0 failed: ValueError: boom" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == [
             "final_sn_s0.recnet", "results_sn_s0.jsonl", "series.csv", "summary.csv"]
         rows = (out / "summary.csv").read_text().splitlines()

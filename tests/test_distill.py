@@ -68,9 +68,8 @@ class TestCompress:
     def test_realizable_linear_teacher(self, rng):
         teacher = linear_teacher(0)
         ds = Dataset(rng.standard_normal((1000, 6)), rng.integers(0, 3, 1000))
-        cfg = CompressConfig(epochs=150, batch_size=64, lr=0.05, momentum=0.9,
-                             kd_warmup_frac=1.0)
-        student = compress(teacher, Arch(6, (64,), 3), ds, cfg, seed=1)
+        cfg = CompressConfig(epochs=150, lr=0.05, momentum=0.9, kd_warmup_frac=1.0)
+        student = compress(teacher, Arch(6, (64,), 3), ds, cfg, batch_size=64, seed=1)
         err = predict_logits(student, ds.inputs) - predict_logits(teacher, ds.inputs)
         rms = float(np.sqrt(np.mean(err ** 2)))
         assert rms < 1e-2
@@ -79,7 +78,8 @@ class TestCompress:
         teacher = init_network(Arch(5, (20, 16, 12), 2), seed=3)
         ds = Dataset(rng.standard_normal((64, 5)), rng.integers(0, 2, 64))
         initial = Arch(5, (6, 6), 2)
-        student = compress(teacher, initial, ds, CompressConfig(epochs=1), seed=0)
+        student = compress(teacher, initial, ds, CompressConfig(epochs=1), batch_size=256,
+                           seed=0)
         assert student.param_count() == initial.param_count()
 
     def test_kd_term_zero_when_student_is_teacher(self, rng):
@@ -102,4 +102,5 @@ def test_compress_divergence_raises(rng):
     ds = Dataset(rng.standard_normal((64, 4)), rng.integers(0, 3, 64))
     # The shared training loop's message, not a copy of it in compress.
     with pytest.raises(TrainingDiverged, match="non-finite loss"), np.errstate(all="ignore"):
-        compress(teacher, Arch(4, (6,), 3), ds, CompressConfig(epochs=20, lr=1e3), seed=0)
+        compress(teacher, Arch(4, (6,), 3), ds, CompressConfig(epochs=20, lr=1e3),
+                 batch_size=256, seed=0)

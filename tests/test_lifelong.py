@@ -3,6 +3,7 @@ import pytest
 
 from rec.data import Dataset, synthetic_classes
 from rec.distill import CompressConfig
+from rec import lifelong
 from rec.lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks,
                           gen_split_tasks, method_config, rotate_images, run_sequence, subseed)
 from rec.controller import SearchConfig
@@ -203,21 +204,37 @@ class TestRunSequence:
     def test_rec_constant_size_and_distill_records(self, small_bench):
         mc = method_config(
             "rec", PenaltyConfig(40.0, 3e-5, 1e-5, 1e-8), epochs=6, batch_size=128,
-            lr=0.03, fisher_samples=300, search_budget=3,
-            search=SearchConfig(m_children=3, child_epochs=2, batch_size=128,
-                                lr=0.03, controller_lr=0.05),
-            compress_cfg=CompressConfig(epochs=16, batch_size=128, lr=0.005))
+            lr=0.03, fisher_samples=300,
+            search=SearchConfig(budget=3, m_children=3, child_epochs=2, controller_lr=0.05),
+            compress_cfg=CompressConfig(epochs=16, lr=0.005))
         r = run_sequence(small_bench, mc, seed=0)
         assert len(set(_sizes(r))) == 1
         assert _sizes(r)[0] == r.final_net.param_count()
         later = [rec for rec in r.records if rec["task"] > 1]
         assert all("student_new_task_acc" in rec for rec in later)
 
+    def test_children_train_with_the_task_settings(self, small_bench, monkeypatch):
+        calls = []
+        real = lifelong.train_task
+
+        def recording(net, train_set, objective, epochs, batch_size, lr, seed, momentum):
+            calls.append((epochs, batch_size, lr, momentum))
+            return real(net, train_set, objective, epochs, batch_size, lr, seed, momentum)
+
+        monkeypatch.setattr(lifelong, "train_task", recording)
+        mc = _cfg("rec", epochs=2, batch_size=96, lr=0.02, momentum=0.5,
+                  search=SearchConfig(budget=2, m_children=2, child_epochs=1),
+                  compress_cfg=CompressConfig(epochs=1))
+        run_sequence(small_bench, mc, seed=0)
+        assert {c[1:] for c in calls} == {(96, 0.02, 0.5)}
+        t = len(small_bench)
+        assert sorted(c[0] for c in calls) == [1] * (t - 1) * 2 + [2] * t
+
     @pytest.mark.parametrize("method", ["net2net_ewc", "rec"])
     def test_recorded_actions_use_action_lines(self, small_bench, method):
-        mc = _cfg(method, epochs=2, search_budget=4,
-                  search=SearchConfig(m_children=2, child_epochs=1, batch_size=128, lr=0.03),
-                  compress_cfg=CompressConfig(epochs=2, batch_size=128, lr=0.005))
+        mc = _cfg(method, epochs=2,
+                  search=SearchConfig(budget=4, m_children=2, child_epochs=1),
+                  compress_cfg=CompressConfig(epochs=2, lr=0.005))
         r = run_sequence(small_bench, mc, seed=0)
         recorded = [rec["actions"] for rec in r.records if rec["task"] > 1]
         assert len(recorded) == 2 and any(recorded)

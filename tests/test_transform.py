@@ -96,14 +96,15 @@ class TestNet2Deeper:
 class TestApplyActions:
     def test_empty_is_identity(self):
         net = random_net(10)
-        net2, ref, mask = apply_actions(net, [])
+        net2, ref = apply_actions(net, [])
+        mask = ref < 0
         assert np.array_equal(net2.get_flat(), net.get_flat())
         assert not mask.any()
         assert np.array_equal(ref, np.arange(net.param_count()))
 
     def test_wider_plus_deeper_preserves(self):
         net = random_net(11)
-        net2, _, _ = apply_actions(net, [WiderAction(0, 8), DeeperAction(1)], seed=3)
+        net2, _ = apply_actions(net, [WiderAction(0, 8), DeeperAction(1)], seed=3)
         x = np.random.default_rng(3).standard_normal((100, 5))
         assert logits_close(net, net2, x, 1e-10)
 
@@ -121,13 +122,14 @@ class TestApplyActions:
         net = random_net(14)
         for actions in ([WiderAction(0, 6)], [DeeperAction(1)],
                         [WiderAction(1, 5), DeeperAction(0)]):
-            net2, _, _ = apply_actions(net, actions, seed=1)
+            net2, _ = apply_actions(net, actions, seed=1)
             assert net2.param_count() > net.param_count()
 
     def test_mask_map_partition(self):
         net = random_net(15)
-        net2, ref, mask = apply_actions(
+        net2, ref = apply_actions(
             net, [WiderAction(0, 8), DeeperAction(1), WiderAction(1, 6)], seed=9)
+        mask = ref < 0
         assert ref.shape == mask.shape == (net2.param_count(),)
         assert np.array_equal(mask, ref < 0)
         image = ref[ref >= 0]
@@ -137,7 +139,7 @@ class TestApplyActions:
 
     def test_preserved_values_survive(self):
         net = random_net(16)
-        net2, ref, _ = apply_actions(net, [WiderAction(0, 8), DeeperAction(1)], seed=4)
+        net2, ref = apply_actions(net, [WiderAction(0, 8), DeeperAction(1)], seed=4)
         keep = ref >= 0
         assert np.array_equal(net2.get_flat()[keep], net.get_flat()[ref[keep]])
 
@@ -166,13 +168,14 @@ def random_action_lists():
 
 def test_function_preservation_randomized():
     for trial, net, actions, x in random_action_lists():
-        net2, _, _ = apply_actions(net, actions, seed=trial)
+        net2, _ = apply_actions(net, actions, seed=trial)
         assert logits_close(net, net2, x, 1e-8)
 
 
 def test_ref_points_at_surviving_values_randomized():
     for trial, net, actions, _ in random_action_lists():
-        child, ref, mask = apply_actions(net, actions, seed=trial)
+        child, ref = apply_actions(net, actions, seed=trial)
+        mask = ref < 0
         keep = ref >= 0
         assert np.array_equal(mask, ~keep)
         assert np.array_equal(child.params[keep], net.params[ref[keep]])
@@ -184,7 +187,8 @@ class TestAlignReference:
         net = random_net(20)
         anchor = np.random.default_rng(5).standard_normal(net.param_count())
         fisher = np.random.default_rng(6).random(net.param_count())
-        net2, ref, mask = apply_actions(net, [WiderAction(0, 8)], seed=2)
+        net2, ref = apply_actions(net, [WiderAction(0, 8)], seed=2)
+        mask = ref < 0
         a2, f2 = align_reference(anchor, ref), align_reference(fisher, ref)
         keep = ref >= 0
         assert np.array_equal(a2[keep], anchor[ref[keep]])
@@ -198,8 +202,9 @@ class TestAlignReference:
         head_start = net.arch.layer_slices[-1][0].start
         base = np.arange(net.param_count())
         base[head_start:] = -1
-        child, ref, mask = apply_actions(net, [DeeperAction(0), WiderAction(1, 6)], seed=0,
-                                         ref=base)
+        child, ref = apply_actions(net, [DeeperAction(0), WiderAction(1, 6)], seed=0,
+                                   ref=base)
+        mask = ref < 0
         child_head = child.arch.layer_slices[-1][0].start
         assert np.all(ref[child_head:] == -1) and np.all(mask[child_head:])
         assert np.all(ref[ref >= 0] < head_start)
