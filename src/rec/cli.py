@@ -131,6 +131,10 @@ def parse_config(path: str | Path) -> RunConfig:
     if expanding and not cfg.get_list("hidden"):
         raise ConfigError("hidden is empty, but expanding methods need a hidden layer: "
                           + ", ".join(expanding))
+    searching = [m for m in expanding if METHODS[m][2]]
+    if searching and cfg["task_kind"] == "split" and cfg["reward_scope"] == "all-learned":
+        raise ConfigError("reward_scope = all-learned cannot search split tasks: "
+                          + ", ".join(searching))
     if cfg["dataset"] != "synthetic":
         _idx_pairs(cfg["dataset"])
     if (cfg["task_kind"] == "split" and cfg["dataset"] == "synthetic"

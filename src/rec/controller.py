@@ -213,8 +213,7 @@ def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
 
 def reinforce_update(policy: ControllerPolicy, episodes: list[Episode], lr: float) -> None:
     """Gradient ascent on (1/m) sum_i sum_s grad log P(a_s) * R_i, in place."""
-    grads = {k: np.zeros_like(np.asarray(getattr(policy, k), dtype=float))
-             for k in policy.param_items()}
+    grads = {k: np.zeros(np.shape(getattr(policy, k))) for k in policy.param_items()}
     for ep in episodes:
         if ep.reward == 0.0:
             continue
@@ -241,11 +240,7 @@ def reinforce_update(policy: ControllerPolicy, episodes: list[Episode], lr: floa
             _encode_backward(policy, cache, d_states, grads)
     m = max(len(episodes), 1)
     for k in policy.param_items():
-        cur = getattr(policy, k)
-        if np.isscalar(cur):
-            setattr(policy, k, float(cur + lr * grads[k] / m))
-        else:
-            cur += lr * grads[k] / m
+        setattr(policy, k, getattr(policy, k) + lr * grads[k] / m)
 
 
 @dataclass

@@ -63,12 +63,12 @@ def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
     warm = int(round(cfg.kd_warmup_frac * cfg.epochs))
 
     def objective(net: DenseNet, batch: Batch, rows: np.ndarray, epoch: int):
-        logits, cache = forward(net, batch)
+        logits, acts = forward(net, batch)
         value, dlogits = kd_loss(logits, targets[rows])
         if epoch >= warm:
             ce_v, ce_d = loss_ce(logits, batch.labels)
             value, dlogits = ce_v + value, ce_d + dlogits
-        return value, backward(net, cache, dlogits)
+        return value, backward(net, acts, dlogits)
 
     return train_task(student, dataset, objective, cfg.epochs, batch_size, cfg.lr,
                       seed, cfg.momentum)

@@ -118,6 +118,8 @@ def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
 def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
                     seed: int) -> TaskSequence:
     """Contiguous class blocks per task, labels remapped to 0..K_t-1."""
+    if num_tasks < 1:
+        raise ValueError("need at least one task")
     n_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     if n_classes % num_tasks != 0:
         raise ValueError(f"{n_classes} classes not divisible into {num_tasks} tasks")
@@ -172,17 +174,9 @@ class RunResult:
     final_net: DenseNet
 
 
-def _attach_head(hidden_net: DenseNet, num_classes: int, seed: int) -> DenseNet:
-    """Fresh output head on carried hidden layers (split-task protocol)."""
-    arch = Arch(hidden_net.arch.input_dim, hidden_net.arch.hidden_widths, num_classes)
-    fresh = init_network(arch, seed)
-    head_start = arch.layer_slices[-1][0].start
-    fresh.params[:head_start] = hidden_net.params[:head_start]
-    return fresh
-
-
 def _with_head(hidden_net: DenseNet, head: Layer) -> DenseNet:
-    arch = Arch(hidden_net.arch.input_dim, hidden_net.arch.hidden_widths, head.bias.size)
+    """The carried hidden layers under another output layer (split tasks)."""
+    arch = replace(hidden_net.arch, output_dim=head.bias.size)
     return DenseNet(arch, hidden_net.layers[:-1] + [head])
 
 
@@ -195,8 +189,14 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     compresses, else a capped widening of the first hidden layer), train it
     on the consolidation objective (an anchor exists only when some lambda is
     positive), and optionally distill it back to the initial architecture.
+    Split tasks give each task its own output head; a widening carries the
+    stored heads along with the net.
     """
     split_mode = tasks.kind == SPLIT
+    searches = method.expansion and method.compression
+    if split_mode and searches and method.reward_scope == "all-learned":
+        raise ValueError("reward_scope 'all-learned' cannot search split tasks: it would "
+                         "score every learned task through the new task's head")
     first = tasks.tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
@@ -216,7 +216,8 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         extra: dict = {}
         ref = None  # identity: every coordinate holds its anchor value
         if t > 0 and split_mode:
-            net = _attach_head(net, task.num_classes, subseed(seed, "head", t))
+            head_arch = replace(net.arch, output_dim=task.num_classes)
+            net = _with_head(net, init_network(head_arch, subseed(seed, "head", t)).layers[-1])
             ref = np.arange(net.param_count())
             ref[net.arch.layer_slices[-1][0].start:] = -1  # the replaced output head
 
@@ -229,7 +230,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
                               method.lr, fit_seed, method.momentum)
 
         child, actions = net, []
-        if t > 0 and method.expansion and method.compression:
+        if t > 0 and searches:
             val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]
                         if method.reward_scope == "all-learned" else [task.val])
             result, baseline = search_child(net, fit, val_sets, policy, baseline,
@@ -240,16 +241,18 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             w = net.arch.hidden_widths[0]
             cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
             actions = [WiderAction(0, min(2 * w, cap))]
-            child, ref = apply_actions(net, actions, subseed(seed, "expand", t), ref)
+            expand_seed = subseed(seed, "expand", t)
+            child, ref = apply_actions(net, actions, expand_seed, ref)
+            # The same morphism keeps every earlier task's function (Net2Net).
+            heads = [apply_actions(_with_head(net, h), actions, expand_seed)[0].layers[-1]
+                     for h in heads]
 
         fit(child, ref, method.epochs, subseed(seed, "train", t))
         if t > 0 and method.expansion:
             extra["actions"] = [action_to_line(a) for a in actions]
         if t > 0 and method.compression:
-            target_arch = Arch(initial_arch.input_dim, hidden_widths, task.num_classes)
-            warm = net if net.arch == target_arch else None
-            net = compress(child, target_arch, task.train, method.compress_cfg,
-                           method.batch_size, subseed(seed, "distill", t), init_net=warm)
+            net = compress(child, net.arch, task.train, method.compress_cfg,
+                           method.batch_size, subseed(seed, "distill", t), init_net=net)
             extra.update({
                 "child_param_count": child.param_count(),
                 "child_new_task_acc": evaluate(child, task.test.inputs, task.test.labels),

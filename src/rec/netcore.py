@@ -8,12 +8,15 @@ vectors" means this ordering.
 
 Every layer but the last applies ReLU; the last emits raw logits. The rule is
 positional: a Layer holds only its weight and bias.
+
+A forward pass returns its activation list `acts`: acts[i] is layer i's input
+and acts[-1] the logits; backprop reads nothing else.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -114,13 +117,6 @@ class Batch:
             raise ValueError("batch size mismatch or empty batch")
 
 
-@dataclass
-class ForwardCache:
-    inputs: np.ndarray
-    pre: list[np.ndarray] = field(default_factory=list)   # z_l per layer
-    post: list[np.ndarray] = field(default_factory=list)  # a_l per layer
-
-
 def init_network(arch: Arch, seed: int) -> DenseNet:
     """He-initialized network: W ~ N(0, 2/fan_in), biases zero. Deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -129,17 +125,20 @@ def init_network(arch: Arch, seed: int) -> DenseNet:
                            for fi, fo in zip(ws[:-1], ws[1:])])
 
 
-def forward(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
+def _activations(net: DenseNet, inputs: np.ndarray) -> list[np.ndarray]:
+    acts = [inputs]
+    for l in net.layers:
+        z = acts[-1] @ l.weight + l.bias
+        acts.append(z if l is net.layers[-1] else np.maximum(z, 0.0))
+    return acts
+
+
+def forward(net: DenseNet, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The logits and the activation list (every layer's input, then the logits)."""
     if batch.inputs.shape[1] != net.arch.input_dim:
         raise ValueError(f"input dim {batch.inputs.shape[1]} != arch {net.arch.input_dim}")
-    cache = ForwardCache(inputs=batch.inputs)
-    a = batch.inputs
-    for l in net.layers:
-        z = a @ l.weight + l.bias
-        cache.pre.append(z)
-        a = z if l is net.layers[-1] else np.maximum(z, 0.0)
-        cache.post.append(a)
-    return a, cache
+    acts = _activations(net, batch.inputs)
+    return acts[-1], acts
 
 
 def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -156,29 +155,29 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return value, dlogits
 
 
-def layer_deltas(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray
+def layer_deltas(net: DenseNet, acts: list[np.ndarray], dlogits: np.ndarray
                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Backpropagate `dlogits` (one row per sample) from the output layer down.
 
-    Yields (i, a_prev, delta) for i = last..0: delta is the loss gradient
-    w.r.t. layer i's z = a_prev @ W + b, a_prev being the layer's input, so the
-    layer's weight gradient is a_prev.T @ delta. Between layers the error goes
-    through W.T and the ReLU mask pre > 0 of the layer below.
+    Yields (i, acts[i], delta) for i = last..0: delta is the loss gradient
+    w.r.t. layer i's z = acts[i] @ W + b, so the weight gradient is
+    acts[i].T @ delta. Between layers the error goes through W.T and the ReLU
+    mask acts[i] > 0, which holds exactly where the pre-activation is > 0.
     """
     delta = dlogits
     for i in range(len(net.layers) - 1, -1, -1):
-        yield i, (cache.inputs if i == 0 else cache.post[i - 1]), delta
+        yield i, acts[i], delta
         if i > 0:
-            delta = (delta @ net.layers[i].weight.T) * (cache.pre[i - 1] > 0)
+            delta = (delta @ net.layers[i].weight.T) * (acts[i] > 0)
 
 
-def backward(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+def backward(net: DenseNet, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. every parameter, as a flat vector."""
-    if dlogits.shape != cache.pre[-1].shape:
-        raise ValueError("dlogits shape does not match cached forward")
+    if dlogits.shape != acts[-1].shape:
+        raise ValueError("dlogits shape does not match the forward logits")
     grads = np.empty(net.param_count())
     slices = net.arch.layer_slices
-    for i, a_prev, delta in layer_deltas(net, cache, dlogits):
+    for i, a_prev, delta in layer_deltas(net, acts, dlogits):
         w_sl, b_sl = slices[i]
         # The weight gradient goes straight into its slice (no temporary, no
         # copy); the bias row is small enough that np.sum(out=)'s argument
@@ -202,13 +201,8 @@ def sgd_step(net: DenseNet, grads: np.ndarray, lr: float, momentum: float = 0.0,
 def predict_logits(net: DenseNet, inputs: np.ndarray, batch_size: int = 512) -> np.ndarray:
     if inputs.shape[0] == 0:
         raise ValueError("empty dataset")
-    chunks = []
-    for i in range(0, inputs.shape[0], batch_size):
-        a = inputs[i:i + batch_size]
-        for l in net.layers[:-1]:
-            a = np.maximum(a @ l.weight + l.bias, 0.0)
-        chunks.append(a @ net.layers[-1].weight + net.layers[-1].bias)
-    return np.vstack(chunks)
+    return np.vstack([_activations(net, inputs[i:i + batch_size])[-1]
+                      for i in range(0, inputs.shape[0], batch_size)])
 
 
 def evaluate(net: DenseNet, inputs: np.ndarray, labels: np.ndarray) -> float:

@@ -58,7 +58,7 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     sum_n (a_ni * delta_nj)^2 = ((A*A).T @ (D*D))_ij, and the bias entry is
     sum_n delta_nj^2 (Goodfellow, arXiv 1510.01799). The sampled rows go
     through one forward and one backward sweep per FISHER_CHUNK rows, which
-    bounds the cached layer outputs when max_samples is the size of a large
+    bounds the activation lists when max_samples is the size of a large
     dataset. Equal to a per-sample forward/backward loop up to rounding.
     """
     if len(dataset) == 0:
@@ -72,14 +72,14 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     for start in range(0, n, FISHER_CHUNK):
         rows = idx[start:start + FISHER_CHUNK]
         batch = Batch(dataset.inputs[rows], dataset.labels[rows])
-        logits, cache = forward(net, batch)
+        logits, acts = forward(net, batch)
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         # d log p(y) / dlogits = onehot(y) - softmax, one row per sample
         dlogits = -probs
         dlogits[np.arange(len(rows)), batch.labels] += 1.0
-        for i, a_prev, delta in layer_deltas(net, cache, dlogits):
+        for i, a_prev, delta in layer_deltas(net, acts, dlogits):
             sq = delta * delta
             w_sl, b_sl = slices[i]
             acc[w_sl] += ((a_prev * a_prev).T @ sq).ravel()
@@ -142,9 +142,9 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
     order, bit for bit (up to the sign of an exact zero, which a skipped term
     can flip); the value equals their sum up to summation order.
     """
-    logits, cache = forward(net, batch)
+    logits, acts = forward(net, batch)
     value, dlogits = loss_ce(logits, batch.labels)
-    grads = backward(net, cache, dlogits)
+    grads = backward(net, acts, dlogits)
     if anchor is None:
         return value, grads
 

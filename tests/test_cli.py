@@ -61,6 +61,11 @@ class TestParseConfig:
         p.write_text("# a comment\n\ntasks = 4  # trailing\n")
         assert parse_config(p).get_int("tasks") == 4
 
+    def test_split_all_learned_without_search_accepted(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("methods = sn,net2net_ewc\ntask_kind = split\nreward_scope = all-learned\n")
+        assert parse_config(p)["reward_scope"] == "all-learned"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "nope.txt")
@@ -133,7 +138,9 @@ class TestRunCommand:
         assert "tasks" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body, key", [("dataset = only_one_path", "dataset"),
-                                           ("methods = net2net\nhidden =", "hidden")])
+                                           ("methods = net2net\nhidden =", "hidden"),
+                                           ("methods = sn,rec\ntask_kind = split\n"
+                                            "reward_scope = all-learned", "reward_scope")])
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, body, key):
         p = write_cfg(tmp_path, body, tmp_path / "out")
         assert main(["run", str(p)]) == 2

@@ -105,6 +105,13 @@ class TestTaskGenerators:
         with pytest.raises(ValueError):
             gen_permuted_tasks(train, test, 0, seed=0)
 
+    @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks])
+    @pytest.mark.parametrize("num_tasks", [0, -1])
+    def test_fewer_than_one_task_rejected(self, gen, num_tasks):
+        train, test = synthetic_classes(50, 20, 6, 4, seed=2)
+        with pytest.raises(ValueError, match="at least one task"):
+            gen(train, test, num_tasks, seed=0)
+
     def test_every_split_is_row_major(self):
         # minibatch gathers inputs[idx] read whole rows only from C order
         train, test = synthetic_classes(120, 60, 6, 4, seed=4)
@@ -279,6 +286,21 @@ class TestRunSequence:
         r = run_sequence(seq, _cfg("ewc"), seed=0)
         assert len(_rows(r)) == 3
         assert np.mean(_rows(r)[-1]) > 0.5
+
+    @pytest.mark.parametrize("method", ["net2net", "net2net_ewc"])
+    def test_split_widening_of_the_last_hidden_layer(self, method):
+        # Widening the only hidden layer widens every stored head's fan-in too.
+        train, test = synthetic_classes(300, 150, 6, 6, seed=17)
+        seq = gen_split_tasks(train, test, 3, seed=0)
+        r = run_sequence(seq, _cfg(method, epochs=2), seed=0, hidden_widths=(8,))
+        assert [len(row) for row in _rows(r)] == [1, 2, 3]
+        assert r.final_net.arch.hidden_widths == (32,)
+
+    def test_split_search_scored_on_all_learned_tasks_rejected(self):
+        train, test = synthetic_classes(300, 150, 6, 6, seed=17)
+        seq = gen_split_tasks(train, test, 3, seed=0)
+        with pytest.raises(ValueError, match="reward_scope"):
+            run_sequence(seq, _cfg("rec", reward_scope="all-learned"), seed=0)
 
     @pytest.mark.parametrize("kind", ["permuted", "split"])
     def test_records_are_the_result(self, kind):

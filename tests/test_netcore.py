@@ -164,6 +164,15 @@ class TestBackward:
         assert np.all(grads[w_sl] == 0)
         assert np.all(grads[b_sl] == 0)
 
+    def test_unit_at_exactly_zero_passes_no_gradient(self):
+        # The ReLU derivative at 0 is taken as 0: pre-activation 1*1 - 1 = 0.
+        net = tiny_net(1.0, -1.0, 3.0, 0.0)
+        _, acts = forward(net, Batch(np.array([[1.0]]), np.array([0])))
+        grads = backward(net, acts, np.array([[1.0]]))
+        (w_sl, b_sl), (_, out_b) = net.arch.layer_slices
+        assert grads[w_sl][0] == 0.0 and grads[b_sl][0] == 0.0
+        assert grads[out_b][0] == 1.0  # the error did reach the layer above
+
 
 class TestSGD:
     def test_zero_lr(self):
