@@ -1,9 +1,11 @@
-"""Dataset containers, the bundled synthetic generator, and the IDX reader.
+"""Dataset containers, the column map, the bundled synthetic generator, and
+the IDX reader.
 
 Dataset inputs are C-contiguous (row-major) by invariant, so a minibatch
-gather `inputs[idx]` reads whole rows; code that maps inputs column-wise
-should build a C-ordered result (np.take(x, cols, axis=1), not x[:, cols])
-rather than rely on the copy Dataset makes.
+gather `inputs[idx]` reads whole rows. A task sequence keeps one copy of
+each split; a task's inputs are those rows read through its column map
+(`take_columns`), built as a new C-ordered array by np.take(x, cols, axis=1)
+(not x[:, cols]) only while the task is trained or scored.
 """
 
 from __future__ import annotations
@@ -40,8 +42,13 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.inputs[idx], self.labels[idx])
 
-    def map_inputs(self, fn) -> "Dataset":
-        return Dataset(fn(self.inputs), self.labels.copy())
+
+def take_columns(inputs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A new C-ordered [n, len(cols)] array whose column j is column cols[j]
+    of `inputs`, and exactly 0.0 where cols[j] is -1."""
+    out = np.take(inputs, cols, axis=1)  # -1 reads the last column until zeroed
+    out[:, cols < 0] = 0.0
+    return out
 
 
 def split_train_val(ds: Dataset, val_ratio: float, seed: int) -> tuple[Dataset, Dataset]:

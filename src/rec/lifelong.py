@@ -2,6 +2,12 @@
 result is its per-task records: after task t, the accuracies on tasks 1..t
 (row t of the accuracy matrix), their mean and the model size.
 
+A permuted or rotated sequence keeps one copy of its train, val and test
+splits, shared by every task; a task is a column map over them. Split tasks
+own disjoint row subsets. `run_sequence` builds a task's inputs one task at a
+time: its training split once for the whole task, and each learned task's
+test split only while it is scored.
+
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controller import SearchConfig, init_policy, search_child
-from .data import Dataset, split_train_val
+from .data import Dataset, split_train_val, take_columns
 from .distill import CompressConfig, compress
 from .netcore import Arch, DenseNet, Layer, evaluate, init_network
 from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
@@ -44,11 +50,21 @@ def subseed(seed: int, name: str, t: int = 0) -> int:
 
 @dataclass
 class Task:
-    train: Dataset
-    val: Dataset
-    test: Dataset
+    """A task's "train", "val" and "test" rows and the column map its inputs
+    read them through; `split` builds the inputs."""
+
+    splits: dict[str, Dataset]  # rows before the column map, shared in a sequence
     num_classes: int
     transform_spec: dict = field(default_factory=dict)
+    cols: np.ndarray | None = None  # input j reads column cols[j], 0.0 where -1; None: identity
+
+    def split(self, name: str) -> Dataset:
+        """The task's `name` split: a new C-contiguous copy of its rows through
+        the column map (the rows themselves for the identity), sharing their labels."""
+        rows = self.splits[name]
+        if self.cols is None:
+            return rows
+        return Dataset(take_columns(rows.inputs, self.cols), rows.labels)
 
 
 @dataclass
@@ -60,13 +76,13 @@ class TaskSequence:
         return len(self.tasks)
 
 
-def _transformed_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
-                       transforms: list[tuple]) -> TaskSequence:
-    """One task per (input map, spec) pair: the map applied to every split."""
+def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
+                  maps: list[tuple[np.ndarray | None, dict]]) -> TaskSequence:
+    """One task per (column map, spec) pair, every task over the same splits."""
     n_classes = int(train_ds.labels.max()) + 1
     tr, va = split_train_val(train_ds, VAL_RATIO, subseed(seed, "valsplit"))
-    return TaskSequence([Task(tr.map_inputs(fn), va.map_inputs(fn), test_ds.map_inputs(fn),
-                              n_classes, spec) for fn, spec in transforms], kind)
+    splits = {"train": tr, "val": va, "test": test_ds}
+    return TaskSequence([Task(splits, n_classes, spec, cols) for cols, spec in maps], kind)
 
 
 def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -78,14 +94,15 @@ def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
     rng = np.random.default_rng(subseed(seed, "perm"))
     d = train_ds.input_dim
     perms = [np.arange(d) if t == 0 else rng.permutation(d) for t in range(num_tasks)]
-    return _transformed_tasks(train_ds, test_ds, PERMUTED, seed,
-                              [(lambda x, p=p: np.take(x, p, axis=1),
-                                {"permutation": p.tolist()}) for p in perms])
+    return _mapped_tasks(train_ds, test_ds, PERMUTED, seed,
+                         [(p if t else None, {"permutation": p.tolist()})
+                          for t, p in enumerate(perms)])
 
 
-def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Nearest-neighbor rotation about the image center, zero fill outside."""
-    n, d = inputs.shape
+def rotation_columns(d: int, angle_deg: float) -> np.ndarray:
+    """Column map of a nearest-neighbor rotation of square images with d
+    pixels about their center: pixel j reads source pixel cols[j], or -1
+    (zero fill) where that falls outside the image."""
     side = int(round(np.sqrt(d)))
     if side * side != d:
         raise ValueError(f"inputs of dim {d} are not square images")
@@ -98,10 +115,12 @@ def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
     sr = np.rint(src_r).astype(int)
     sc = np.rint(src_c).astype(int)
     inside = (sr >= 0) & (sr < side) & (sc >= 0) & (sc < side)
-    flat_src = np.clip(sr, 0, side - 1) * side + np.clip(sc, 0, side - 1)
-    out = np.take(inputs, flat_src.ravel(), axis=1)
-    out[:, ~inside.ravel()] = 0.0
-    return out
+    return np.where(inside, sr * side + sc, -1).ravel()
+
+
+def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
+    """Nearest-neighbor rotation about the image center, zero fill outside."""
+    return take_columns(inputs, rotation_columns(inputs.shape[1], angle_deg))
 
 
 def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -110,9 +129,9 @@ def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
     if num_tasks < 1:
         raise ValueError("need at least one task")
     angles = [t * 180.0 / num_tasks for t in range(num_tasks)]
-    return _transformed_tasks(train_ds, test_ds, ROTATED, seed,
-                              [(lambda x, a=a: x if a == 0 else rotate_images(x, a),
-                                {"angle_deg": a}) for a in angles])
+    return _mapped_tasks(train_ds, test_ds, ROTATED, seed,
+                         [(None if a == 0 else rotation_columns(train_ds.input_dim, a),
+                           {"angle_deg": a}) for a in angles])
 
 
 def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -131,11 +150,11 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
 
         def take(ds: Dataset) -> Dataset:
             sel = np.isin(ds.labels, classes)
-            return Dataset(ds.inputs[sel].copy(), ds.labels[sel] - lo)
+            return Dataset(ds.inputs[sel], ds.labels[sel] - lo)
 
         tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
-        tasks.append(Task(train=tr, val=va, test=take(test_ds), num_classes=per,
-                          transform_spec={"classes": classes.tolist()}))
+        tasks.append(Task({"train": tr, "val": va, "test": take(test_ds)}, per,
+                          {"classes": classes.tolist()}))
     return TaskSequence(tasks, SPLIT)
 
 
@@ -180,6 +199,12 @@ def _with_head(hidden_net: DenseNet, head: Layer) -> DenseNet:
     return DenseNet(arch, hidden_net.layers[:-1] + [head])
 
 
+def _test_accuracy(net: DenseNet, task: Task) -> float:
+    """Accuracy on the task's test split, built for this call only."""
+    test = task.split("test")
+    return evaluate(net, test.inputs, test.labels)
+
+
 def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
                  hidden_widths: tuple[int, ...] = (40, 40)) -> RunResult:
     """Algorithm-1 orchestration of one (method, seed) run.
@@ -190,7 +215,8 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     on the consolidation objective (an anchor exists only when some lambda is
     positive), and optionally distill it back to the initial architecture.
     Split tasks give each task its own output head; a widening carries the
-    stored heads along with the net.
+    stored heads along with the net. A task's training split is built once
+    and dropped before the next task's, so one task's inputs are resident.
     """
     split_mode = tasks.kind == SPLIT
     searches = method.expansion and method.compression
@@ -198,7 +224,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         raise ValueError("reward_scope 'all-learned' cannot search split tasks: it would "
                          "score every learned task through the new task's head")
     first = tasks.tasks[0]
-    initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
+    initial_arch = Arch(first.splits["train"].input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
     p = method.penalty
     penalized = max(p.lambda_ewc, p.lambda_21, p.lambda_1) > 0
@@ -213,6 +239,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     search_log: list[dict] = []
 
     for t, task in enumerate(tasks.tasks):
+        train = task.split("train")
         extra: dict = {}
         ref = None  # identity: every coordinate holds its anchor value
         if t > 0 and split_mode:
@@ -226,15 +253,15 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             """The task's one training recipe (its consolidation objective and
             the method's SGD settings), for its own net and every child."""
             objective = consolidation(anchor, fisher, method.penalty, model_ref)
-            return train_task(model, task.train, objective, epochs, method.batch_size,
+            return train_task(model, train, objective, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
         child, actions = net, []
         if t > 0 and searches:
-            val_sets = ([tk.val for tk in tasks.tasks[:t + 1]]
-                        if method.reward_scope == "all-learned" else [task.val])
-            result, baseline = search_child(net, fit, val_sets, policy, baseline,
-                                            subseed(seed, "search", t), method.search, ref)
+            scored = tasks.tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
+            result, baseline = search_child(net, fit, [tk.split("val") for tk in scored],
+                                            policy, baseline, subseed(seed, "search", t),
+                                            method.search, ref)
             search_log.extend({"task": t + 1, **rec} for rec in result.log)
             child, ref, actions = result.net, result.ref, result.actions
         elif t > 0 and method.expansion:
@@ -251,23 +278,20 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         if t > 0 and method.expansion:
             extra["actions"] = [action_to_line(a) for a in actions]
         if t > 0 and method.compression:
-            net = compress(child, net.arch, task.train, method.compress_cfg,
+            net = compress(child, net.arch, train, method.compress_cfg,
                            method.batch_size, subseed(seed, "distill", t), init_net=net)
             extra.update({
                 "child_param_count": child.param_count(),
-                "child_new_task_acc": evaluate(child, task.test.inputs, task.test.labels),
-                "student_new_task_acc": evaluate(net, task.test.inputs, task.test.labels),
+                "child_new_task_acc": _test_accuracy(child, task),
+                "student_new_task_acc": _test_accuracy(net, task),
             })
         else:
             net = child
 
         if split_mode:
             heads.append(net.layers[-1].copy())
-        row = []
-        for k in range(t + 1):
-            tk = tasks.tasks[k]
-            model = _with_head(net, heads[k]) if split_mode else net
-            row.append(evaluate(model, tk.test.inputs, tk.test.labels))
+        row = [_test_accuracy(_with_head(net, heads[k]) if split_mode else net, tasks.tasks[k])
+               for k in range(t + 1)]
 
         records.append({
             "task": t + 1,
@@ -278,9 +302,10 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         })
 
         if penalized and t + 1 < len(tasks):  # the last task anchors nothing
-            fisher = estimate_fisher(net, task.train, method.fisher_samples,
+            fisher = estimate_fisher(net, train, method.fisher_samples,
                                      subseed(seed, "fisher", t))
             anchor = net.get_flat()
+        del train  # before the next task's is built
 
     return RunResult(records, search_log, net)
 

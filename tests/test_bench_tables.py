@@ -2,7 +2,8 @@
 strings in perfbench/checks.py and perfbench/workloads.py. Both are derived
 here from the method table, so a table change that the benchmark's checks do
 not follow fails in the unit tests instead of in a benchmark run. The same
-holds for the rec function names perfbench/layers.py reads its spans by."""
+holds for the rec function names perfbench/layers.py reads its spans by and
+the parameters its hooks read."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,34 @@ def test_benchmark_span_names_are_rec_functions():
         if not defined:
             missing.append(name)
     assert not missing, f"perfbench/layers.py reads spans of no rec function: {missing}"
+
+
+def hook_reads() -> dict[str, list[tuple[int, str]]]:
+    """HOOKS key -> the (position, name) pairs its hook passes to
+    `_arg(args, kwargs, i, name)`, read from perfbench/layers.py."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    hooks = next(node.value for node in tree.body if _is_table(node, "HOOKS"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = {}
+    for key, fn in zip(hooks.keys, hooks.values):
+        calls = [call for call in ast.walk(defs[fn.id]) if isinstance(call, ast.Call)
+                 and getattr(call.func, "id", None) == "_arg"]
+        reads[key.value] = [(call.args[2].value, call.args[3].value) for call in calls]
+    return reads
+
+
+def test_benchmark_hooks_read_the_hooked_parameters():
+    # A hook reads its function's arguments by position or by keyword; a
+    # reordered or renamed parameter would otherwise count the wrong argument.
+    reads = hook_reads()
+    assert reads and all(reads.values()), reads
+    wrong = []
+    for name, pairs in sorted(reads.items()):
+        module, function = name.split(".")
+        fn = next(node for node in ast.parse((SRC_REC / f"{module}.py").read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == function)
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        wrong.extend(f"{name}: argument {i} is {params[i] if i < len(params) else None!r}, "
+                     f"the hook reads {arg!r}" for i, arg in pairs
+                     if i >= len(params) or params[i] != arg)
+    assert not wrong, wrong

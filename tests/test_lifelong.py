@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rec.data import Dataset, synthetic_classes
+from rec.data import Dataset, split_train_val, synthetic_classes
 from rec.distill import CompressConfig
 from rec import lifelong
-from rec.lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks,
-                          gen_split_tasks, method_config, rotate_images, run_sequence, subseed)
+from rec.lifelong import (METHODS, VAL_RATIO, gen_permuted_tasks, gen_rotated_tasks,
+                          gen_split_tasks, method_config, rotate_images, rotation_columns,
+                          run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.regularize import PenaltyConfig, estimate_fisher
 from rec.transform import action_to_line, parse_action_line
@@ -53,7 +56,8 @@ class TestTaskGenerators:
     def test_permuted_first_task_is_identity(self, small_bench):
         train, test = synthetic_classes(100, 50, 6, 5, seed=11)
         seq = gen_permuted_tasks(train, test, 3, seed=0)
-        assert np.array_equal(seq.tasks[0].test.inputs, test.inputs)
+        assert seq.tasks[0].cols is None
+        assert np.array_equal(seq.tasks[0].split("test").inputs, test.inputs)
 
     def test_permuted_tasks_use_distinct_permutations(self, small_bench):
         specs = [t.transform_spec["permutation"] for t in small_bench.tasks]
@@ -63,19 +67,70 @@ class TestTaskGenerators:
     def test_permuted_preserves_labels(self, small_bench):
         base = small_bench.tasks[0]
         for task in small_bench.tasks[1:]:
-            assert np.array_equal(task.test.labels, base.test.labels)
+            assert np.array_equal(task.split("test").labels, base.split("test").labels)
 
     def test_permutation_applied_consistently(self):
         train, test = synthetic_classes(80, 40, 6, 5, seed=3)
         seq = gen_permuted_tasks(train, test, 2, seed=1)
         perm = np.array(seq.tasks[1].transform_spec["permutation"])
-        assert np.array_equal(seq.tasks[1].test.inputs, test.inputs[:, perm])
+        assert np.array_equal(seq.tasks[1].split("test").inputs, test.inputs[:, perm])
 
     def test_val_split_disjoint_from_train(self, small_bench):
         t = small_bench.tasks[0]
-        assert len(t.train) + len(t.val) == 600
-        joined = np.vstack([t.train.inputs, t.val.inputs])
+        assert len(t.split("train")) + len(t.split("val")) == 600
+        joined = np.vstack([t.split("train").inputs, t.split("val").inputs])
         assert joined.shape[0] == 600
+
+    @staticmethod
+    def _source_splits(train, test, seed):
+        tr, va = split_train_val(train, VAL_RATIO, subseed(seed, "valsplit"))
+        return {"train": tr, "val": va, "test": test}
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_permuted_splits_are_the_permuted_rows(self):
+        train, test = synthetic_classes(120, 60, 6, 4, seed=4)
+        seq = gen_permuted_tasks(train, test, 3, seed=1)
+        source = self._source_splits(train, test, seed=1)
+        for task in seq.tasks:
+            perm = np.array(task.transform_spec["permutation"])
+            for name, rows in source.items():
+                split = task.split(name)
+                assert self._same_bits(split.inputs, np.take(rows.inputs, perm, axis=1))
+                assert self._same_bits(split.labels, rows.labels)
+
+    def test_rotated_splits_are_the_rotated_rows(self):
+        train, test = synthetic_classes(120, 60, 6, 4, seed=4)
+        seq = gen_rotated_tasks(train, test, 4, seed=2)
+        source = self._source_splits(train, test, seed=2)
+        for task in seq.tasks:
+            angle = task.transform_spec["angle_deg"]
+            outside = [] if task.cols is None else np.flatnonzero(task.cols < 0)
+            for name, rows in source.items():
+                split = task.split(name)
+                assert self._same_bits(split.inputs, rotate_images(rows.inputs, angle))
+                assert self._same_bits(split.labels, rows.labels)
+                # zero fill is +0.0 exactly, whatever the source pixel holds
+                assert self._same_bits(split.inputs[:, outside],
+                                       np.zeros((len(rows), len(outside))))
+        assert len(np.flatnonzero(seq.tasks[1].cols < 0)) > 0  # 45 degrees crops corners
+
+    @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
+    def test_sequence_keeps_one_copy_of_the_data(self, gen):
+        train, test = synthetic_classes(300, 100, 16, 4, seed=6)
+        source_bytes = train.inputs.nbytes + test.inputs.nbytes
+        tracemalloc.start()
+        try:
+            seq = gen(train, test, 10, seed=0)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * source_bytes, (retained, source_bytes)
+        splits = seq.tasks[0].splits
+        assert all(task.splits[name] is splits[name] for task in seq.tasks for name in splits)
+        assert np.shares_memory(splits["test"].inputs, test.inputs)
 
     def test_rotated_angles(self):
         train, test = synthetic_classes(100, 50, 6, 4, seed=5)
@@ -85,14 +140,15 @@ class TestTaskGenerators:
     def test_rotated_task_one_identity(self):
         train, test = synthetic_classes(60, 30, 6, 4, seed=5)
         seq = gen_rotated_tasks(train, test, 4, seed=0)
-        assert np.array_equal(seq.tasks[0].test.inputs, test.inputs)
+        assert seq.tasks[0].cols is None
+        assert np.array_equal(seq.tasks[0].split("test").inputs, test.inputs)
 
     def test_split_blocks_and_remap(self):
         train, test = synthetic_classes(400, 200, 6, 6, seed=9)
         seq = gen_split_tasks(train, test, 3, seed=0)
         assert [t.num_classes for t in seq.tasks] == [2, 2, 2]
         for t in seq.tasks:
-            assert set(np.unique(t.test.labels)) <= {0, 1}
+            assert set(np.unique(t.split("test").labels)) <= {0, 1}
         assert seq.tasks[2].transform_spec["classes"] == [4, 5]
 
     def test_split_rejects_non_divisible(self):
@@ -117,8 +173,8 @@ class TestTaskGenerators:
         train, test = synthetic_classes(120, 60, 6, 4, seed=4)
         for gen in (gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks):
             for task in gen(train, test, 2, seed=0).tasks:
-                for split in (task.train, task.val, task.test):
-                    assert split.inputs.flags.c_contiguous, (gen.__name__, task.transform_spec)
+                for name in ("train", "val", "test"):
+                    assert task.split(name).inputs.flags.c_contiguous, (gen.__name__, name)
 
 
 class TestRotateImages:
@@ -145,6 +201,25 @@ class TestRotateImages:
     def test_non_square_rejected(self, rng):
         with pytest.raises(ValueError):
             rotate_images(rng.random((2, 30)), 45.0)
+
+    @pytest.mark.parametrize("angle", [30.0, 45.0, 90.0, 137.5])
+    def test_clipped_gather_then_zero_fill(self, rng, angle):
+        # The rotation as one whole-image formula: gather the clipped source
+        # pixel, then zero every pixel whose source lies outside the image.
+        side = 7
+        x = rng.random((3, side * side)) + 1.0
+        theta = np.deg2rad(angle)
+        c = (side - 1) / 2.0
+        rr, cc = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+        sr = np.rint(np.cos(theta) * (rr - c) + np.sin(theta) * (cc - c) + c).astype(int)
+        sc = np.rint(-np.sin(theta) * (rr - c) + np.cos(theta) * (cc - c) + c).astype(int)
+        inside = ((sr >= 0) & (sr < side) & (sc >= 0) & (sc < side)).ravel()
+        expect = np.take(x, (np.clip(sr, 0, side - 1) * side + np.clip(sc, 0, side - 1)).ravel(),
+                         axis=1)
+        expect[:, ~inside] = 0.0
+        got = rotate_images(x, angle)
+        assert got.tobytes() == expect.tobytes()
+        assert np.array_equal(rotation_columns(side * side, angle) < 0, ~inside)
 
 
 ALL_LAMBDAS = {"lambda_ewc", "lambda_21", "lambda_1"}
