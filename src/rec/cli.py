@@ -17,7 +17,7 @@ from typing import Callable
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .controller import SearchConfig
-from .data import load_idx_dataset, synthetic_classes
+from .data import Dataset, load_idx_dataset, synthetic_classes
 from .distill import CompressConfig
 from .lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks,
                        method_config, run_sequence, subseed)
@@ -186,8 +186,9 @@ def _build_tasks(cfg: RunConfig):
         if len(pairs) > 1:
             test = load_idx_dataset(*pairs[1])
         else:
-            train, test = train.subset(range(0, int(len(train) * 0.8))), \
-                train.subset(range(int(len(train) * 0.8), len(train)))
+            cut = int(len(train) * 0.8)  # first 80% train, the rest test, both views
+            train, test = (Dataset(train.inputs[part], train.labels[part])
+                           for part in (slice(None, cut), slice(cut, None)))
     num_tasks = cfg.get_int("tasks")
     gen = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
            "split": gen_split_tasks}[cfg["task_kind"]]

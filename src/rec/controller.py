@@ -265,15 +265,16 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
 
     Each child is created by the sampled morphisms, fine-tuned for
     `search_cfg.child_epochs` through `fit` (the task's own objective and SGD
-    settings), and scored on the validation data (union over val_sets);
-    rewards update the policy in batches of m. `ref` is the reference vector
-    of prev_net (identity when None). Returns the best-scoring child seen and
-    the reward moving average (reward_transform).
+    settings), and scored on the validation data (the rows of every val_sets
+    view, gathered and stacked once); rewards update the policy in batches of
+    m. `ref` is the reference vector of prev_net (identity when None).
+    Returns the best-scoring child seen and the reward moving average
+    (reward_transform).
     """
     budget = search_cfg.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    val_inputs = np.vstack([v.inputs for v in val_sets])
+    val_inputs = np.vstack([v.inputs[:] for v in val_sets])
     val_labels = np.concatenate([v.labels for v in val_sets])
     if val_inputs.shape[0] == 0:
         raise ValueError("empty validation set")

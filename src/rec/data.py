@@ -1,11 +1,14 @@
-"""Dataset containers, the column map, the bundled synthetic generator, and
-the IDX reader.
+"""Dataset containers, row views, the bundled synthetic generator, and the
+IDX reader.
 
-Dataset inputs are C-contiguous (row-major) by invariant, so a minibatch
-gather `inputs[idx]` reads whole rows. A task sequence keeps one copy of
-each split; a task's inputs are those rows read through its column map
-(`take_columns`), built as a new C-ordered array by np.take(x, cols, axis=1)
-(not x[:, cols]) only while the task is trained or scored.
+A task sequence keeps one source copy of its training inputs and one of its
+test inputs. Every split is a `RowView` over a source: an optional row index
+(a train/val part, a split task's class rows) and an optional column map (a
+permuted or rotated task). Reading `view[rows]` gathers just those rows into
+a new C-contiguous (row-major) array, and nothing else reads the source, so
+task inputs exist only as large as the minibatch or 512-row chunk that is
+read. A `Dataset`'s inputs are such a view or an array, both read by row
+position.
 """
 
 from __future__ import annotations
@@ -21,16 +24,68 @@ IDX_LABELS_MAGIC = 0x00000801
 SYNTHETIC_NOISE = 0.6  # std of the isotropic noise added to class prototypes
 
 
+class RowView:
+    """Rows of `source` read through an optional row index and column map.
+
+    `view[key]` (a slice or an index array over the view's rows) gathers the
+    source rows `rows[key]`, then their columns `cols` (exactly +0.0 where
+    cols[j] is -1), into a new C-contiguous array; a slice of a view with
+    neither is a NumPy view of the source rows. `shape` and `len` describe
+    the view; nothing else reads the source.
+    """
+
+    def __init__(self, source: np.ndarray, rows: np.ndarray | None = None,
+                 cols: np.ndarray | None = None):
+        self.source = np.ascontiguousarray(source)
+        self.rows = rows  # view row i is source row rows[i]; None: every row
+        self.cols = cols  # view column j is source column cols[j]; None: every column
+        self._zero = None if cols is None else np.flatnonzero(cols < 0)
+        self.shape = (source.shape[0] if rows is None else rows.size,
+                      source.shape[1] if cols is None else cols.size)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        out = self.source[key if self.rows is None else self.rows[key]]
+        if self.cols is None:
+            return out
+        out = np.take(out, self.cols, axis=1)  # -1 reads the last column until zeroed
+        if self._zero.size:
+            out[:, self._zero] = 0.0
+        return out
+
+    def select(self, idx: np.ndarray) -> "RowView":
+        """The view of this view's rows `idx`, over the same source."""
+        return RowView(self.source, idx if self.rows is None else self.rows[idx], self.cols)
+
+    def mapped(self, cols: np.ndarray | None) -> "RowView":
+        """The same rows with column j read from this view's column cols[j],
+        0.0 where that is -1 (None: unchanged)."""
+        if cols is None:
+            return self
+        if self.cols is not None:
+            cols = np.where(cols < 0, -1, self.cols[cols])
+        return RowView(self.source, self.rows, cols)
+
+
+def as_rows(inputs: np.ndarray | RowView) -> RowView:
+    """`inputs` as a view: a RowView itself, an array as the view of all its rows."""
+    return inputs if isinstance(inputs, RowView) else RowView(inputs)
+
+
 @dataclass
 class Dataset:
-    """Samples and labels; `inputs` is made C-contiguous on construction (a
-    no-op for input that already is), `labels` is kept as given."""
+    """Samples and labels. `inputs` is a RowView or an array, made
+    C-contiguous on construction (a no-op for one that already is);
+    `labels` is kept as given."""
 
-    inputs: np.ndarray  # [n, d] float64, C-contiguous
+    inputs: np.ndarray | RowView  # [n, d] float64, read by row position
     labels: np.ndarray  # [n] int64
 
     def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs)
+        if not isinstance(self.inputs, RowView):
+            self.inputs = np.ascontiguousarray(self.inputs)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -40,19 +95,13 @@ class Dataset:
         return self.inputs.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[idx], self.labels[idx])
-
-
-def take_columns(inputs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A new C-ordered [n, len(cols)] array whose column j is column cols[j]
-    of `inputs`, and exactly 0.0 where cols[j] is -1."""
-    out = np.take(inputs, cols, axis=1)  # -1 reads the last column until zeroed
-    out[:, cols < 0] = 0.0
-    return out
+        """Rows `idx` as a view over the same source inputs; only labels are copied."""
+        return Dataset(as_rows(self.inputs).select(idx), self.labels[idx])
 
 
 def split_train_val(ds: Dataset, val_ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint shuffled split; the validation part gets round(n * val_ratio) samples."""
+    """Disjoint shuffled split into two views of `ds`' rows; the validation
+    part gets round(n * val_ratio) samples."""
     n = len(ds)
     perm = np.random.default_rng(seed).permutation(n)
     n_val = int(round(n * val_ratio))
@@ -81,7 +130,11 @@ def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
 
     def draw(n):
         labels = rng.integers(0, n_classes, size=n)
-        inputs = protos[labels] + SYNTHETIC_NOISE * rng.standard_normal((n, d))
+        # protos[labels] + SYNTHETIC_NOISE * noise, built in place: + commutes.
+        inputs = rng.standard_normal((n, d))
+        inputs *= SYNTHETIC_NOISE
+        for k, proto in enumerate(protos):
+            inputs[labels == k] += proto
         return Dataset(inputs, labels)
 
     return draw(n_train), draw(n_test)
@@ -97,7 +150,9 @@ def load_idx_images(path: str | Path) -> np.ndarray:
     data = np.frombuffer(raw, dtype=np.uint8, offset=16)
     if data.size != n * rows * cols:
         raise ValueError(f"truncated IDX image file {path}")
-    return data.reshape(n, rows * cols).astype(np.float64) / 255.0
+    images = data.reshape(n, rows * cols).astype(np.float64)
+    images /= 255.0
+    return images
 
 
 def load_idx_labels(path: str | Path) -> np.ndarray:

@@ -2,11 +2,13 @@
 result is its per-task records: after task t, the accuracies on tasks 1..t
 (row t of the accuracy matrix), their mean and the model size.
 
-A permuted or rotated sequence keeps one copy of its train, val and test
-splits, shared by every task; a task is a column map over them. Split tasks
-own disjoint row subsets. `run_sequence` builds a task's inputs one task at a
-time: its training split once for the whole task, and each learned task's
-test split only while it is scored.
+A sequence keeps one source copy of its training inputs and one of its test
+inputs (data.RowView). Every split is a view over a source: permuted and
+rotated tasks share one train/val/test row split and differ by a column map;
+split tasks own disjoint class rows. Training gathers task inputs one
+minibatch at a time, and the Fisher estimate, the soft targets and scoring
+one 512-row chunk at a time; only the expansion search builds a split whole,
+stacking its validation rows once per search.
 
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controller import SearchConfig, init_policy, search_child
-from .data import Dataset, split_train_val, take_columns
+from .data import Dataset, RowView, as_rows, split_train_val
 from .distill import CompressConfig, compress
 from .netcore import Arch, DenseNet, Layer, evaluate, init_network
 from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
@@ -51,7 +53,7 @@ def subseed(seed: int, name: str, t: int = 0) -> int:
 @dataclass
 class Task:
     """A task's "train", "val" and "test" rows and the column map its inputs
-    read them through; `split` builds the inputs."""
+    read them through; `split` gives a split as a view."""
 
     splits: dict[str, Dataset]  # rows before the column map, shared in a sequence
     num_classes: int
@@ -59,12 +61,10 @@ class Task:
     cols: np.ndarray | None = None  # input j reads column cols[j], 0.0 where -1; None: identity
 
     def split(self, name: str) -> Dataset:
-        """The task's `name` split: a new C-contiguous copy of its rows through
-        the column map (the rows themselves for the identity), sharing their labels."""
+        """The task's `name` split: a view of its rows through the column map,
+        sharing their labels; nothing is copied until rows are read."""
         rows = self.splits[name]
-        if self.cols is None:
-            return rows
-        return Dataset(take_columns(rows.inputs, self.cols), rows.labels)
+        return Dataset(as_rows(rows.inputs).mapped(self.cols), rows.labels)
 
 
 @dataclass
@@ -120,7 +120,7 @@ def rotation_columns(d: int, angle_deg: float) -> np.ndarray:
 
 def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
     """Nearest-neighbor rotation about the image center, zero fill outside."""
-    return take_columns(inputs, rotation_columns(inputs.shape[1], angle_deg))
+    return RowView(inputs, cols=rotation_columns(inputs.shape[1], angle_deg))[:]
 
 
 def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -149,8 +149,8 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
         classes = np.arange(lo, lo + per)
 
         def take(ds: Dataset) -> Dataset:
-            sel = np.isin(ds.labels, classes)
-            return Dataset(ds.inputs[sel], ds.labels[sel] - lo)
+            rows = ds.subset(np.flatnonzero(np.isin(ds.labels, classes)))
+            return Dataset(rows.inputs, rows.labels - lo)
 
         tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
         tasks.append(Task({"train": tr, "val": va, "test": take(test_ds)}, per,
@@ -200,7 +200,7 @@ def _with_head(hidden_net: DenseNet, head: Layer) -> DenseNet:
 
 
 def _test_accuracy(net: DenseNet, task: Task) -> float:
-    """Accuracy on the task's test split, built for this call only."""
+    """Accuracy on the task's test split, gathered one 512-row chunk at a time."""
     test = task.split("test")
     return evaluate(net, test.inputs, test.labels)
 
@@ -215,8 +215,8 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     on the consolidation objective (an anchor exists only when some lambda is
     positive), and optionally distill it back to the initial architecture.
     Split tasks give each task its own output head; a widening carries the
-    stored heads along with the net. A task's training split is built once
-    and dropped before the next task's, so one task's inputs are resident.
+    stored heads along with the net. Every split is a view, so a task's
+    inputs are resident only a minibatch or a 512-row chunk at a time.
     """
     split_mode = tasks.kind == SPLIT
     searches = method.expansion and method.compression
@@ -305,7 +305,6 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             fisher = estimate_fisher(net, train, method.fisher_samples,
                                      subseed(seed, "fisher", t))
             anchor = net.get_flat()
-        del train  # before the next task's is built
 
     return RunResult(records, search_log, net)
 

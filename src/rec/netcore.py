@@ -128,8 +128,11 @@ def init_network(arch: Arch, seed: int) -> DenseNet:
 def _activations(net: DenseNet, inputs: np.ndarray) -> list[np.ndarray]:
     acts = [inputs]
     for l in net.layers:
-        z = acts[-1] @ l.weight + l.bias
-        acts.append(z if l is net.layers[-1] else np.maximum(z, 0.0))
+        z = acts[-1] @ l.weight  # the bias and the ReLU go into this one array
+        z += l.bias
+        if l is not net.layers[-1]:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
@@ -189,11 +192,12 @@ def backward(net: DenseNet, acts: list[np.ndarray], dlogits: np.ndarray) -> np.n
 
 def sgd_step(net: DenseNet, grads: np.ndarray, lr: float, momentum: float = 0.0,
              velocity: np.ndarray | None = None) -> np.ndarray:
-    """One (momentum) SGD step on net.params in place; returns the updated
-    velocity buffer."""
+    """One (momentum) SGD step on net.params in place; returns the velocity
+    buffer, updated in place (a new one when none is given)."""
     if velocity is None:
         velocity = np.zeros_like(grads)
-    velocity = momentum * velocity + grads
+    velocity *= momentum
+    velocity += grads
     net.params -= lr * velocity
     return velocity
 

@@ -56,10 +56,11 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     backpropagated error delta_n (onehot(y_n) - softmax at the logits, not
     divided by n), so with A and D stacking those rows,
     sum_n (a_ni * delta_nj)^2 = ((A*A).T @ (D*D))_ij, and the bias entry is
-    sum_n delta_nj^2 (Goodfellow, arXiv 1510.01799). The sampled rows go
-    through one forward and one backward sweep per FISHER_CHUNK rows, which
-    bounds the activation lists when max_samples is the size of a large
-    dataset. Equal to a per-sample forward/backward loop up to rounding.
+    sum_n delta_nj^2 (Goodfellow, arXiv 1510.01799). The sampled rows are
+    gathered, and go through one forward and one backward sweep, FISHER_CHUNK
+    rows at a time, which bounds the inputs and activation lists held when
+    max_samples is the size of a large dataset. Equal to a per-sample
+    forward/backward loop up to rounding.
     """
     if len(dataset) == 0:
         raise ValueError("cannot estimate Fisher on an empty dataset")
@@ -68,23 +69,29 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     n = min(max_samples, len(dataset))
     idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
     acc = np.zeros(net.param_count())
-    slices = net.arch.layer_slices
     for start in range(0, n, FISHER_CHUNK):
         rows = idx[start:start + FISHER_CHUNK]
-        batch = Batch(dataset.inputs[rows], dataset.labels[rows])
-        logits, acts = forward(net, batch)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        # d log p(y) / dlogits = onehot(y) - softmax, one row per sample
-        dlogits = -probs
-        dlogits[np.arange(len(rows)), batch.labels] += 1.0
-        for i, a_prev, delta in layer_deltas(net, acts, dlogits):
-            sq = delta * delta
-            w_sl, b_sl = slices[i]
-            acc[w_sl] += ((a_prev * a_prev).T @ sq).ravel()
-            acc[b_sl] += sq.sum(axis=0)
+        _add_squared_grads(net, Batch(dataset.inputs[rows], dataset.labels[rows]), acc)
     return acc / n
+
+
+def _add_squared_grads(net: DenseNet, batch: Batch, acc: np.ndarray) -> None:
+    """acc += the per-sample squared gradients of log p(label), summed over
+    the batch. A function of its own so that a chunk's inputs, activations
+    and deltas are released before the next chunk is gathered."""
+    logits, acts = forward(net, batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    # d log p(y) / dlogits = onehot(y) - softmax, one row per sample
+    dlogits = -probs
+    dlogits[np.arange(len(batch.labels)), batch.labels] += 1.0
+    slices = net.arch.layer_slices
+    for i, a_prev, delta in layer_deltas(net, acts, dlogits):
+        sq = delta * delta
+        w_sl, b_sl = slices[i]
+        acc[w_sl] += ((a_prev * a_prev).T @ sq).ravel()
+        acc[b_sl] += sq.sum(axis=0)
 
 
 def ewc_term(params: np.ndarray, anchor: np.ndarray, fisher: np.ndarray,

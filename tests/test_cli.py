@@ -1,11 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from rec import cli
 from rec.cli import ConfigError, _method_cfg, main, parse_config
 from rec.lifelong import METHODS, method_config
 from rec.regularize import PenaltyConfig
+
+from conftest import traced_memory
+from test_data import write_idx_pair
 
 SMALL_CFG = """
 # small smoke configuration
@@ -110,6 +114,23 @@ class TestParseConfig:
         p = tmp_path / "c.txt"
         p.write_text(body)
         parse_config(p)
+
+
+class TestBuildTasks:
+    @pytest.mark.parametrize("dataset", ["synthetic", "idx"])
+    def test_peak_is_near_what_it_keeps(self, tmp_path, dataset):
+        # 5,000 images of 16x16 (wide-consolidate's data): generated 4,000 +
+        # 1,000, or read from one IDX pair and split 80/20. Only the images
+        # may be built at full size, once; every split is a view of them.
+        body = "side = 16\ntrain_samples = 4000\ntest_samples = 1000\n"
+        if dataset == "idx":
+            images = np.random.default_rng(0).integers(0, 256, (5000, 16, 16))
+            img, lab = write_idx_pair(tmp_path, images, np.arange(5000) % 10)
+            body = f"dataset = {img},{lab}\n"
+        cfg = parse_config(write_cfg(tmp_path, body, tmp_path / "out"))
+        _, retained, peak = traced_memory(cli._build_tasks, cfg)
+        assert retained > 5000 * 256 * 8
+        assert peak <= 1.25 * retained, (peak, retained)
 
 
 class TestRunCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, load_idx_dataset,
+from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, RowView, load_idx_dataset,
                       load_idx_images, load_idx_labels)
 
 
@@ -24,7 +24,27 @@ def test_dataset_inputs_become_row_major():
     ds = Dataset(x, np.zeros(4, dtype=np.int64))
     assert ds.inputs.flags.c_contiguous
     assert np.array_equal(ds.inputs, x)
-    assert ds.subset(np.array([3, 1])).inputs.flags.c_contiguous
+    assert ds.subset(np.array([3, 1])).inputs[:].flags.c_contiguous
+
+
+def test_row_views_compose():
+    # rows of rows, and a column map over a column map, read what the two
+    # steps of copying would: 0.0 wherever either map says -1
+    rng = np.random.default_rng(1)
+    x = rng.random((30, 6)) + 1.0
+    rows, sub = rng.permutation(30)[:20], np.array([4, 0, 19, 7])
+    cols, outer = np.array([5, -1, 2, 0, 3]), np.array([1, 4, -1, 0, 2, 3])
+    view = RowView(x, rows).select(sub).mapped(cols).mapped(outer)
+
+    def through(a, c):  # one column map as one copy
+        out = np.take(a, c, axis=1)
+        out[:, c < 0] = 0.0
+        return out
+
+    expect = through(through(x[rows][sub], cols), outer)
+    assert view.shape == expect.shape and len(view) == 4
+    assert view[:].tobytes() == expect.tobytes()
+    assert view[np.array([2, 0])].tobytes() == expect[[2, 0]].tobytes()
 
 
 class TestIdx:

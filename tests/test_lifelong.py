@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,11 @@ from rec.lifelong import (METHODS, VAL_RATIO, gen_permuted_tasks, gen_rotated_ta
                           gen_split_tasks, method_config, rotate_images, rotation_columns,
                           run_sequence, subseed)
 from rec.controller import SearchConfig
+from rec.netcore import Arch, evaluate, init_network, predict_logits
 from rec.regularize import PenaltyConfig, estimate_fisher
 from rec.transform import action_to_line, parse_action_line
+
+from conftest import traced_memory
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(100, 50, 6, 5, seed=11)
         seq = gen_permuted_tasks(train, test, 3, seed=0)
         assert seq.tasks[0].cols is None
-        assert np.array_equal(seq.tasks[0].split("test").inputs, test.inputs)
+        assert np.array_equal(seq.tasks[0].split("test").inputs[:], test.inputs)
 
     def test_permuted_tasks_use_distinct_permutations(self, small_bench):
         specs = [t.transform_spec["permutation"] for t in small_bench.tasks]
@@ -73,12 +74,12 @@ class TestTaskGenerators:
         train, test = synthetic_classes(80, 40, 6, 5, seed=3)
         seq = gen_permuted_tasks(train, test, 2, seed=1)
         perm = np.array(seq.tasks[1].transform_spec["permutation"])
-        assert np.array_equal(seq.tasks[1].split("test").inputs, test.inputs[:, perm])
+        assert np.array_equal(seq.tasks[1].split("test").inputs[:], test.inputs[:, perm])
 
     def test_val_split_disjoint_from_train(self, small_bench):
         t = small_bench.tasks[0]
         assert len(t.split("train")) + len(t.split("val")) == 600
-        joined = np.vstack([t.split("train").inputs, t.split("val").inputs])
+        joined = np.vstack([t.split("train").inputs[:], t.split("val").inputs[:]])
         assert joined.shape[0] == 600
 
     @staticmethod
@@ -98,7 +99,7 @@ class TestTaskGenerators:
             perm = np.array(task.transform_spec["permutation"])
             for name, rows in source.items():
                 split = task.split(name)
-                assert self._same_bits(split.inputs, np.take(rows.inputs, perm, axis=1))
+                assert self._same_bits(split.inputs[:], np.take(rows.inputs[:], perm, axis=1))
                 assert self._same_bits(split.labels, rows.labels)
 
     def test_rotated_splits_are_the_rotated_rows(self):
@@ -110,10 +111,10 @@ class TestTaskGenerators:
             outside = [] if task.cols is None else np.flatnonzero(task.cols < 0)
             for name, rows in source.items():
                 split = task.split(name)
-                assert self._same_bits(split.inputs, rotate_images(rows.inputs, angle))
+                assert self._same_bits(split.inputs[:], rotate_images(rows.inputs[:], angle))
                 assert self._same_bits(split.labels, rows.labels)
                 # zero fill is +0.0 exactly, whatever the source pixel holds
-                assert self._same_bits(split.inputs[:, outside],
+                assert self._same_bits(split.inputs[:][:, outside],
                                        np.zeros((len(rows), len(outside))))
         assert len(np.flatnonzero(seq.tasks[1].cols < 0)) > 0  # 45 degrees crops corners
 
@@ -121,13 +122,8 @@ class TestTaskGenerators:
     def test_sequence_keeps_one_copy_of_the_data(self, gen):
         train, test = synthetic_classes(300, 100, 16, 4, seed=6)
         source_bytes = train.inputs.nbytes + test.inputs.nbytes
-        tracemalloc.start()
-        try:
-            seq = gen(train, test, 10, seed=0)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert retained < 2 * source_bytes, (retained, source_bytes)
+        seq, retained, _ = traced_memory(gen, train, test, 10, seed=0)
+        assert retained < source_bytes / 4, (retained, source_bytes)
         splits = seq.tasks[0].splits
         assert all(task.splits[name] is splits[name] for task in seq.tasks for name in splits)
         assert np.shares_memory(splits["test"].inputs, test.inputs)
@@ -141,7 +137,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(60, 30, 6, 4, seed=5)
         seq = gen_rotated_tasks(train, test, 4, seed=0)
         assert seq.tasks[0].cols is None
-        assert np.array_equal(seq.tasks[0].split("test").inputs, test.inputs)
+        assert np.array_equal(seq.tasks[0].split("test").inputs[:], test.inputs)
 
     def test_split_blocks_and_remap(self):
         train, test = synthetic_classes(400, 200, 6, 6, seed=9)
@@ -169,12 +165,98 @@ class TestTaskGenerators:
             gen(train, test, num_tasks, seed=0)
 
     def test_every_split_is_row_major(self):
-        # minibatch gathers inputs[idx] read whole rows only from C order
+        # every gather, a whole split, a chunk or a minibatch, is in C order
         train, test = synthetic_classes(120, 60, 6, 4, seed=4)
         for gen in (gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks):
             for task in gen(train, test, 2, seed=0).tasks:
                 for name in ("train", "val", "test"):
-                    assert task.split(name).inputs.flags.c_contiguous, (gen.__name__, name)
+                    inputs = task.split(name).inputs
+                    for key in (slice(None), slice(3, 9), np.arange(len(inputs))[::-3]):
+                        assert inputs[key].flags.c_contiguous, (gen.__name__, name)
+
+    @staticmethod
+    def _materialized(train, test, kind, seed, num_tasks):
+        """Per task, its splits as the whole-split formula builds them:
+        {name: (inputs, labels)}, with the rows chosen and copied first."""
+        def parts(x, y, valseed):
+            order = np.random.default_rng(valseed).permutation(len(y))
+            n_val = int(round(len(y) * VAL_RATIO))
+            return {"train": (x[order[n_val:]], y[order[n_val:]]),
+                    "val": (x[order[:n_val]], y[order[:n_val]])}
+
+        if kind == "split":
+            per = int(train.labels.max() + 1) // num_tasks
+            out = []
+            for t in range(num_tasks):
+                def block(ds):
+                    sel = np.isin(ds.labels, np.arange(t * per, (t + 1) * per))
+                    return ds.inputs[sel], ds.labels[sel] - t * per
+                out.append({**parts(*block(train), subseed(seed, "valsplit", t)),
+                            "test": block(test)})
+            return out
+        base = {**parts(train.inputs, train.labels, subseed(seed, "valsplit")),
+                "test": (test.inputs, test.labels)}
+        gen = gen_permuted_tasks if kind == "permuted" else gen_rotated_tasks
+        out = []
+        for task in gen(train, test, num_tasks, seed).tasks:
+            spec = task.transform_spec
+            if kind == "permuted":
+                def through(x):
+                    return np.take(x, np.array(spec["permutation"]), axis=1)
+            else:
+                def through(x):
+                    return rotate_images(x, spec["angle_deg"])
+            out.append({name: (through(x), y) for name, (x, y) in base.items()})
+        return out
+
+    @pytest.mark.parametrize("kind", ["permuted", "rotated", "split"])
+    def test_gathers_equal_the_whole_split_formula(self, kind):
+        # Minibatches, 512-row chunks (a short last one too) and whole splits
+        # read through a view equal the rows of the materialized split.
+        train, test = synthetic_classes(1500, 1300, 6, 4, seed=8)
+        train.inputs += 1.0  # so that a -1 column left unzeroed would show
+        seq = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
+               "split": gen_split_tasks}[kind](train, test, 4 if kind != "split" else 2, seed=3)
+        expected = self._materialized(train, test, kind, 3, len(seq))
+        rng = np.random.default_rng(0)
+        for task, want in zip(seq.tasks, expected):
+            for name, (x, y) in want.items():
+                split = task.split(name)
+                assert np.array_equal(split.labels, y)
+                keys = [slice(None), rng.permutation(len(y))[:256], slice(0, 512),
+                        slice(512 * (len(y) // 512), None)]
+                for key in keys:
+                    assert self._same_bits(split.inputs[key], x[key]), (name, key)
+            if task.cols is not None and (task.cols < 0).any():
+                got = task.split("train").inputs[rng.permutation(20)]
+                assert self._same_bits(got[:, task.cols < 0],
+                                       np.zeros((20, int((task.cols < 0).sum()))))
+
+    def test_scoring_a_view_equals_scoring_its_rows(self):
+        # 1,300 rows: two full 512-row chunks and a short one
+        train, test = synthetic_classes(1500, 1300, 6, 4, seed=9)
+        task = gen_rotated_tasks(train, test, 3, seed=0).tasks[1]
+        net = init_network(Arch(36, (20,), 4), seed=1)
+        for name in ("train", "test"):
+            split = task.split(name)
+            rows = split.inputs[:]
+            assert predict_logits(net, split.inputs).tobytes() == \
+                predict_logits(net, rows).tobytes()
+            assert evaluate(net, split.inputs, split.labels) == \
+                evaluate(net, rows, split.labels)
+
+    @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
+    def test_run_sequence_never_holds_a_whole_split(self, gen):
+        # 5,400 training rows of 256 inputs (10.5 MiB) against 512-row chunks
+        train, test = synthetic_classes(6000, 1000, 16, 10, seed=3)
+        seq = gen(train, test, 5, seed=0)
+        rows, dim = seq.tasks[0].split("train").inputs.shape
+        for method in ("ewc", "rec"):
+            mc = _cfg(method, epochs=1, fisher_samples=1000,
+                      search=SearchConfig(budget=2, m_children=2, child_epochs=1),
+                      compress_cfg=CompressConfig(epochs=1))
+            _, _, peak = traced_memory(run_sequence, seq, mc, seed=0)
+            assert peak < rows * dim * 8, (method, peak)
 
 
 class TestRotateImages:

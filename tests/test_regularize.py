@@ -14,7 +14,7 @@ from rec.regularize import (FISHER_CHUNK, PenaltyConfig, consolidation, Training
                             train_task)
 from rec.transform import DeeperAction, WiderAction, align_reference, apply_actions
 
-from conftest import central_diff, max_rel_err
+from conftest import central_diff, max_rel_err, traced_memory
 
 EPS = 1e-8
 
@@ -132,6 +132,18 @@ class TestFisher:
         n = 2 * FISHER_CHUNK + 37
         net = random_net(Arch(5, (4,), 3), 5)
         assert_matches_loop(net, random_dataset(n + 10, 5, 3, 8), max_samples=n, seed=4)
+
+    def test_holds_one_chunk_at_a_time(self):
+        # 1,000 samples are two chunks. One chunk's activation list on a
+        # 256-128-128-10 net (inputs, two hidden layers, logits) is 2.04 MiB,
+        # and its backward sweep needs about as much again; keeping the first
+        # chunk's arrays while the second is gathered, or three arrays per
+        # hidden layer in the forward sweep, takes the peak past 6 MiB.
+        net = init_network(Arch(256, (128, 128), 10), seed=0)
+        ds = random_dataset(1000, 256, 10, 9)
+        _, _, peak = traced_memory(estimate_fisher, net, ds, 1000, 0)
+        chunk_acts = FISHER_CHUNK * (256 + 128 + 128 + 10) * 8
+        assert peak < 2.6 * chunk_acts, peak
 
 
 class TestEwcTerm:
