@@ -75,6 +75,9 @@ def load_checkpoint(path: str | Path
     off = 12 + hlen
     loaded: dict[str, np.ndarray] = {}
     for name, shape in directory:
+        if not isinstance(name, str) or name in loaded:
+            raise CheckpointError(f"array name {name!r} is "
+                                  + ("repeated" if isinstance(name, str) else "not a string"))
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise CheckpointError(f"shape {shape!r} of array {name!r} is not a list of "
                                   "non-negative integers")

@@ -104,8 +104,12 @@ def parse_config(path: str | Path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
-    values = dict(_DEFAULTS)
-    for ln, line in enumerate(p.read_text().splitlines(), 1):
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {p}: {e}") from None
+    values, key_line = dict(_DEFAULTS), {}
+    for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -114,6 +118,8 @@ def parse_config(path: str | Path) -> RunConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ConfigError(f"{p}:{ln}: unknown config key {key!r}")
+        if key_line.setdefault(key, ln) != ln:
+            raise ConfigError(f"{p}:{ln}: config key {key!r} already set on line {key_line[key]}")
         values[key] = val
     cfg = RunConfig(values)
     for m in cfg.get_list("methods"):

@@ -2,13 +2,13 @@
 IDX reader.
 
 A task sequence keeps one source copy of its training inputs and one of its
-test inputs. Every split is a `RowView` over a source: an optional row index
-(a train/val part, a split task's class rows) and an optional column map (a
-permuted or rotated task). Reading `view[rows]` gathers just those rows into
-a new C-contiguous (row-major) array, and nothing else reads the source, so
-task inputs exist only as large as the minibatch or 512-row chunk that is
-read. A `Dataset`'s inputs are such a view or an array, both read by row
-position.
+test inputs. Every split of every task is a `RowView` over a source, built
+once with the task: an optional row index (a train/val part, a split task's
+class rows) and an optional column map (a permuted or rotated task).
+Reading `view[rows]` gathers just those rows into a new C-contiguous
+(row-major) array, and nothing else reads the source, so task inputs exist
+only as large as the minibatch or 512-row chunk that is read. A `Dataset`'s
+inputs are such a view or an array, both read by row position.
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ class RowView:
     def select(self, idx: np.ndarray) -> "RowView":
         """The view of this view's rows `idx`, over the same source."""
         return RowView(self.source, idx if self.rows is None else self.rows[idx], self.cols)
-
-    def mapped(self, cols: np.ndarray | None) -> "RowView":
-        """The same rows with column j read from this view's column cols[j],
-        0.0 where that is -1 (None: unchanged)."""
-        if cols is None:
-            return self
-        if self.cols is not None:
-            cols = np.where(cols < 0, -1, self.cols[cols])
-        return RowView(self.source, self.rows, cols)
 
 
 def as_rows(inputs: np.ndarray | RowView) -> RowView:

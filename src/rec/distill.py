@@ -1,7 +1,8 @@
-"""Logit-matching knowledge distillation: compress an expanded child back to
-the initial architecture (l2 loss on teacher logits, then joint hard+soft).
-The student trains through regularize.train_task with a KD/CE objective
-against the teacher's logits, a plain [n, K] array collected once."""
+"""Logit-matching knowledge distillation: compress an expanded child back into
+the carried model (l2 loss on teacher logits, then joint hard+soft). A copy
+of the carried net is the student, so the result keeps its architecture; it
+trains through regularize.train_task with a KD/CE objective against the
+teacher's logits, a plain [n, K] array collected once."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .netcore import (Arch, Batch, DenseNet, backward, forward, init_network, loss_ce,
-                      predict_logits)
+from .netcore import Batch, DenseNet, backward, forward, loss_ce, predict_logits
 from .regularize import train_task
 
 
@@ -42,24 +42,17 @@ class CompressConfig:
     kd_warmup_frac: float = 0.25  # KD-only phase share of the epoch budget
 
 
-def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
-             cfg: CompressConfig, batch_size: int, seed: int,
-             init_net: DenseNet | None = None) -> DenseNet:
-    """Train a student of the initial architecture against the teacher.
+def compress(teacher: DenseNet, student: DenseNet, dataset: Dataset,
+             cfg: CompressConfig, batch_size: int, seed: int) -> DenseNet:
+    """Train a copy of `student` against the teacher and return it.
 
     Phase 1 minimizes the KD loss alone; phase 2 adds the ground-truth CE term
     with unit weighting, in minibatches of the caller's `batch_size` (the
-    task's). The student starts from `init_net` when given (warm start from
-    the carried model) and from a fresh init otherwise. The student's
-    parameter count never exceeds the initial network's.
+    task's). Training starts from the given net's parameters (a warm start
+    from the carried model), so the result has its architecture and
+    parameter count however far the teacher grew; the given net is unchanged.
     """
     targets = collect_soft_targets(teacher, dataset)
-    if init_net is not None:
-        if init_net.arch != initial_arch:
-            raise ValueError("warm-start network does not match the target architecture")
-        student = init_net.copy()
-    else:
-        student = init_network(initial_arch, seed)
     warm = int(round(cfg.kd_warmup_frac * cfg.epochs))
 
     def objective(net: DenseNet, batch: Batch, rows: np.ndarray, epoch: int):
@@ -70,5 +63,5 @@ def compress(teacher: DenseNet, initial_arch: Arch, dataset: Dataset,
             value, dlogits = ce_v + value, ce_d + dlogits
         return value, backward(net, acts, dlogits)
 
-    return train_task(student, dataset, objective, cfg.epochs, batch_size, cfg.lr,
+    return train_task(student.copy(), dataset, objective, cfg.epochs, batch_size, cfg.lr,
                       seed, cfg.momentum)

@@ -2,13 +2,13 @@
 result is its per-task records: after task t, the accuracies on tasks 1..t
 (row t of the accuracy matrix), their mean and the model size.
 
-A sequence keeps one source copy of its training inputs and one of its test
-inputs (data.RowView). Every split is a view over a source: permuted and
-rotated tasks share one train/val/test row split and differ by a column map;
-split tasks own disjoint class rows. Training gathers task inputs one
-minibatch at a time, and the Fisher estimate, the soft targets and scoring
-one 512-row chunk at a time; only the expansion search builds a split whole,
-stacking its validation rows once per search.
+A sequence keeps one source copy of its training and one of its test inputs.
+A task's train, val and test splits are views over them (data.RowView), built
+once by its generator: permuted and rotated tasks share one row split and
+differ by a column map; split tasks own disjoint class rows. Training gathers
+inputs a minibatch at a time, the Fisher estimate, soft targets and scoring a
+512-row chunk at a time; only the expansion search stacks a split whole (its
+validation rows, once per search).
 
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
@@ -52,19 +52,13 @@ def subseed(seed: int, name: str, t: int = 0) -> int:
 
 @dataclass
 class Task:
-    """A task's "train", "val" and "test" rows and the column map its inputs
-    read them through; `split` gives a split as a view."""
+    """A task's three splits, each a view over the sequence's source copy."""
 
-    splits: dict[str, Dataset]  # rows before the column map, shared in a sequence
+    train: Dataset
+    val: Dataset
+    test: Dataset
     num_classes: int
     transform_spec: dict = field(default_factory=dict)
-    cols: np.ndarray | None = None  # input j reads column cols[j], 0.0 where -1; None: identity
-
-    def split(self, name: str) -> Dataset:
-        """The task's `name` split: a view of its rows through the column map,
-        sharing their labels; nothing is copied until rows are read."""
-        rows = self.splits[name]
-        return Dataset(as_rows(rows.inputs).mapped(self.cols), rows.labels)
 
 
 @dataclass
@@ -78,11 +72,15 @@ class TaskSequence:
 
 def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
                   maps: list[tuple[np.ndarray | None, dict]]) -> TaskSequence:
-    """One task per (column map, spec) pair, every task over the same splits."""
+    """One task per (column map, spec) pair over the same train/val/test rows;
+    input j reads source column cols[j], 0.0 where -1 (None: identity)."""
     n_classes = int(train_ds.labels.max()) + 1
     tr, va = split_train_val(train_ds, VAL_RATIO, subseed(seed, "valsplit"))
-    splits = {"train": tr, "val": va, "test": test_ds}
-    return TaskSequence([Task(splits, n_classes, spec, cols) for cols, spec in maps], kind)
+    parts = [(as_rows(ds.inputs), ds.labels) for ds in (tr, va, test_ds)]
+    if any(v.cols is not None for v, _ in parts):
+        raise ValueError("task generators read source rows, not column-mapped views")
+    return TaskSequence([Task(*(Dataset(RowView(v.source, v.rows, cols), y) for v, y in parts),
+                              n_classes, spec) for cols, spec in maps], kind)
 
 
 def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -153,8 +151,7 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
             return Dataset(rows.inputs, rows.labels - lo)
 
         tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
-        tasks.append(Task({"train": tr, "val": va, "test": take(test_ds)}, per,
-                          {"classes": classes.tolist()}))
+        tasks.append(Task(tr, va, take(test_ds), per, {"classes": classes.tolist()}))
     return TaskSequence(tasks, SPLIT)
 
 
@@ -201,8 +198,7 @@ def _with_head(hidden_net: DenseNet, head: Layer) -> DenseNet:
 
 def _test_accuracy(net: DenseNet, task: Task) -> float:
     """Accuracy on the task's test split, gathered one 512-row chunk at a time."""
-    test = task.split("test")
-    return evaluate(net, test.inputs, test.labels)
+    return evaluate(net, task.test.inputs, task.test.labels)
 
 
 def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
@@ -213,7 +209,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     optionally expand the carried net (searched children when the method
     compresses, else a capped widening of the first hidden layer), train it
     on the consolidation objective (an anchor exists only when some lambda is
-    positive), and optionally distill it back to the initial architecture.
+    positive), and optionally distill it into a copy of the carried net.
     Split tasks give each task its own output head; a widening carries the
     stored heads along with the net. Every split is a view, so a task's
     inputs are resident only a minibatch or a 512-row chunk at a time.
@@ -224,7 +220,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         raise ValueError("reward_scope 'all-learned' cannot search split tasks: it would "
                          "score every learned task through the new task's head")
     first = tasks.tasks[0]
-    initial_arch = Arch(first.splits["train"].input_dim, hidden_widths, first.num_classes)
+    initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
     p = method.penalty
     penalized = max(p.lambda_ewc, p.lambda_21, p.lambda_1) > 0
@@ -239,7 +235,6 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     search_log: list[dict] = []
 
     for t, task in enumerate(tasks.tasks):
-        train = task.split("train")
         extra: dict = {}
         ref = None  # identity: every coordinate holds its anchor value
         if t > 0 and split_mode:
@@ -253,13 +248,13 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             """The task's one training recipe (its consolidation objective and
             the method's SGD settings), for its own net and every child."""
             objective = consolidation(anchor, fisher, method.penalty, model_ref)
-            return train_task(model, train, objective, epochs, method.batch_size,
+            return train_task(model, task.train, objective, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
         child, actions = net, []
         if t > 0 and searches:
             scored = tasks.tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
-            result, baseline = search_child(net, fit, [tk.split("val") for tk in scored],
+            result, baseline = search_child(net, fit, [tk.val for tk in scored],
                                             policy, baseline, subseed(seed, "search", t),
                                             method.search, ref)
             search_log.extend({"task": t + 1, **rec} for rec in result.log)
@@ -278,8 +273,8 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         if t > 0 and method.expansion:
             extra["actions"] = [action_to_line(a) for a in actions]
         if t > 0 and method.compression:
-            net = compress(child, net.arch, train, method.compress_cfg,
-                           method.batch_size, subseed(seed, "distill", t), init_net=net)
+            net = compress(child, net, task.train, method.compress_cfg,
+                           method.batch_size, subseed(seed, "distill", t))
             extra.update({
                 "child_param_count": child.param_count(),
                 "child_new_task_acc": _test_accuracy(child, task),
@@ -302,7 +297,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         })
 
         if penalized and t + 1 < len(tasks):  # the last task anchors nothing
-            fisher = estimate_fisher(net, train, method.fisher_samples,
+            fisher = estimate_fisher(net, task.train, method.fisher_samples,
                                      subseed(seed, "fisher", t))
             anchor = net.get_flat()
 

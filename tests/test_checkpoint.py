@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from rec.cli import main
 from rec.netcore import Arch, evaluate, init_network
 
 
@@ -193,6 +194,23 @@ class TestCorruption:
         p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + np.zeros(6).tobytes())
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ([("w0", [2, 2]), ("b0", [2]), ("w0", [2, 2])], "array name 'w0' is repeated"),
+        ([(["w0"], [2, 2]), ("b0", [2])], r"array name \['w0'\] is not a string"),
+        ([("w0", [2, 2]), (0, [2])], "array name 0 is not a string"),
+    ])
+    def test_bad_array_name(self, tmp_path, capsys, arrays, message):
+        header = {"arch": {"input_dim": 2, "hidden_widths": [], "output_dim": 2},
+                  "arrays": [{"name": n, "shape": shape} for n, shape in arrays]}
+        blob = json.dumps(header, sort_keys=True).encode()
+        p = tmp_path / "n.recnet"
+        count = sum(int(np.prod(shape)) for _, shape in arrays)
+        p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + np.zeros(count).tobytes())
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(p)
+        assert main(["checkpoint", "load", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("checkpoint failed: array name")
 
 
 @pytest.fixture(scope="module")

@@ -74,6 +74,19 @@ class TestParseConfig:
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "nope.txt")
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"tasks = 3\nmethods = sn\xff\n")
+        with pytest.raises(ConfigError, match=r"cannot read config file .*c\.txt: .*0xff"):
+            parse_config(p)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("epochs = 3\ntasks = 2\n# again:\nepochs = 4\n")
+        with pytest.raises(ConfigError, match=r"c\.txt:4: config key 'epochs' already set "
+                                              r"on line 1"):
+            parse_config(p)
+
     @pytest.mark.parametrize("body, message", [
         ("tasks = 2.5\n", "not an integer"),
         ("hidden = 40,x\n", "not an integer"),
@@ -166,6 +179,19 @@ class TestRunCommand:
         p = write_cfg(tmp_path, body, tmp_path / "out")
         assert main(["run", str(p)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.txt"
+        p.write_bytes(f"out_dir = {tmp_path / 'out'}\nmethods = sn\n".encode() + b"# \xff\n")
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {p}")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "epochs = 3\nepochs = 4", tmp_path / "out")
+        assert main(["run", str(p)]) == 2
+        assert "config key 'epochs' already set on line" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_idx_files_exit_1(self, tmp_path, capsys):

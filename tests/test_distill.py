@@ -69,7 +69,8 @@ class TestCompress:
         teacher = linear_teacher(0)
         ds = Dataset(rng.standard_normal((1000, 6)), rng.integers(0, 3, 1000))
         cfg = CompressConfig(epochs=150, lr=0.05, momentum=0.9, kd_warmup_frac=1.0)
-        student = compress(teacher, Arch(6, (64,), 3), ds, cfg, batch_size=64, seed=1)
+        student = compress(teacher, init_network(Arch(6, (64,), 3), 1), ds, cfg,
+                           batch_size=64, seed=1)
         err = predict_logits(student, ds.inputs) - predict_logits(teacher, ds.inputs)
         rms = float(np.sqrt(np.mean(err ** 2)))
         assert rms < 1e-2
@@ -78,9 +79,23 @@ class TestCompress:
         teacher = init_network(Arch(5, (20, 16, 12), 2), seed=3)
         ds = Dataset(rng.standard_normal((64, 5)), rng.integers(0, 2, 64))
         initial = Arch(5, (6, 6), 2)
-        student = compress(teacher, initial, ds, CompressConfig(epochs=1), batch_size=256,
-                           seed=0)
+        student = compress(teacher, init_network(initial, 0), ds, CompressConfig(epochs=1),
+                           batch_size=256, seed=0)
         assert student.param_count() == initial.param_count()
+
+    def test_trains_a_copy_of_the_given_net(self, rng):
+        teacher = init_network(Arch(4, (12, 9), 3), seed=6)
+        given = init_network(Arch(4, (5,), 3), seed=7)
+        before = given.get_flat().copy()
+        ds = Dataset(rng.standard_normal((40, 4)), rng.integers(0, 3, 40))
+        student = compress(teacher, given, ds, CompressConfig(epochs=2), batch_size=16, seed=0)
+        assert given.get_flat().tobytes() == before.tobytes()
+        assert student.arch == given.arch
+        assert not np.array_equal(student.get_flat(), before)
+        # lr = 0 leaves the warm start where it began
+        still = compress(teacher, given, ds, CompressConfig(epochs=2, lr=0.0), batch_size=16,
+                         seed=0)
+        assert still is not given and still.get_flat().tobytes() == before.tobytes()
 
     def test_kd_term_zero_when_student_is_teacher(self, rng):
         teacher = init_network(Arch(4, (5,), 2), seed=4)
@@ -102,5 +117,5 @@ def test_compress_divergence_raises(rng):
     ds = Dataset(rng.standard_normal((64, 4)), rng.integers(0, 3, 64))
     # The shared training loop's message, not a copy of it in compress.
     with pytest.raises(TrainingDiverged, match="non-finite loss"), np.errstate(all="ignore"):
-        compress(teacher, Arch(4, (6,), 3), ds, CompressConfig(epochs=20, lr=1e3),
-                 batch_size=256, seed=0)
+        compress(teacher, init_network(Arch(4, (6,), 3), 0), ds,
+                 CompressConfig(epochs=20, lr=1e3), batch_size=256, seed=0)

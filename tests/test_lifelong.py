@@ -57,8 +57,8 @@ class TestTaskGenerators:
     def test_permuted_first_task_is_identity(self, small_bench):
         train, test = synthetic_classes(100, 50, 6, 5, seed=11)
         seq = gen_permuted_tasks(train, test, 3, seed=0)
-        assert seq.tasks[0].cols is None
-        assert np.array_equal(seq.tasks[0].split("test").inputs[:], test.inputs)
+        assert seq.tasks[0].train.inputs.cols is None
+        assert np.array_equal(seq.tasks[0].test.inputs[:], test.inputs)
 
     def test_permuted_tasks_use_distinct_permutations(self, small_bench):
         specs = [t.transform_spec["permutation"] for t in small_bench.tasks]
@@ -68,18 +68,18 @@ class TestTaskGenerators:
     def test_permuted_preserves_labels(self, small_bench):
         base = small_bench.tasks[0]
         for task in small_bench.tasks[1:]:
-            assert np.array_equal(task.split("test").labels, base.split("test").labels)
+            assert np.array_equal(task.test.labels, base.test.labels)
 
     def test_permutation_applied_consistently(self):
         train, test = synthetic_classes(80, 40, 6, 5, seed=3)
         seq = gen_permuted_tasks(train, test, 2, seed=1)
         perm = np.array(seq.tasks[1].transform_spec["permutation"])
-        assert np.array_equal(seq.tasks[1].split("test").inputs[:], test.inputs[:, perm])
+        assert np.array_equal(seq.tasks[1].test.inputs[:], test.inputs[:, perm])
 
     def test_val_split_disjoint_from_train(self, small_bench):
         t = small_bench.tasks[0]
-        assert len(t.split("train")) + len(t.split("val")) == 600
-        joined = np.vstack([t.split("train").inputs[:], t.split("val").inputs[:]])
+        assert len(t.train) + len(t.val) == 600
+        joined = np.vstack([t.train.inputs[:], t.val.inputs[:]])
         assert joined.shape[0] == 600
 
     @staticmethod
@@ -98,7 +98,7 @@ class TestTaskGenerators:
         for task in seq.tasks:
             perm = np.array(task.transform_spec["permutation"])
             for name, rows in source.items():
-                split = task.split(name)
+                split = getattr(task, name)
                 assert self._same_bits(split.inputs[:], np.take(rows.inputs[:], perm, axis=1))
                 assert self._same_bits(split.labels, rows.labels)
 
@@ -108,15 +108,17 @@ class TestTaskGenerators:
         source = self._source_splits(train, test, seed=2)
         for task in seq.tasks:
             angle = task.transform_spec["angle_deg"]
-            outside = [] if task.cols is None else np.flatnonzero(task.cols < 0)
+            cols = task.train.inputs.cols
+            outside = [] if cols is None else np.flatnonzero(cols < 0)
             for name, rows in source.items():
-                split = task.split(name)
+                split = getattr(task, name)
                 assert self._same_bits(split.inputs[:], rotate_images(rows.inputs[:], angle))
                 assert self._same_bits(split.labels, rows.labels)
                 # zero fill is +0.0 exactly, whatever the source pixel holds
                 assert self._same_bits(split.inputs[:][:, outside],
                                        np.zeros((len(rows), len(outside))))
-        assert len(np.flatnonzero(seq.tasks[1].cols < 0)) > 0  # 45 degrees crops corners
+        # 45 degrees crops corners
+        assert len(np.flatnonzero(seq.tasks[1].train.inputs.cols < 0)) > 0
 
     @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
     def test_sequence_keeps_one_copy_of_the_data(self, gen):
@@ -124,9 +126,19 @@ class TestTaskGenerators:
         source_bytes = train.inputs.nbytes + test.inputs.nbytes
         seq, retained, _ = traced_memory(gen, train, test, 10, seed=0)
         assert retained < source_bytes / 4, (retained, source_bytes)
-        splits = seq.tasks[0].splits
-        assert all(task.splits[name] is splits[name] for task in seq.tasks for name in splits)
-        assert np.shares_memory(splits["test"].inputs, test.inputs)
+        for name in ("train", "val", "test"):
+            source = getattr(seq.tasks[0], name).inputs.source
+            assert all(getattr(task, name).inputs.source is source for task in seq.tasks)
+        assert np.shares_memory(seq.tasks[0].test.inputs.source, test.inputs)
+
+    @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
+    def test_column_mapped_source_rejected(self, gen):
+        # a task's own split already reads through its map; a second map is
+        # not composed onto it
+        train, test = synthetic_classes(60, 30, 6, 4, seed=5)
+        mapped = gen_rotated_tasks(train, test, 2, seed=0).tasks[1].train
+        with pytest.raises(ValueError, match="column-mapped"):
+            gen(mapped, test, 2, seed=0)
 
     def test_rotated_angles(self):
         train, test = synthetic_classes(100, 50, 6, 4, seed=5)
@@ -136,15 +148,15 @@ class TestTaskGenerators:
     def test_rotated_task_one_identity(self):
         train, test = synthetic_classes(60, 30, 6, 4, seed=5)
         seq = gen_rotated_tasks(train, test, 4, seed=0)
-        assert seq.tasks[0].cols is None
-        assert np.array_equal(seq.tasks[0].split("test").inputs[:], test.inputs)
+        assert seq.tasks[0].train.inputs.cols is None
+        assert np.array_equal(seq.tasks[0].test.inputs[:], test.inputs)
 
     def test_split_blocks_and_remap(self):
         train, test = synthetic_classes(400, 200, 6, 6, seed=9)
         seq = gen_split_tasks(train, test, 3, seed=0)
         assert [t.num_classes for t in seq.tasks] == [2, 2, 2]
         for t in seq.tasks:
-            assert set(np.unique(t.split("test").labels)) <= {0, 1}
+            assert set(np.unique(t.test.labels)) <= {0, 1}
         assert seq.tasks[2].transform_spec["classes"] == [4, 5]
 
     def test_split_rejects_non_divisible(self):
@@ -170,7 +182,7 @@ class TestTaskGenerators:
         for gen in (gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks):
             for task in gen(train, test, 2, seed=0).tasks:
                 for name in ("train", "val", "test"):
-                    inputs = task.split(name).inputs
+                    inputs = getattr(task, name).inputs
                     for key in (slice(None), slice(3, 9), np.arange(len(inputs))[::-3]):
                         assert inputs[key].flags.c_contiguous, (gen.__name__, name)
 
@@ -221,16 +233,17 @@ class TestTaskGenerators:
         rng = np.random.default_rng(0)
         for task, want in zip(seq.tasks, expected):
             for name, (x, y) in want.items():
-                split = task.split(name)
+                split = getattr(task, name)
                 assert np.array_equal(split.labels, y)
                 keys = [slice(None), rng.permutation(len(y))[:256], slice(0, 512),
                         slice(512 * (len(y) // 512), None)]
                 for key in keys:
                     assert self._same_bits(split.inputs[key], x[key]), (name, key)
-            if task.cols is not None and (task.cols < 0).any():
-                got = task.split("train").inputs[rng.permutation(20)]
-                assert self._same_bits(got[:, task.cols < 0],
-                                       np.zeros((20, int((task.cols < 0).sum()))))
+            cols = task.train.inputs.cols
+            if cols is not None and (cols < 0).any():
+                got = task.train.inputs[rng.permutation(20)]
+                assert self._same_bits(got[:, cols < 0],
+                                       np.zeros((20, int((cols < 0).sum()))))
 
     def test_scoring_a_view_equals_scoring_its_rows(self):
         # 1,300 rows: two full 512-row chunks and a short one
@@ -238,7 +251,7 @@ class TestTaskGenerators:
         task = gen_rotated_tasks(train, test, 3, seed=0).tasks[1]
         net = init_network(Arch(36, (20,), 4), seed=1)
         for name in ("train", "test"):
-            split = task.split(name)
+            split = getattr(task, name)
             rows = split.inputs[:]
             assert predict_logits(net, split.inputs).tobytes() == \
                 predict_logits(net, rows).tobytes()
@@ -250,7 +263,7 @@ class TestTaskGenerators:
         # 5,400 training rows of 256 inputs (10.5 MiB) against 512-row chunks
         train, test = synthetic_classes(6000, 1000, 16, 10, seed=3)
         seq = gen(train, test, 5, seed=0)
-        rows, dim = seq.tasks[0].split("train").inputs.shape
+        rows, dim = seq.tasks[0].train.inputs.shape
         for method in ("ewc", "rec"):
             mc = _cfg(method, epochs=1, fisher_samples=1000,
                       search=SearchConfig(budget=2, m_children=2, child_epochs=1),
