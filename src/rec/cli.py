@@ -130,17 +130,17 @@ def parse_config(path: str | Path) -> RunConfig:
     if cfg["reward_scope"] not in ("new-only", "all-learned"):
         raise ConfigError(f"unknown reward_scope {cfg['reward_scope']!r}")
     _check_numbers(cfg)
-    for key in ("methods", "seeds"):
-        if not cfg.get_list(key):
+    for key, parse in (("methods", str), ("seeds", int)):
+        items = [parse(v) for v in cfg.get_list(key)]
+        if not items:
             raise ConfigError(f"{key} is empty")
+        repeated = [v for i, v in enumerate(items) if v in items[:i]]
+        if repeated:  # each (method, seed) pair is one job and names its files
+            raise ConfigError(f"{key} = {cfg[key]!r}: {repeated[0]} is listed twice")
     expanding = [m for m in cfg.get_list("methods") if METHODS[m][1]]
     if expanding and not cfg.get_list("hidden"):
         raise ConfigError("hidden is empty, but expanding methods need a hidden layer: "
                           + ", ".join(expanding))
-    searching = [m for m in expanding if METHODS[m][2]]
-    if searching and cfg["task_kind"] == "split" and cfg["reward_scope"] == "all-learned":
-        raise ConfigError("reward_scope = all-learned cannot search split tasks: "
-                          + ", ".join(searching))
     if cfg["dataset"] != "synthetic":
         _idx_pairs(cfg["dataset"])
     if (cfg["task_kind"] == "split" and cfg["dataset"] == "synthetic"

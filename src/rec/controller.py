@@ -3,8 +3,8 @@
 A bidirectional tanh recurrent encoder reads the hidden-layer width sequence;
 a shared sigmoid head decides widening per layer and a categorical head picks
 identity-layer insertion points (or stop). Policy-gradient updates are
-hand-derived through the heads, both recurrent directions, and the embedding
-table.
+hand-derived through both decision layers, both recurrent directions, and the
+embedding table.
 """
 
 from __future__ import annotations
@@ -259,16 +259,14 @@ Fit = Callable[[DenseNet, np.ndarray, int, int], DenseNet]
 
 def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
                  policy: ControllerPolicy, baseline: float | None, seed: int,
-                 search_cfg: SearchConfig = SearchConfig(),
-                 ref: np.ndarray | None = None) -> tuple[SearchResult, float]:
+                 search_cfg: SearchConfig = SearchConfig()) -> tuple[SearchResult, float]:
     """Episode loop of the expansion search.
 
     Each child is created by the sampled morphisms, fine-tuned for
     `search_cfg.child_epochs` through `fit` (the task's own objective and SGD
     settings), and scored on the validation data (the rows of every val_sets
     view, gathered and stacked once); rewards update the policy in batches of
-    m. `ref` is the reference vector of prev_net (identity when None).
-    Returns the best-scoring child seen and the reward moving average
+    m. Returns the best-scoring child seen and the reward moving average
     (reward_transform).
     """
     budget = search_cfg.budget
@@ -290,7 +288,7 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
             diverged = False
             try:
-                child, child_ref = apply_actions(prev_net.copy(), ep.actions, ep_seed + 1, ref)
+                child, child_ref = apply_actions(prev_net.copy(), ep.actions, ep_seed + 1)
                 fit(child, child_ref, search_cfg.child_epochs, ep_seed + 2)
                 ep.a_val = evaluate(child, val_inputs, val_labels)
             except TrainingDiverged:

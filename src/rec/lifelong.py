@@ -23,13 +23,9 @@ import numpy as np
 from .controller import SearchConfig, init_policy, search_child
 from .data import Dataset, RowView, as_rows, split_train_val
 from .distill import CompressConfig, compress
-from .netcore import Arch, DenseNet, Layer, evaluate, init_network
+from .netcore import Arch, DenseNet, evaluate, init_network
 from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
 from .transform import WiderAction, action_to_line, apply_actions
-
-PERMUTED = "permuted"
-ROTATED = "rotated"
-SPLIT = "split"
 
 # name -> (PenaltyConfig lambdas set to 0, expansion, compression)
 METHODS: dict[str, tuple[tuple[str, ...], bool, bool]] = {
@@ -64,13 +60,12 @@ class Task:
 @dataclass
 class TaskSequence:
     tasks: list[Task]
-    kind: str
 
     def __len__(self) -> int:
         return len(self.tasks)
 
 
-def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
+def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, seed: int,
                   maps: list[tuple[np.ndarray | None, dict]]) -> TaskSequence:
     """One task per (column map, spec) pair over the same train/val/test rows;
     input j reads source column cols[j], 0.0 where -1 (None: identity)."""
@@ -80,7 +75,7 @@ def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, kind: str, seed: int,
     if any(v.cols is not None for v, _ in parts):
         raise ValueError("task generators read source rows, not column-mapped views")
     return TaskSequence([Task(*(Dataset(RowView(v.source, v.rows, cols), y) for v, y in parts),
-                              n_classes, spec) for cols, spec in maps], kind)
+                              n_classes, spec) for cols, spec in maps])
 
 
 def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
@@ -92,7 +87,7 @@ def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
     rng = np.random.default_rng(subseed(seed, "perm"))
     d = train_ds.input_dim
     perms = [np.arange(d) if t == 0 else rng.permutation(d) for t in range(num_tasks)]
-    return _mapped_tasks(train_ds, test_ds, PERMUTED, seed,
+    return _mapped_tasks(train_ds, test_ds, seed,
                          [(p if t else None, {"permutation": p.tolist()})
                           for t, p in enumerate(perms)])
 
@@ -127,7 +122,7 @@ def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
     if num_tasks < 1:
         raise ValueError("need at least one task")
     angles = [t * 180.0 / num_tasks for t in range(num_tasks)]
-    return _mapped_tasks(train_ds, test_ds, ROTATED, seed,
+    return _mapped_tasks(train_ds, test_ds, seed,
                          [(None if a == 0 else rotation_columns(train_ds.input_dim, a),
                            {"angle_deg": a}) for a in angles])
 
@@ -152,7 +147,7 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
 
         tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
         tasks.append(Task(tr, va, take(test_ds), per, {"classes": classes.tolist()}))
-    return TaskSequence(tasks, SPLIT)
+    return TaskSequence(tasks)
 
 
 @dataclass(frozen=True)
@@ -190,12 +185,6 @@ class RunResult:
     final_net: DenseNet
 
 
-def _with_head(hidden_net: DenseNet, head: Layer) -> DenseNet:
-    """The carried hidden layers under another output layer (split tasks)."""
-    arch = replace(hidden_net.arch, output_dim=head.bias.size)
-    return DenseNet(arch, hidden_net.layers[:-1] + [head])
-
-
 def _test_accuracy(net: DenseNet, task: Task) -> float:
     """Accuracy on the task's test split, gathered one 512-row chunk at a time."""
     return evaluate(net, task.test.inputs, task.test.labels)
@@ -210,15 +199,11 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     compresses, else a capped widening of the first hidden layer), train it
     on the consolidation objective (an anchor exists only when some lambda is
     positive), and optionally distill it into a copy of the carried net.
-    Split tasks give each task its own output head; a widening carries the
-    stored heads along with the net. Every split is a view, so a task's
-    inputs are resident only a minibatch or a 512-row chunk at a time.
+    Every task, split tasks too, trains and is scored through the net's one
+    output layer. Every split is a view, so a task's inputs are resident only
+    a minibatch or a 512-row chunk at a time.
     """
-    split_mode = tasks.kind == SPLIT
     searches = method.expansion and method.compression
-    if split_mode and searches and method.reward_scope == "all-learned":
-        raise ValueError("reward_scope 'all-learned' cannot search split tasks: it would "
-                         "score every learned task through the new task's head")
     first = tasks.tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
@@ -229,19 +214,12 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     fisher: np.ndarray | None = None  # their Fisher diagonal
     policy = init_policy(subseed(seed, "controller"))  # searched expansion only
     baseline: float | None = None  # reward moving average of the search
-    heads: list[Layer] = []  # per-task output layers, split mode only
 
     records: list[dict] = []
     search_log: list[dict] = []
 
     for t, task in enumerate(tasks.tasks):
         extra: dict = {}
-        ref = None  # identity: every coordinate holds its anchor value
-        if t > 0 and split_mode:
-            head_arch = replace(net.arch, output_dim=task.num_classes)
-            net = _with_head(net, init_network(head_arch, subseed(seed, "head", t)).layers[-1])
-            ref = np.arange(net.param_count())
-            ref[net.arch.layer_slices[-1][0].start:] = -1  # the replaced output head
 
         def fit(model: DenseNet, model_ref: np.ndarray | None, epochs: int,
                 fit_seed: int) -> DenseNet:
@@ -251,23 +229,19 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
             return train_task(model, task.train, objective, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
-        child, actions = net, []
+        child, ref, actions = net, None, []  # ref None: the identity
         if t > 0 and searches:
             scored = tasks.tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
             result, baseline = search_child(net, fit, [tk.val for tk in scored],
                                             policy, baseline, subseed(seed, "search", t),
-                                            method.search, ref)
+                                            method.search)
             search_log.extend({"task": t + 1, **rec} for rec in result.log)
             child, ref, actions = result.net, result.ref, result.actions
         elif t > 0 and method.expansion:
             w = net.arch.hidden_widths[0]
             cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
             actions = [WiderAction(0, min(2 * w, cap))]
-            expand_seed = subseed(seed, "expand", t)
-            child, ref = apply_actions(net, actions, expand_seed, ref)
-            # The same morphism keeps every earlier task's function (Net2Net).
-            heads = [apply_actions(_with_head(net, h), actions, expand_seed)[0].layers[-1]
-                     for h in heads]
+            child, ref = apply_actions(net, actions, subseed(seed, "expand", t))
 
         fit(child, ref, method.epochs, subseed(seed, "train", t))
         if t > 0 and method.expansion:
@@ -283,10 +257,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         else:
             net = child
 
-        if split_mode:
-            heads.append(net.layers[-1].copy())
-        row = [_test_accuracy(_with_head(net, heads[k]) if split_mode else net, tasks.tasks[k])
-               for k in range(t + 1)]
+        row = [_test_accuracy(net, tasks.tasks[k]) for k in range(t + 1)]
 
         records.append({
             "task": t + 1,

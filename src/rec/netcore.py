@@ -64,9 +64,6 @@ class Layer:
     weight: np.ndarray  # [fan_in, fan_out]
     bias: np.ndarray    # [fan_out]
 
-    def copy(self) -> "Layer":
-        return Layer(self.weight.copy(), self.bias.copy())
-
 
 class DenseNet:
     """Dense classifier over one parameter vector.

@@ -97,12 +97,11 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarra
     return net2, ref
 
 
-def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed: int = 0,
-                  ref: np.ndarray | None = None) -> tuple[DenseNet, np.ndarray]:
+def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction],
+                  seed: int = 0) -> tuple[DenseNet, np.ndarray]:
     """Sequential composition of morphisms; enforces the per-episode caps.
 
-    `ref` is the base reference vector over `net`'s flat view (identity when
-    None). Returns the child and its reference vector.
+    Returns the child and its reference vector into `net`'s flat view.
     """
     n_wider = sum(isinstance(a, WiderAction) for a in actions)
     n_deeper = sum(isinstance(a, DeeperAction) for a in actions)
@@ -111,9 +110,7 @@ def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction], seed
     if n_deeper > MAX_DEEPER_ACTIONS:
         raise CapViolation(f"{n_deeper} deeper actions exceed the cap of {MAX_DEEPER_ACTIONS}")
 
-    current = net
-    if ref is None:
-        ref = np.arange(net.param_count())
+    current, ref = net, np.arange(net.param_count())
     for i, action in enumerate(actions):
         if isinstance(action, WiderAction):
             current, step = net2wider(current, action, seed + i)

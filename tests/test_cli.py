@@ -65,9 +65,10 @@ class TestParseConfig:
         p.write_text("# a comment\n\ntasks = 4  # trailing\n")
         assert parse_config(p).get_int("tasks") == 4
 
-    def test_split_all_learned_without_search_accepted(self, tmp_path):
+    def test_split_all_learned_accepted_with_search(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("methods = sn,net2net_ewc\ntask_kind = split\nreward_scope = all-learned\n")
+        p.write_text("methods = sn,net2net_ewc,rec\ntask_kind = split\n"
+                     "reward_scope = all-learned\n")
         assert parse_config(p)["reward_scope"] == "all-learned"
 
     def test_missing_file(self, tmp_path):
@@ -100,6 +101,9 @@ class TestParseConfig:
         ("fisher_samples = 0\n", "must be >= 1"),
         ("controller_lr = abc\n", "not a number"),
         ("seeds = ,\n", "seeds is empty"),
+        ("methods = sn,ewc,sn\n", "methods = 'sn,ewc,sn': sn is listed twice"),
+        ("seeds = 0,0\n", "seeds = '0,0': 0 is listed twice"),
+        ("seeds = 1, 2,01\n", "seeds = '1, 2,01': 1 is listed twice"),
         ("reward_scope = everything\n", "unknown reward_scope"),
         ("task_kind = split\ntasks = 3\n", "divisible"),
         ("methods = net2net\nhidden =\n", "hidden is empty"),
@@ -173,13 +177,25 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("body, key", [("dataset = only_one_path", "dataset"),
                                            ("methods = net2net\nhidden =", "hidden"),
-                                           ("methods = sn,rec\ntask_kind = split\n"
-                                            "reward_scope = all-learned", "reward_scope")])
+                                           ("methods = sn,sn\nseeds = 0,0", "methods")])
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, body, key):
         p = write_cfg(tmp_path, body, tmp_path / "out")
         assert main(["run", str(p)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reward_scope", ["new-only", "all-learned"])
+    @pytest.mark.parametrize("task_kind", ["permuted", "rotated", "split"])
+    def test_smoke_matrix(self, tmp_path, task_kind, reward_scope):
+        body = (f"methods = net2net_ewc,rec\nseeds = 0\ntasks = 2\ntask_kind = {task_kind}\n"
+                f"reward_scope = {reward_scope}\nside = 4\nclasses = 4\n"
+                "train_samples = 160\ntest_samples = 40\nhidden = 8\nepochs = 1\n"
+                "batch_size = 64\nfisher_samples = 40\nsearch_budget = 2\n"
+                "m_children = 2\nchild_epochs = 1\ncompress_epochs = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, body, out))]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["net2net_ewc", "0"], ["rec", "0"]]
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.txt"

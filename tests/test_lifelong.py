@@ -4,9 +4,9 @@ import pytest
 from rec.data import Dataset, split_train_val, synthetic_classes
 from rec.distill import CompressConfig
 from rec import lifelong
-from rec.lifelong import (METHODS, VAL_RATIO, gen_permuted_tasks, gen_rotated_tasks,
-                          gen_split_tasks, method_config, rotate_images, rotation_columns,
-                          run_sequence, subseed)
+from rec.lifelong import (METHODS, VAL_RATIO, TaskSequence, gen_permuted_tasks,
+                          gen_rotated_tasks, gen_split_tasks, method_config, rotate_images,
+                          rotation_columns, run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.netcore import Arch, evaluate, init_network, predict_logits
 from rec.regularize import PenaltyConfig, estimate_fisher
@@ -459,18 +459,39 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("method", ["net2net", "net2net_ewc"])
     def test_split_widening_of_the_last_hidden_layer(self, method):
-        # Widening the only hidden layer widens every stored head's fan-in too.
+        # Widening the only hidden layer widens the output layer's fan-in too.
         train, test = synthetic_classes(300, 150, 6, 6, seed=17)
         seq = gen_split_tasks(train, test, 3, seed=0)
         r = run_sequence(seq, _cfg(method, epochs=2), seed=0, hidden_widths=(8,))
         assert [len(row) for row in _rows(r)] == [1, 2, 3]
         assert r.final_net.arch.hidden_widths == (32,)
 
-    def test_split_search_scored_on_all_learned_tasks_rejected(self):
+    def test_split_search_scored_on_all_learned_tasks_runs(self):
+        # Every split task's labels are 0..K-1 of the one output layer, so the
+        # search can score a child on every learned task's validation rows.
         train, test = synthetic_classes(300, 150, 6, 6, seed=17)
         seq = gen_split_tasks(train, test, 3, seed=0)
-        with pytest.raises(ValueError, match="reward_scope"):
-            run_sequence(seq, _cfg("rec", reward_scope="all-learned"), seed=0)
+        mc = _cfg("rec", epochs=2, reward_scope="all-learned",
+                  search=SearchConfig(budget=2, m_children=2, child_epochs=1),
+                  compress_cfg=CompressConfig(epochs=2))
+        r = run_sequence(seq, mc, seed=0)
+        assert [len(row) for row in _rows(r)] == [1, 2, 3]
+        assert {rec["task"] for rec in r.search_log} == {2, 3}
+
+    @pytest.mark.parametrize("method", ["sn", "rec"])
+    def test_split_records_score_the_one_net(self, method):
+        # Record t holds evaluate() of the net after task t, which is the final
+        # net of the sequence cut after task t, on every learned task.
+        train, test = synthetic_classes(300, 150, 6, 6, seed=17)
+        seq = gen_split_tasks(train, test, 3, seed=0)
+        mc = _cfg(method, epochs=2, search=SearchConfig(budget=2, m_children=2, child_epochs=1),
+                  compress_cfg=CompressConfig(epochs=2))
+        r = run_sequence(seq, mc, seed=0)
+        for t, rec in enumerate(r.records, 1):
+            net = (r.final_net if t == len(seq)
+                   else run_sequence(TaskSequence(seq.tasks[:t]), mc, seed=0).final_net)
+            assert rec["accuracies"] == [evaluate(net, k.test.inputs, k.test.labels)
+                                         for k in seq.tasks[:t]]
 
     @pytest.mark.parametrize("kind", ["permuted", "split"])
     def test_records_are_the_result(self, kind):

@@ -195,22 +195,6 @@ class TestAlignReference:
         assert np.array_equal(f2[keep], fisher[ref[keep]])
         assert np.all(a2[mask] == 0) and np.all(f2[mask] == 0)
 
-    def test_base_ref_head_stays_unanchored(self):
-        # split mode: the replaced output head holds no anchor value before
-        # the expansion and must hold none after it
-        net = random_net(21)
-        head_start = net.arch.layer_slices[-1][0].start
-        base = np.arange(net.param_count())
-        base[head_start:] = -1
-        child, ref = apply_actions(net, [DeeperAction(0), WiderAction(1, 6)], seed=0,
-                                   ref=base)
-        mask = ref < 0
-        child_head = child.arch.layer_slices[-1][0].start
-        assert np.all(ref[child_head:] == -1) and np.all(mask[child_head:])
-        assert np.all(ref[ref >= 0] < head_start)
-        a2 = align_reference(np.ones(net.param_count()), ref)
-        assert np.all(a2[child_head:] == 0)
-
 
 def test_action_line_round_trip():
     for a in (WiderAction(1, 16), DeeperAction(2)):
