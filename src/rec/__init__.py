@@ -7,7 +7,7 @@ from .regularize import PenaltyConfig, estimate_fisher, mwc_loss, train_task
 from .transform import DeeperAction, WiderAction, apply_actions, net2deeper, net2wider
 from .controller import SearchConfig, init_policy, reward_transform, search_child
 from .distill import CompressConfig, compress, kd_loss
-from .lifelong import (METHODS, MethodConfig, TaskSequence,
+from .lifelong import (METHODS, MethodConfig,
                        gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks,
                        method_config, run_sequence)
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .controller import SearchConfig
-from .data import Dataset, load_idx_dataset, synthetic_classes
+from .data import Dataset, idx_image_shape, load_idx_dataset, synthetic_classes
 from .distill import CompressConfig
 from .lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks,
                        method_config, run_sequence, subseed)
@@ -195,6 +195,12 @@ def _build_tasks(cfg: RunConfig):
             cut = int(len(train) * 0.8)  # first 80% train, the rest test, both views
             train, test = (Dataset(train.inputs[part], train.labels[part])
                            for part in (slice(None, cut), slice(cut, None)))
+        if cfg["task_kind"] == "rotated":  # rotation_columns reads a side x side grid
+            for images, _ in pairs:
+                rows, cols = idx_image_shape(images)
+                if rows != cols:
+                    raise ValueError(f"rotated tasks need square images; {images} holds "
+                                     f"{rows}x{cols} images")
     num_tasks = cfg.get_int("tasks")
     gen = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
            "split": gen_split_tasks}[cfg["task_kind"]]

@@ -146,6 +146,13 @@ def load_idx_images(path: str | Path) -> np.ndarray:
     return images
 
 
+def idx_image_shape(path: str | Path) -> tuple[int, int]:
+    """(rows, cols) of every image in an IDX image file that load_idx_images
+    accepts, read from its header."""
+    with open(path, "rb") as fh:
+        return struct.unpack(">ii", fh.read(16)[8:])
+
+
 def load_idx_labels(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 8:

@@ -16,7 +16,7 @@ A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,42 +54,31 @@ class Task:
     val: Dataset
     test: Dataset
     num_classes: int
-    transform_spec: dict = field(default_factory=dict)
-
-
-@dataclass
-class TaskSequence:
-    tasks: list[Task]
-
-    def __len__(self) -> int:
-        return len(self.tasks)
 
 
 def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, seed: int,
-                  maps: list[tuple[np.ndarray | None, dict]]) -> TaskSequence:
-    """One task per (column map, spec) pair over the same train/val/test rows;
-    input j reads source column cols[j], 0.0 where -1 (None: identity)."""
+                  maps: list[np.ndarray | None]) -> list[Task]:
+    """One task per column map over the same train/val/test rows; input j
+    reads source column cols[j], 0.0 where -1 (None: identity)."""
     n_classes = int(train_ds.labels.max()) + 1
     tr, va = split_train_val(train_ds, VAL_RATIO, subseed(seed, "valsplit"))
     parts = [(as_rows(ds.inputs), ds.labels) for ds in (tr, va, test_ds)]
     if any(v.cols is not None for v, _ in parts):
         raise ValueError("task generators read source rows, not column-mapped views")
-    return TaskSequence([Task(*(Dataset(RowView(v.source, v.rows, cols), y) for v, y in parts),
-                              n_classes, spec) for cols, spec in maps])
+    return [Task(*(Dataset(RowView(v.source, v.rows, cols), y) for v, y in parts), n_classes)
+            for cols in maps]
 
 
 def gen_permuted_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
-                       seed: int) -> TaskSequence:
+                       seed: int) -> list[Task]:
     """Task 1 is the identity; later tasks apply an independent fixed pixel
     permutation to every split."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
     rng = np.random.default_rng(subseed(seed, "perm"))
     d = train_ds.input_dim
-    perms = [np.arange(d) if t == 0 else rng.permutation(d) for t in range(num_tasks)]
     return _mapped_tasks(train_ds, test_ds, seed,
-                         [(p if t else None, {"permutation": p.tolist()})
-                          for t, p in enumerate(perms)])
+                         [None] + [rng.permutation(d) for _ in range(num_tasks - 1)])
 
 
 def rotation_columns(d: int, angle_deg: float) -> np.ndarray:
@@ -117,18 +106,17 @@ def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
 
 
 def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
-                      seed: int) -> TaskSequence:
+                      seed: int) -> list[Task]:
     """Task t rotates every image by (t-1) * 180/T degrees."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
-    angles = [t * 180.0 / num_tasks for t in range(num_tasks)]
     return _mapped_tasks(train_ds, test_ds, seed,
-                         [(None if a == 0 else rotation_columns(train_ds.input_dim, a),
-                           {"angle_deg": a}) for a in angles])
+                         [None] + [rotation_columns(train_ds.input_dim, t * 180.0 / num_tasks)
+                                   for t in range(1, num_tasks)])
 
 
 def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
-                    seed: int) -> TaskSequence:
+                    seed: int) -> list[Task]:
     """Contiguous class blocks per task, labels remapped to 0..K_t-1."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
@@ -146,8 +134,8 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
             return Dataset(rows.inputs, rows.labels - lo)
 
         tr, va = split_train_val(take(train_ds), VAL_RATIO, subseed(seed, "valsplit", t))
-        tasks.append(Task(tr, va, take(test_ds), per, {"classes": classes.tolist()}))
-    return TaskSequence(tasks)
+        tasks.append(Task(tr, va, take(test_ds), per))
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -190,7 +178,7 @@ def _test_accuracy(net: DenseNet, task: Task) -> float:
     return evaluate(net, task.test.inputs, task.test.labels)
 
 
-def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
+def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
                  hidden_widths: tuple[int, ...] = (40, 40)) -> RunResult:
     """Algorithm-1 orchestration of one (method, seed) run.
 
@@ -204,7 +192,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     a minibatch or a 512-row chunk at a time.
     """
     searches = method.expansion and method.compression
-    first = tasks.tasks[0]
+    first = tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
     p = method.penalty
@@ -218,7 +206,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
     records: list[dict] = []
     search_log: list[dict] = []
 
-    for t, task in enumerate(tasks.tasks):
+    for t, task in enumerate(tasks):
         extra: dict = {}
 
         def fit(model: DenseNet, model_ref: np.ndarray | None, epochs: int,
@@ -231,7 +219,7 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
 
         child, ref, actions = net, None, []  # ref None: the identity
         if t > 0 and searches:
-            scored = tasks.tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
+            scored = tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
             result, baseline = search_child(net, fit, [tk.val for tk in scored],
                                             policy, baseline, subseed(seed, "search", t),
                                             method.search)
@@ -246,18 +234,17 @@ def run_sequence(tasks: TaskSequence, method: MethodConfig, seed: int,
         fit(child, ref, method.epochs, subseed(seed, "train", t))
         if t > 0 and method.expansion:
             extra["actions"] = [action_to_line(a) for a in actions]
-        if t > 0 and method.compression:
-            net = compress(child, net, task.train, method.compress_cfg,
-                           method.batch_size, subseed(seed, "distill", t))
+        distills = t > 0 and method.compression
+        net = (compress(child, net, task.train, method.compress_cfg, method.batch_size,
+                        subseed(seed, "distill", t)) if distills else child)
+
+        row = [_test_accuracy(net, tk) for tk in tasks[:t + 1]]
+        if distills:  # the student is the carried net, scored once in row
             extra.update({
                 "child_param_count": child.param_count(),
                 "child_new_task_acc": _test_accuracy(child, task),
-                "student_new_task_acc": _test_accuracy(net, task),
+                "student_new_task_acc": row[t],
             })
-        else:
-            net = child
-
-        row = [_test_accuracy(net, tasks.tasks[k]) for k in range(t + 1)]
 
         records.append({
             "task": t + 1,

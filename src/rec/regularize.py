@@ -160,8 +160,6 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
     if mask is not None and mask.shape != p.shape:
         raise ValueError("mask length differs from net parameter count")
     lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
-    if not (cfg.lambda_ewc or lam_21 or lam_1):
-        return value, grads
     # Every temporary of the penalty lives in these two vectors, updated in
     # place, so a step allocates two parameter-length arrays, not one per op.
     buf, work = np.empty_like(p), np.empty_like(p)

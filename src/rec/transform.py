@@ -130,12 +130,3 @@ def action_to_line(action: WiderAction | DeeperAction) -> str:
     if isinstance(action, WiderAction):
         return f"W {action.layer_index} {action.new_width}"
     return f"D {action.insert_after}"
-
-
-def parse_action_line(line: str) -> WiderAction | DeeperAction:
-    parts = line.split()
-    if parts[0] == "W" and len(parts) == 3:
-        return WiderAction(int(parts[1]), int(parts[2]))
-    if parts[0] == "D" and len(parts) == 2:
-        return DeeperAction(int(parts[1]))
-    raise ValueError(f"unparseable action line: {line!r}")

@@ -216,6 +216,20 @@ class TestRunCommand:
         assert main(["run", str(p)]) == 1
         assert "run failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task_kind,code", [("rotated", 1), ("permuted", 0)])
+    def test_rotated_non_square_idx_exits_1(self, tmp_path, capsys, task_kind, code):
+        # 16x36 images have 576 = 24^2 pixels, but they are no 24x24 grid
+        images = np.random.default_rng(0).integers(0, 256, (60, 16, 36))
+        img, lab = write_idx_pair(tmp_path, images, np.arange(60) % 2)
+        p = write_cfg(tmp_path, f"dataset = {img},{lab}\ntask_kind = {task_kind}\n"
+                      "tasks = 2\nmethods = sn\nhidden = 8\nepochs = 1\n", tmp_path / "out")
+        assert main(["run", str(p)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                f"run failed: ValueError: rotated tasks need square images; {img} holds "
+                "16x36 images\n")
+            assert not list((tmp_path / "out").glob("results_*"))
+
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG, tmp_path / "out")
         assert main(["run", str(cfg)]) == 0

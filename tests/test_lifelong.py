@@ -1,16 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from rec.data import Dataset, split_train_val, synthetic_classes
 from rec.distill import CompressConfig
 from rec import lifelong
-from rec.lifelong import (METHODS, VAL_RATIO, TaskSequence, gen_permuted_tasks,
+from rec.lifelong import (METHODS, VAL_RATIO, gen_permuted_tasks,
                           gen_rotated_tasks, gen_split_tasks, method_config, rotate_images,
                           rotation_columns, run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.netcore import Arch, evaluate, init_network, predict_logits
 from rec.regularize import PenaltyConfig, estimate_fisher
-from rec.transform import action_to_line, parse_action_line
 
 from conftest import traced_memory
 
@@ -57,30 +58,38 @@ class TestTaskGenerators:
     def test_permuted_first_task_is_identity(self, small_bench):
         train, test = synthetic_classes(100, 50, 6, 5, seed=11)
         seq = gen_permuted_tasks(train, test, 3, seed=0)
-        assert seq.tasks[0].train.inputs.cols is None
-        assert np.array_equal(seq.tasks[0].test.inputs[:], test.inputs)
+        assert seq[0].train.inputs.cols is None
+        assert np.array_equal(seq[0].test.inputs[:], test.inputs)
 
     def test_permuted_tasks_use_distinct_permutations(self, small_bench):
-        specs = [t.transform_spec["permutation"] for t in small_bench.tasks]
-        assert specs[1] != specs[2]
-        assert sorted(specs[1]) == list(range(36))
+        cols = [t.train.inputs.cols for t in small_bench[1:]]
+        assert not np.array_equal(cols[0], cols[1])
+        assert sorted(cols[0].tolist()) == list(range(36))
+        # task 1 draws nothing; task t reads the (t-1)-th draw of the "perm" stream
+        assert np.array_equal(cols, self._perms(36, 3, seed=0)[1:])
 
     def test_permuted_preserves_labels(self, small_bench):
-        base = small_bench.tasks[0]
-        for task in small_bench.tasks[1:]:
+        base = small_bench[0]
+        for task in small_bench[1:]:
             assert np.array_equal(task.test.labels, base.test.labels)
 
     def test_permutation_applied_consistently(self):
         train, test = synthetic_classes(80, 40, 6, 5, seed=3)
         seq = gen_permuted_tasks(train, test, 2, seed=1)
-        perm = np.array(seq.tasks[1].transform_spec["permutation"])
-        assert np.array_equal(seq.tasks[1].test.inputs[:], test.inputs[:, perm])
+        perm = self._perms(36, 2, seed=1)[1]
+        assert np.array_equal(seq[1].test.inputs[:], test.inputs[:, perm])
 
     def test_val_split_disjoint_from_train(self, small_bench):
-        t = small_bench.tasks[0]
+        t = small_bench[0]
         assert len(t.train) + len(t.val) == 600
         joined = np.vstack([t.train.inputs[:], t.val.inputs[:]])
         assert joined.shape[0] == 600
+
+    @staticmethod
+    def _perms(d, num_tasks, seed):
+        """Each task's pixel permutation, drawn as the generator draws it."""
+        rng = np.random.default_rng(subseed(seed, "perm"))
+        return [np.arange(d)] + [rng.permutation(d) for _ in range(num_tasks - 1)]
 
     @staticmethod
     def _source_splits(train, test, seed):
@@ -95,8 +104,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(120, 60, 6, 4, seed=4)
         seq = gen_permuted_tasks(train, test, 3, seed=1)
         source = self._source_splits(train, test, seed=1)
-        for task in seq.tasks:
-            perm = np.array(task.transform_spec["permutation"])
+        for task, perm in zip(seq, self._perms(36, 3, seed=1)):
             for name, rows in source.items():
                 split = getattr(task, name)
                 assert self._same_bits(split.inputs[:], np.take(rows.inputs[:], perm, axis=1))
@@ -106,8 +114,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(120, 60, 6, 4, seed=4)
         seq = gen_rotated_tasks(train, test, 4, seed=2)
         source = self._source_splits(train, test, seed=2)
-        for task in seq.tasks:
-            angle = task.transform_spec["angle_deg"]
+        for task, angle in zip(seq, [0.0, 45.0, 90.0, 135.0]):
             cols = task.train.inputs.cols
             outside = [] if cols is None else np.flatnonzero(cols < 0)
             for name, rows in source.items():
@@ -118,7 +125,7 @@ class TestTaskGenerators:
                 assert self._same_bits(split.inputs[:][:, outside],
                                        np.zeros((len(rows), len(outside))))
         # 45 degrees crops corners
-        assert len(np.flatnonzero(seq.tasks[1].train.inputs.cols < 0)) > 0
+        assert len(np.flatnonzero(seq[1].train.inputs.cols < 0)) > 0
 
     @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
     def test_sequence_keeps_one_copy_of_the_data(self, gen):
@@ -127,37 +134,43 @@ class TestTaskGenerators:
         seq, retained, _ = traced_memory(gen, train, test, 10, seed=0)
         assert retained < source_bytes / 4, (retained, source_bytes)
         for name in ("train", "val", "test"):
-            source = getattr(seq.tasks[0], name).inputs.source
-            assert all(getattr(task, name).inputs.source is source for task in seq.tasks)
-        assert np.shares_memory(seq.tasks[0].test.inputs.source, test.inputs)
+            source = getattr(seq[0], name).inputs.source
+            assert all(getattr(task, name).inputs.source is source for task in seq)
+        assert np.shares_memory(seq[0].test.inputs.source, test.inputs)
 
     @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
     def test_column_mapped_source_rejected(self, gen):
         # a task's own split already reads through its map; a second map is
         # not composed onto it
         train, test = synthetic_classes(60, 30, 6, 4, seed=5)
-        mapped = gen_rotated_tasks(train, test, 2, seed=0).tasks[1].train
+        mapped = gen_rotated_tasks(train, test, 2, seed=0)[1].train
         with pytest.raises(ValueError, match="column-mapped"):
             gen(mapped, test, 2, seed=0)
 
     def test_rotated_angles(self):
         train, test = synthetic_classes(100, 50, 6, 4, seed=5)
         seq = gen_rotated_tasks(train, test, 4, seed=0)
-        assert [t.transform_spec["angle_deg"] for t in seq.tasks] == [0.0, 45.0, 90.0, 135.0]
+        assert seq[0].train.inputs.cols is None
+        for task, angle in zip(seq[1:], [45.0, 90.0, 135.0]):
+            for name in ("train", "val", "test"):
+                assert np.array_equal(getattr(task, name).inputs.cols,
+                                      rotation_columns(36, angle))
 
     def test_rotated_task_one_identity(self):
         train, test = synthetic_classes(60, 30, 6, 4, seed=5)
         seq = gen_rotated_tasks(train, test, 4, seed=0)
-        assert seq.tasks[0].train.inputs.cols is None
-        assert np.array_equal(seq.tasks[0].test.inputs[:], test.inputs)
+        assert seq[0].train.inputs.cols is None
+        assert np.array_equal(seq[0].test.inputs[:], test.inputs)
 
     def test_split_blocks_and_remap(self):
         train, test = synthetic_classes(400, 200, 6, 6, seed=9)
         seq = gen_split_tasks(train, test, 3, seed=0)
-        assert [t.num_classes for t in seq.tasks] == [2, 2, 2]
-        for t in seq.tasks:
+        assert [t.num_classes for t in seq] == [2, 2, 2]
+        for t in seq:
             assert set(np.unique(t.test.labels)) <= {0, 1}
-        assert seq.tasks[2].transform_spec["classes"] == [4, 5]
+        block = np.isin(test.labels, [4, 5])  # task 3 holds classes 4 and 5
+        assert np.array_equal(seq[2].test.labels, test.labels[block] - 4)
+        assert np.array_equal(seq[2].test.inputs[:], test.inputs[block])
 
     def test_split_rejects_non_divisible(self):
         train, test = synthetic_classes(100, 50, 6, 5, seed=9)
@@ -180,7 +193,7 @@ class TestTaskGenerators:
         # every gather, a whole split, a chunk or a minibatch, is in C order
         train, test = synthetic_classes(120, 60, 6, 4, seed=4)
         for gen in (gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks):
-            for task in gen(train, test, 2, seed=0).tasks:
+            for task in gen(train, test, 2, seed=0):
                 for name in ("train", "val", "test"):
                     inputs = getattr(task, name).inputs
                     for key in (slice(None), slice(3, 9), np.arange(len(inputs))[::-3]):
@@ -208,18 +221,15 @@ class TestTaskGenerators:
             return out
         base = {**parts(train.inputs, train.labels, subseed(seed, "valsplit")),
                 "test": (test.inputs, test.labels)}
-        gen = gen_permuted_tasks if kind == "permuted" else gen_rotated_tasks
-        out = []
-        for task in gen(train, test, num_tasks, seed).tasks:
-            spec = task.transform_spec
-            if kind == "permuted":
-                def through(x):
-                    return np.take(x, np.array(spec["permutation"]), axis=1)
-            else:
-                def through(x):
-                    return rotate_images(x, spec["angle_deg"])
-            out.append({name: (through(x), y) for name, (x, y) in base.items()})
-        return out
+        d = train.input_dim
+        if kind == "permuted":
+            throughs = [lambda x, p=p: np.take(x, p, axis=1)
+                        for p in TestTaskGenerators._perms(d, num_tasks, seed)]
+        else:
+            throughs = [lambda x, a=t * 180.0 / num_tasks: rotate_images(x, a)
+                        for t in range(num_tasks)]
+        return [{name: (through(x), y) for name, (x, y) in base.items()}
+                for through in throughs]
 
     @pytest.mark.parametrize("kind", ["permuted", "rotated", "split"])
     def test_gathers_equal_the_whole_split_formula(self, kind):
@@ -231,7 +241,7 @@ class TestTaskGenerators:
                "split": gen_split_tasks}[kind](train, test, 4 if kind != "split" else 2, seed=3)
         expected = self._materialized(train, test, kind, 3, len(seq))
         rng = np.random.default_rng(0)
-        for task, want in zip(seq.tasks, expected):
+        for task, want in zip(seq, expected):
             for name, (x, y) in want.items():
                 split = getattr(task, name)
                 assert np.array_equal(split.labels, y)
@@ -248,7 +258,7 @@ class TestTaskGenerators:
     def test_scoring_a_view_equals_scoring_its_rows(self):
         # 1,300 rows: two full 512-row chunks and a short one
         train, test = synthetic_classes(1500, 1300, 6, 4, seed=9)
-        task = gen_rotated_tasks(train, test, 3, seed=0).tasks[1]
+        task = gen_rotated_tasks(train, test, 3, seed=0)[1]
         net = init_network(Arch(36, (20,), 4), seed=1)
         for name in ("train", "test"):
             split = getattr(task, name)
@@ -263,7 +273,7 @@ class TestTaskGenerators:
         # 5,400 training rows of 256 inputs (10.5 MiB) against 512-row chunks
         train, test = synthetic_classes(6000, 1000, 16, 10, seed=3)
         seq = gen(train, test, 5, seed=0)
-        rows, dim = seq.tasks[0].train.inputs.shape
+        rows, dim = seq[0].train.inputs.shape
         for method in ("ewc", "rec"):
             mc = _cfg(method, epochs=1, fisher_samples=1000,
                       search=SearchConfig(budget=2, m_children=2, child_epochs=1),
@@ -390,6 +400,26 @@ class TestRunSequence:
         later = [rec for rec in r.records if rec["task"] > 1]
         assert all("student_new_task_acc" in rec for rec in later)
 
+    def test_student_scored_once(self, small_bench, monkeypatch):
+        # After task t the carried net is scored on tasks 1..t; a distilling
+        # task adds the child on the new task only: the student is the
+        # carried net, so its new-task accuracy is the row's last entry.
+        calls = []
+        real = lifelong.evaluate
+
+        def counting(net, inputs, labels):
+            calls.append(net)
+            return real(net, inputs, labels)
+
+        monkeypatch.setattr(lifelong, "evaluate", counting)
+        mc = _cfg("rec", epochs=1, search=SearchConfig(budget=2, m_children=2, child_epochs=1),
+                  compress_cfg=CompressConfig(epochs=1))
+        r = run_sequence(small_bench, mc, seed=0)
+        t = len(small_bench)
+        assert len(calls) == t * (t + 1) // 2 + (t - 1)
+        for rec in r.records[1:]:
+            assert rec["student_new_task_acc"] == rec["accuracies"][-1]
+
     def test_children_train_with_the_task_settings(self, small_bench, monkeypatch):
         calls = []
         real = lifelong.train_task
@@ -417,7 +447,7 @@ class TestRunSequence:
         assert len(recorded) == 2 and any(recorded)
         for lines in recorded:
             for line in lines:
-                assert action_to_line(parse_action_line(line)) == line
+                assert re.fullmatch(r"W \d+ \d+|D \d+", line), line
 
     def test_net2net_grows(self, small_bench):
         r = run_sequence(small_bench, _cfg("net2net"), seed=0)
@@ -489,9 +519,9 @@ class TestRunSequence:
         r = run_sequence(seq, mc, seed=0)
         for t, rec in enumerate(r.records, 1):
             net = (r.final_net if t == len(seq)
-                   else run_sequence(TaskSequence(seq.tasks[:t]), mc, seed=0).final_net)
+                   else run_sequence(seq[:t], mc, seed=0).final_net)
             assert rec["accuracies"] == [evaluate(net, k.test.inputs, k.test.labels)
-                                         for k in seq.tasks[:t]]
+                                         for k in seq[:t]]
 
     @pytest.mark.parametrize("kind", ["permuted", "split"])
     def test_records_are_the_result(self, kind):

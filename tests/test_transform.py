@@ -3,8 +3,7 @@ import pytest
 
 from rec.netcore import Arch, init_network, predict_logits
 from rec.transform import (CapViolation, DeeperAction, WiderAction, action_to_line,
-                           align_reference, apply_actions, net2deeper, net2wider,
-                           parse_action_line)
+                           align_reference, apply_actions, net2deeper, net2wider)
 
 
 def random_net(seed, arch=Arch(5, (4, 3), 2)):
@@ -196,8 +195,7 @@ class TestAlignReference:
         assert np.all(a2[mask] == 0) and np.all(f2[mask] == 0)
 
 
-def test_action_line_round_trip():
-    for a in (WiderAction(1, 16), DeeperAction(2)):
-        assert parse_action_line(action_to_line(a)) == a
-    with pytest.raises(ValueError):
-        parse_action_line("X 1 2")
+def test_action_lines():
+    assert action_to_line(WiderAction(1, 16)) == "W 1 16"
+    assert action_to_line(WiderAction(0, 80)) == "W 0 80"
+    assert action_to_line(DeeperAction(2)) == "D 2"
