@@ -195,12 +195,15 @@ def _build_tasks(cfg: RunConfig):
             cut = int(len(train) * 0.8)  # first 80% train, the rest test, both views
             train, test = (Dataset(train.inputs[part], train.labels[part])
                            for part in (slice(None, cut), slice(cut, None)))
-        if cfg["task_kind"] == "rotated":  # rotation_columns reads a side x side grid
-            for images, _ in pairs:
-                rows, cols = idx_image_shape(images)
-                if rows != cols:
-                    raise ValueError(f"rotated tasks need square images; {images} holds "
-                                     f"{rows}x{cols} images")
+        shapes = [idx_image_shape(images) for images, _ in pairs]
+        (rows, cols), test_shape = shapes[0], shapes[-1]
+        if test_shape != (rows, cols):
+            raise ValueError(f"train and test images differ in size: {pairs[0][0]} holds "
+                             f"{rows}x{cols} images, {pairs[-1][0]} holds "
+                             f"{test_shape[0]}x{test_shape[1]} images")
+        if cfg["task_kind"] == "rotated" and rows != cols:  # rotation reads a square grid
+            raise ValueError(f"rotated tasks need square images; {pairs[0][0]} holds "
+                             f"{rows}x{cols} images")
     num_tasks = cfg.get_int("tasks")
     gen = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
            "split": gen_split_tasks}[cfg["task_kind"]]

@@ -4,7 +4,8 @@ A bidirectional tanh recurrent encoder reads the hidden-layer width sequence;
 a shared sigmoid head decides widening per layer and a categorical head picks
 identity-layer insertion points (or stop). Policy-gradient updates are
 hand-derived through both decision layers, both recurrent directions, and the
-embedding table.
+embedding table. The sampler alone caps an episode: at most MAX_WIDER_ACTIONS
+widenings and SearchConfig.max_deeper insertions.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 from .data import Dataset
 from .netcore import Arch, DenseNet, evaluate
 from .regularize import TrainingDiverged
-from .transform import (MAX_DEEPER_ACTIONS, MAX_WIDER_ACTIONS, DeeperAction, WiderAction,
-                        action_to_line, apply_actions)
+from .transform import DeeperAction, WiderAction, action_to_line, apply_actions
 
 PROB_FLOOR = 1e-6
+MAX_WIDER_ACTIONS = 2  # widenings per episode; SearchConfig.max_deeper caps insertions
 N_BUCKETS = 12  # embedding rows: log2 width buckets
 BASELINE_DECAY = 0.95  # weight of the old reward moving average per update
 
@@ -155,7 +156,7 @@ class SearchConfig:
     child_epochs: int = 2
     controller_lr: float = 0.05
     width_cap_factor: int = 4
-    max_deeper: int = MAX_DEEPER_ACTIONS
+    max_deeper: int = 3  # identity-layer insertions per episode
 
 
 def _wider_prob(policy: ControllerPolicy, state: np.ndarray) -> float:

@@ -8,7 +8,8 @@ class rows) and an optional column map (a permuted or rotated task).
 Reading `view[rows]` gathers just those rows into a new C-contiguous
 (row-major) array, and nothing else reads the source, so task inputs exist
 only as large as the minibatch or 512-row chunk that is read. A `Dataset`'s
-inputs are such a view or an array, both read by row position.
+inputs are always such a view: an array given to one becomes the view of
+all its rows.
 """
 
 from __future__ import annotations
@@ -60,23 +61,17 @@ class RowView:
         return RowView(self.source, idx if self.rows is None else self.rows[idx], self.cols)
 
 
-def as_rows(inputs: np.ndarray | RowView) -> RowView:
-    """`inputs` as a view: a RowView itself, an array as the view of all its rows."""
-    return inputs if isinstance(inputs, RowView) else RowView(inputs)
-
-
 @dataclass
 class Dataset:
-    """Samples and labels. `inputs` is a RowView or an array, made
-    C-contiguous on construction (a no-op for one that already is);
-    `labels` is kept as given."""
+    """Samples and labels. An array given as `inputs` becomes the view of
+    all its rows; `labels` is kept as given."""
 
-    inputs: np.ndarray | RowView  # [n, d] float64, read by row position
+    inputs: RowView  # [n, d] float64, read by row position
     labels: np.ndarray  # [n] int64
 
     def __post_init__(self):
         if not isinstance(self.inputs, RowView):
-            self.inputs = np.ascontiguousarray(self.inputs)
+            self.inputs = RowView(self.inputs)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -87,7 +82,7 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         """Rows `idx` as a view over the same source inputs; only labels are copied."""
-        return Dataset(as_rows(self.inputs).select(idx), self.labels[idx])
+        return Dataset(self.inputs.select(idx), self.labels[idx])
 
 
 def split_train_val(ds: Dataset, val_ratio: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -3,12 +3,14 @@ result is its per-task records: after task t, the accuracies on tasks 1..t
 (row t of the accuracy matrix), their mean and the model size.
 
 A sequence keeps one source copy of its training and one of its test inputs.
-A task's train, val and test splits are views over them (data.RowView), built
-once by its generator: permuted and rotated tasks share one row split and
-differ by a column map; split tasks own disjoint class rows. Training gathers
-inputs a minibatch at a time, the Fisher estimate, soft targets and scoring a
-512-row chunk at a time; only the expansion search stacks a split whole (its
-validation rows, once per search).
+A task's train, val and test splits are Datasets whose inputs are views over
+them (data.RowView), built once by its generator: permuted and rotated tasks
+share one row split and differ by a column map; split tasks own disjoint
+class rows. Every task kind sizes its output from the largest label of the
+training and test data together. Training gathers inputs a minibatch at a
+time, the Fisher estimate, soft targets and scoring a 512-row chunk at a time;
+only the expansion search stacks a split whole (its validation rows, once per
+search).
 
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import SearchConfig, init_policy, search_child
-from .data import Dataset, RowView, as_rows, split_train_val
+from .data import Dataset, RowView, split_train_val
 from .distill import CompressConfig, compress
 from .netcore import Arch, DenseNet, evaluate, init_network
 from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
@@ -56,13 +58,18 @@ class Task:
     num_classes: int
 
 
+def _class_count(train_ds: Dataset, test_ds: Dataset) -> int:
+    """Output width of every task kind: one past the largest label of either split."""
+    return int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+
+
 def _mapped_tasks(train_ds: Dataset, test_ds: Dataset, seed: int,
                   maps: list[np.ndarray | None]) -> list[Task]:
     """One task per column map over the same train/val/test rows; input j
     reads source column cols[j], 0.0 where -1 (None: identity)."""
-    n_classes = int(train_ds.labels.max()) + 1
+    n_classes = _class_count(train_ds, test_ds)
     tr, va = split_train_val(train_ds, VAL_RATIO, subseed(seed, "valsplit"))
-    parts = [(as_rows(ds.inputs), ds.labels) for ds in (tr, va, test_ds)]
+    parts = [(ds.inputs, ds.labels) for ds in (tr, va, test_ds)]
     if any(v.cols is not None for v, _ in parts):
         raise ValueError("task generators read source rows, not column-mapped views")
     return [Task(*(Dataset(RowView(v.source, v.rows, cols), y) for v, y in parts), n_classes)
@@ -100,11 +107,6 @@ def rotation_columns(d: int, angle_deg: float) -> np.ndarray:
     return np.where(inside, sr * side + sc, -1).ravel()
 
 
-def rotate_images(inputs: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Nearest-neighbor rotation about the image center, zero fill outside."""
-    return RowView(inputs, cols=rotation_columns(inputs.shape[1], angle_deg))[:]
-
-
 def gen_rotated_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
                       seed: int) -> list[Task]:
     """Task t rotates every image by (t-1) * 180/T degrees."""
@@ -120,7 +122,7 @@ def gen_split_tasks(train_ds: Dataset, test_ds: Dataset, num_tasks: int,
     """Contiguous class blocks per task, labels remapped to 0..K_t-1."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
-    n_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+    n_classes = _class_count(train_ds, test_ds)
     if n_classes % num_tasks != 0:
         raise ValueError(f"{n_classes} classes not divisible into {num_tasks} tasks")
     per = n_classes // num_tasks
@@ -171,11 +173,6 @@ class RunResult:
     records: list[dict]
     search_log: list[dict]
     final_net: DenseNet
-
-
-def _test_accuracy(net: DenseNet, task: Task) -> float:
-    """Accuracy on the task's test split, gathered one 512-row chunk at a time."""
-    return evaluate(net, task.test.inputs, task.test.labels)
 
 
 def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
@@ -238,11 +235,11 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
         net = (compress(child, net, task.train, method.compress_cfg, method.batch_size,
                         subseed(seed, "distill", t)) if distills else child)
 
-        row = [_test_accuracy(net, tk) for tk in tasks[:t + 1]]
+        row = [evaluate(net, tk.test.inputs, tk.test.labels) for tk in tasks[:t + 1]]
         if distills:  # the student is the carried net, scored once in row
             extra.update({
                 "child_param_count": child.param_count(),
-                "child_new_task_acc": _test_accuracy(child, task),
+                "child_new_task_acc": evaluate(child, task.test.inputs, task.test.labels),
                 "student_new_task_acc": row[t],
             })
 

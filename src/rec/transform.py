@@ -6,6 +6,9 @@ int64 array `ref` over the new net's flat view where `ref[j]` is the old flat
 position whose value coordinate j still holds, or -1 when it holds none
 (replicated, rescaled or inserted). Composing steps and aligning the
 previous-task anchor and Fisher both go through this one vector.
+
+Any list of actions composes; the search's sampler (controller.sample_episode)
+limits how many an episode holds.
 """
 
 from __future__ import annotations
@@ -15,14 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcore import Arch, DenseNet, Layer
-
-MAX_WIDER_ACTIONS = 2
-MAX_DEEPER_ACTIONS = 3
-
-
-class CapViolation(ValueError):
-    pass
-
 
 @dataclass(frozen=True)
 class WiderAction:
@@ -99,17 +94,8 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarra
 
 def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction],
                   seed: int = 0) -> tuple[DenseNet, np.ndarray]:
-    """Sequential composition of morphisms; enforces the per-episode caps.
-
-    Returns the child and its reference vector into `net`'s flat view.
-    """
-    n_wider = sum(isinstance(a, WiderAction) for a in actions)
-    n_deeper = sum(isinstance(a, DeeperAction) for a in actions)
-    if n_wider > MAX_WIDER_ACTIONS:
-        raise CapViolation(f"{n_wider} wider actions exceed the cap of {MAX_WIDER_ACTIONS}")
-    if n_deeper > MAX_DEEPER_ACTIONS:
-        raise CapViolation(f"{n_deeper} deeper actions exceed the cap of {MAX_DEEPER_ACTIONS}")
-
+    """Sequential composition of morphisms: the child and its reference
+    vector into `net`'s flat view."""
     current, ref = net, np.arange(net.param_count())
     for i, action in enumerate(actions):
         if isinstance(action, WiderAction):

@@ -230,6 +230,22 @@ class TestRunCommand:
                 "16x36 images\n")
             assert not list((tmp_path / "out").glob("results_*"))
 
+    def test_idx_train_and_test_sizes_differ_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        (tmp_path / "train").mkdir()
+        (tmp_path / "test").mkdir()
+        train = write_idx_pair(tmp_path / "train", rng.integers(0, 256, (100, 8, 8)),
+                               np.arange(100) % 4)
+        test = write_idx_pair(tmp_path / "test", rng.integers(0, 256, (40, 6, 6)),
+                              np.arange(40) % 4)
+        p = write_cfg(tmp_path, f"dataset = {train[0]},{train[1]};{test[0]},{test[1]}\n"
+                      "tasks = 2\nmethods = sn\nhidden = 8\nepochs = 1\n", tmp_path / "out")
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"run failed: ValueError: train and test images differ in size: {train[0]} "
+            f"holds 8x8 images, {test[0]} holds 6x6 images\n")
+        assert not list((tmp_path / "out").glob("results_*"))
+
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG, tmp_path / "out")
         assert main(["run", str(cfg)]) == 0
@@ -250,6 +266,24 @@ class TestRunCommand:
                      "final_sn_s0.recnet"):
             assert (tmp_path / "o1" / name).read_bytes() == \
                 (tmp_path / "o2" / name).read_bytes()
+
+    def test_rerun_writes_identical_files(self, tmp_path):
+        # every file, not only the reports: records, search logs, checkpoints
+        body = ("methods = sn,ewc,net2net_ewc,rec\nseeds = 0\ntasks = 3\ntask_kind = rotated\n"
+                "reward_scope = all-learned\nside = 6\nclasses = 4\ntrain_samples = 300\n"
+                "test_samples = 100\nhidden = 12,12\nepochs = 2\nbatch_size = 64\n"
+                "fisher_samples = 60\nsearch_budget = 3\nm_children = 2\nchild_epochs = 1\n"
+                "compress_epochs = 2\n")
+        written = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            assert main(["run", str(write_cfg(tmp_path, body, out, f"{tag}.txt"))]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(written[0]) == [
+            *(f"final_{m}_s0.recnet" for m in ("ewc", "net2net_ewc", "rec", "sn")),
+            *(f"results_{m}_s0.jsonl" for m in ("ewc", "net2net_ewc", "rec", "sn")),
+            "search_rec_s0.jsonl", "series.csv", "summary.csv"]
+        assert written[0] == written[1]
 
     def test_diverging_job_does_not_stop_the_others(self, tmp_path, capsys):
         # lambda_ewc = 1e6 blows up rec's consolidation; sn has no penalty.

@@ -247,6 +247,20 @@ class TestSearchChild:
             flats.append(result.net.get_flat())
         assert np.array_equal(flats[0], flats[1])
 
+    def test_children_hold_as_many_insertions_as_the_config_allows(self):
+        # SearchConfig.max_deeper is the one insertion cap: a never-stopping
+        # policy fills it, and each of those children is built and trained
+        net, train, val, anchor, fisher = trained_prev(4)
+        policy = init_policy(16)
+        policy.b_wider = -1e3  # never widen
+        policy.b_stop = -1e3  # never stop
+        scfg = SearchConfig(budget=2, m_children=2, child_epochs=1, max_deeper=4)
+        result, _ = search_child(net, fit_on(train, anchor, fisher), [val],
+                                 policy, None, seed=3, search_cfg=scfg)
+        assert [r["actions"].count("D") for r in result.log] == [4, 4]
+        assert not any(r["diverged"] for r in result.log)
+        assert len(result.net.arch.hidden_widths) == len(ARCH.hidden_widths) + 4
+
     def test_empty_validation_rejected(self):
         net, train, val, anchor, fisher = trained_prev(3)
         empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int))

@@ -22,8 +22,8 @@ def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):
 def test_dataset_inputs_become_row_major():
     x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
     ds = Dataset(x, np.zeros(4, dtype=np.int64))
-    assert ds.inputs.flags.c_contiguous
-    assert np.array_equal(ds.inputs, x)
+    assert ds.inputs.source.flags.c_contiguous
+    assert np.array_equal(ds.inputs[:], x)
     assert ds.subset(np.array([3, 1])).inputs[:].flags.c_contiguous
 
 
@@ -47,7 +47,7 @@ class TestIdx:
         images = np.arange(3 * 2 * 2).reshape(3, 2, 2) * 20
         img, lab = write_idx_pair(tmp_path, images, np.array([0, 2, 1]))
         ds = load_idx_dataset(img, lab)
-        assert np.allclose(ds.inputs, images.reshape(3, 4) / 255.0)
+        assert np.allclose(ds.inputs[:], images.reshape(3, 4) / 255.0)
         assert ds.labels.tolist() == [0, 2, 1]
 
     @pytest.mark.parametrize("size", [0, 7, 15])

@@ -21,7 +21,7 @@ class TestCollectSoftTargets:
     def test_identity_teacher(self, rng):
         net = DenseNet(Arch(3, (), 3), [Layer(np.eye(3), np.zeros(3))])
         ds = Dataset(rng.standard_normal((7, 3)), np.zeros(7, dtype=int))
-        assert np.array_equal(collect_soft_targets(net, ds), ds.inputs)
+        assert np.array_equal(collect_soft_targets(net, ds), ds.inputs[:])
 
     def test_repeat_determinism(self, rng):
         net = init_network(Arch(4, (5,), 2), seed=1)

@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from rec.data import Dataset, split_train_val, synthetic_classes
+from rec.data import Dataset, RowView, split_train_val, synthetic_classes
 from rec.distill import CompressConfig
 from rec import lifelong
 from rec.lifelong import (METHODS, VAL_RATIO, gen_permuted_tasks,
-                          gen_rotated_tasks, gen_split_tasks, method_config, rotate_images,
+                          gen_rotated_tasks, gen_split_tasks, method_config,
                           rotation_columns, run_sequence, subseed)
 from rec.controller import SearchConfig
 from rec.netcore import Arch, evaluate, init_network, predict_logits
@@ -59,7 +59,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(100, 50, 6, 5, seed=11)
         seq = gen_permuted_tasks(train, test, 3, seed=0)
         assert seq[0].train.inputs.cols is None
-        assert np.array_equal(seq[0].test.inputs[:], test.inputs)
+        assert np.array_equal(seq[0].test.inputs[:], test.inputs[:])
 
     def test_permuted_tasks_use_distinct_permutations(self, small_bench):
         cols = [t.train.inputs.cols for t in small_bench[1:]]
@@ -77,7 +77,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(80, 40, 6, 5, seed=3)
         seq = gen_permuted_tasks(train, test, 2, seed=1)
         perm = self._perms(36, 2, seed=1)[1]
-        assert np.array_equal(seq[1].test.inputs[:], test.inputs[:, perm])
+        assert np.array_equal(seq[1].test.inputs[:], test.inputs[:][:, perm])
 
     def test_val_split_disjoint_from_train(self, small_bench):
         t = small_bench[0]
@@ -119,7 +119,8 @@ class TestTaskGenerators:
             outside = [] if cols is None else np.flatnonzero(cols < 0)
             for name, rows in source.items():
                 split = getattr(task, name)
-                assert self._same_bits(split.inputs[:], rotate_images(rows.inputs[:], angle))
+                rotated = RowView(rows.inputs[:], cols=rotation_columns(36, angle))[:]
+                assert self._same_bits(split.inputs[:], rotated)
                 assert self._same_bits(split.labels, rows.labels)
                 # zero fill is +0.0 exactly, whatever the source pixel holds
                 assert self._same_bits(split.inputs[:][:, outside],
@@ -130,13 +131,13 @@ class TestTaskGenerators:
     @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
     def test_sequence_keeps_one_copy_of_the_data(self, gen):
         train, test = synthetic_classes(300, 100, 16, 4, seed=6)
-        source_bytes = train.inputs.nbytes + test.inputs.nbytes
+        source_bytes = train.inputs.source.nbytes + test.inputs.source.nbytes
         seq, retained, _ = traced_memory(gen, train, test, 10, seed=0)
         assert retained < source_bytes / 4, (retained, source_bytes)
         for name in ("train", "val", "test"):
             source = getattr(seq[0], name).inputs.source
             assert all(getattr(task, name).inputs.source is source for task in seq)
-        assert np.shares_memory(seq[0].test.inputs.source, test.inputs)
+        assert seq[0].test.inputs.source is test.inputs.source
 
     @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks])
     def test_column_mapped_source_rejected(self, gen):
@@ -160,7 +161,7 @@ class TestTaskGenerators:
         train, test = synthetic_classes(60, 30, 6, 4, seed=5)
         seq = gen_rotated_tasks(train, test, 4, seed=0)
         assert seq[0].train.inputs.cols is None
-        assert np.array_equal(seq[0].test.inputs[:], test.inputs)
+        assert np.array_equal(seq[0].test.inputs[:], test.inputs[:])
 
     def test_split_blocks_and_remap(self):
         train, test = synthetic_classes(400, 200, 6, 6, seed=9)
@@ -171,6 +172,14 @@ class TestTaskGenerators:
         block = np.isin(test.labels, [4, 5])  # task 3 holds classes 4 and 5
         assert np.array_equal(seq[2].test.labels, test.labels[block] - 4)
         assert np.array_equal(seq[2].test.inputs[:], test.inputs[block])
+
+    @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks])
+    def test_class_count_reads_train_and_test_labels(self, gen):
+        # class 2 occurs only in the test split; it still gets an output
+        train, test = synthetic_classes(100, 40, 6, 3, seed=1)
+        train = Dataset(train.inputs, np.arange(100) % 2)
+        test = Dataset(test.inputs, np.arange(40) % 3)
+        assert [task.num_classes for task in gen(train, test, 1, seed=0)] == [3]
 
     def test_split_rejects_non_divisible(self):
         train, test = synthetic_classes(100, 50, 6, 5, seed=9)
@@ -215,18 +224,19 @@ class TestTaskGenerators:
             for t in range(num_tasks):
                 def block(ds):
                     sel = np.isin(ds.labels, np.arange(t * per, (t + 1) * per))
-                    return ds.inputs[sel], ds.labels[sel] - t * per
+                    return ds.inputs[:][sel], ds.labels[sel] - t * per
                 out.append({**parts(*block(train), subseed(seed, "valsplit", t)),
                             "test": block(test)})
             return out
-        base = {**parts(train.inputs, train.labels, subseed(seed, "valsplit")),
-                "test": (test.inputs, test.labels)}
+        base = {**parts(train.inputs[:], train.labels, subseed(seed, "valsplit")),
+                "test": (test.inputs[:], test.labels)}
         d = train.input_dim
         if kind == "permuted":
             throughs = [lambda x, p=p: np.take(x, p, axis=1)
                         for p in TestTaskGenerators._perms(d, num_tasks, seed)]
         else:
-            throughs = [lambda x, a=t * 180.0 / num_tasks: rotate_images(x, a)
+            throughs = [lambda x, a=t * 180.0 / num_tasks:
+                        RowView(x, cols=rotation_columns(d, a))[:]
                         for t in range(num_tasks)]
         return [{name: (through(x), y) for name, (x, y) in base.items()}
                 for through in throughs]
@@ -236,7 +246,7 @@ class TestTaskGenerators:
         # Minibatches, 512-row chunks (a short last one too) and whole splits
         # read through a view equal the rows of the materialized split.
         train, test = synthetic_classes(1500, 1300, 6, 4, seed=8)
-        train.inputs += 1.0  # so that a -1 column left unzeroed would show
+        train.inputs.source += 1.0  # so that a -1 column left unzeroed would show
         seq = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
                "split": gen_split_tasks}[kind](train, test, 4 if kind != "split" else 2, seed=3)
         expected = self._materialized(train, test, kind, 3, len(seq))
@@ -285,27 +295,28 @@ class TestTaskGenerators:
 class TestRotateImages:
     def test_zero_rotation_identity(self, rng):
         x = rng.random((4, 25))
-        assert np.array_equal(rotate_images(x, 0.0), x)
+        assert np.array_equal(RowView(x, cols=rotation_columns(x.shape[1], 0.0))[:], x)
 
     def test_180_equals_double_flip(self, rng):
         x = rng.random((3, 49))
-        rot = rotate_images(x, 180.0)
+        rot = RowView(x, cols=rotation_columns(x.shape[1], 180.0))[:]
         expect = x.reshape(3, 7, 7)[:, ::-1, ::-1].reshape(3, 49)
         assert np.allclose(rot, expect, atol=1e-12)
 
     def test_360_round_trip(self, rng):
         x = rng.random((2, 64))
-        assert np.allclose(rotate_images(x, 360.0), x, atol=1e-12)
+        rot = RowView(x, cols=rotation_columns(x.shape[1], 360.0))[:]
+        assert np.allclose(rot, x, atol=1e-12)
 
     def test_90_preserves_mass_of_centered_square(self):
         # A symmetric pattern about the center survives any multiple of 90.
         x = np.zeros((1, 25))
         x[0, 12] = 1.0
-        assert np.allclose(rotate_images(x, 90.0), x)
+        assert np.allclose(RowView(x, cols=rotation_columns(x.shape[1], 90.0))[:], x)
 
-    def test_non_square_rejected(self, rng):
+    def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            rotate_images(rng.random((2, 30)), 45.0)
+            rotation_columns(30, 45.0)
 
     @pytest.mark.parametrize("angle", [30.0, 45.0, 90.0, 137.5])
     def test_clipped_gather_then_zero_fill(self, rng, angle):
@@ -322,7 +333,7 @@ class TestRotateImages:
         expect = np.take(x, (np.clip(sr, 0, side - 1) * side + np.clip(sc, 0, side - 1)).ravel(),
                          axis=1)
         expect[:, ~inside] = 0.0
-        got = rotate_images(x, angle)
+        got = RowView(x, cols=rotation_columns(x.shape[1], angle))[:]
         assert got.tobytes() == expect.tobytes()
         assert np.array_equal(rotation_columns(side * side, angle) < 0, ~inside)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rec.netcore import Arch, init_network, predict_logits
-from rec.transform import (CapViolation, DeeperAction, WiderAction, action_to_line,
-                           align_reference, apply_actions, net2deeper, net2wider)
+from rec.transform import (DeeperAction, WiderAction, action_to_line, align_reference,
+                           apply_actions, net2deeper, net2wider)
 
 
 def random_net(seed, arch=Arch(5, (4, 3), 2)):
@@ -107,15 +107,15 @@ class TestApplyActions:
         x = np.random.default_rng(3).standard_normal((100, 5))
         assert logits_close(net, net2, x, 1e-10)
 
-    def test_wider_cap(self):
+    def test_any_number_of_actions_composes(self):
+        # how many actions an episode holds is the sampler's cap, not a rule here
         net = random_net(12)
-        with pytest.raises(CapViolation):
-            apply_actions(net, [WiderAction(0, 5), WiderAction(0, 6), WiderAction(1, 4)])
-
-    def test_deeper_cap(self):
-        net = random_net(13)
-        with pytest.raises(CapViolation):
-            apply_actions(net, [DeeperAction(0)] * 4)
+        actions = ([WiderAction(0, 5), WiderAction(0, 6), WiderAction(1, 4)]
+                   + [DeeperAction(0)] * 4)
+        net2, _ = apply_actions(net, actions, seed=2)
+        assert net2.arch.hidden_widths == (6, 6, 6, 6, 6, 4)
+        x = np.random.default_rng(4).standard_normal((50, 5))
+        assert logits_close(net, net2, x, 1e-10)
 
     def test_param_count_strictly_increases(self):
         net = random_net(14)
