@@ -254,7 +254,7 @@ class SearchResult:
 
 
 # fit(net, ref, epochs, seed): train net, whose reference vector is ref, on
-# the task's own objective and SGD settings; mutates and returns net.
+# the task's CE, consolidation penalty and SGD settings; mutates and returns net.
 Fit = Callable[[DenseNet, np.ndarray, int, int], DenseNet]
 
 
@@ -264,7 +264,7 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
     """Episode loop of the expansion search.
 
     Each child is created by the sampled morphisms, fine-tuned for
-    `search_cfg.child_epochs` through `fit` (the task's own objective and SGD
+    `search_cfg.child_epochs` through `fit` (the task's own loss and SGD
     settings), and scored on the validation data (the rows of every val_sets
     view, gathered and stacked once); rewards update the policy in batches of
     m. Returns the best-scoring child seen and the reward moving average

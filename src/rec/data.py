@@ -28,11 +28,11 @@ SYNTHETIC_NOISE = 0.6  # std of the isotropic noise added to class prototypes
 class RowView:
     """Rows of `source` read through an optional row index and column map.
 
-    `view[key]` (a slice or an index array over the view's rows) gathers the
-    source rows `rows[key]`, then their columns `cols` (exactly +0.0 where
-    cols[j] is -1), into a new C-contiguous array; a slice of a view with
-    neither is a NumPy view of the source rows. `shape` and `len` describe
-    the view; nothing else reads the source.
+    `view[key]` (key a slice or 1-D integer array over the view's rows, else
+    IndexError) gathers the source rows `rows[key]`, then their columns `cols`
+    (exactly +0.0 where cols[j] is -1), into a new C-contiguous array; a slice
+    of a view with neither is a NumPy view of the source rows. `shape` and
+    `len` describe the view; nothing else reads the source.
     """
 
     def __init__(self, source: np.ndarray, rows: np.ndarray | None = None,
@@ -48,6 +48,10 @@ class RowView:
         return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
+        if not (isinstance(key, slice) or isinstance(key, np.ndarray) and key.ndim == 1
+                and key.dtype.kind in "iu"):
+            raise IndexError(f"a row view takes a slice or a 1-D integer array, "
+                             f"not {type(key).__name__}")
         out = self.source[key if self.rows is None else self.rows[key]]
         if self.cols is None:
             return out

@@ -1,8 +1,8 @@
 """Logit-matching knowledge distillation: compress an expanded child back into
 the carried model (l2 loss on teacher logits, then joint hard+soft). A copy
 of the carried net is the student, so the result keeps its architecture; it
-trains through regularize.train_task with a KD/CE objective against the
-teacher's logits, a plain [n, K] array collected once."""
+trains through regularize.train_task with a KD/CE logit loss, against the
+teacher's logits (a plain [n, K] array collected once), and no penalty."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .netcore import Batch, DenseNet, backward, forward, loss_ce, predict_logits
+from .netcore import DenseNet, loss_ce, predict_logits
 from .regularize import train_task
 
 
@@ -55,13 +55,12 @@ def compress(teacher: DenseNet, student: DenseNet, dataset: Dataset,
     targets = collect_soft_targets(teacher, dataset)
     warm = int(round(cfg.kd_warmup_frac * cfg.epochs))
 
-    def objective(net: DenseNet, batch: Batch, rows: np.ndarray, epoch: int):
-        logits, acts = forward(net, batch)
+    def kd_then_joint(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, epoch: int):
         value, dlogits = kd_loss(logits, targets[rows])
         if epoch >= warm:
-            ce_v, ce_d = loss_ce(logits, batch.labels)
+            ce_v, ce_d = loss_ce(logits, labels)
             value, dlogits = ce_v + value, ce_d + dlogits
-        return value, backward(net, acts, dlogits)
+        return value, dlogits
 
-    return train_task(student.copy(), dataset, objective, cfg.epochs, batch_size, cfg.lr,
-                      seed, cfg.momentum)
+    return train_task(student.copy(), dataset, kd_then_joint, None, cfg.epochs, batch_size,
+                      cfg.lr, seed, cfg.momentum)

@@ -25,7 +25,7 @@ import numpy as np
 from .controller import SearchConfig, init_policy, search_child
 from .data import Dataset, RowView, split_train_val
 from .distill import CompressConfig, compress
-from .netcore import Arch, DenseNet, evaluate, init_network
+from .netcore import Arch, DenseNet, evaluate, init_network, loss_ce
 from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
 from .transform import WiderAction, action_to_line, apply_actions
 
@@ -182,7 +182,7 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
     Every task is the same three steps, switched by the method's config:
     optionally expand the carried net (searched children when the method
     compresses, else a capped widening of the first hidden layer), train it
-    on the consolidation objective (an anchor exists only when some lambda is
+    on CE plus the consolidation penalty (anchored only when some lambda is
     positive), and optionally distill it into a copy of the carried net.
     Every task, split tasks too, trains and is scored through the net's one
     output layer. Every split is a view, so a task's inputs are resident only
@@ -208,10 +208,10 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
 
         def fit(model: DenseNet, model_ref: np.ndarray | None, epochs: int,
                 fit_seed: int) -> DenseNet:
-            """The task's one training recipe (its consolidation objective and
+            """The task's one training recipe (CE, its consolidation penalty and
             the method's SGD settings), for its own net and every child."""
-            objective = consolidation(anchor, fisher, method.penalty, model_ref)
-            return train_task(model, task.train, objective, epochs, method.batch_size,
+            penalty = consolidation(anchor, fisher, method.penalty, model_ref)
+            return train_task(model, task.train, loss_ce, penalty, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
         child, ref, actions = net, None, []  # ref None: the identity

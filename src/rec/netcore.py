@@ -141,8 +141,10 @@ def forward(net: DenseNet, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
     return acts[-1], acts
 
 
-def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
+def loss_ce(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None,
+            epoch: int = 0) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits. rows and
+    epoch are unused; with them it is a regularize.train_task logit loss."""
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)

@@ -1,18 +1,18 @@
-"""Fisher-diagonal estimation, the consolidation penalty family, and the one
+"""Fisher-diagonal estimation, the consolidation penalty, and the one
 minibatch SGD loop every model in the package is trained with.
 
-The anchor (previous-task parameters) and its Fisher diagonal are plain
-float64 vectors aligned with a net's flat view, one number per parameter.
-The combined loss is CE + quadratic Fisher anchoring + smoothed l2,1 coupling
-of current/previous weights + smoothed l1 sparsity. With an expansion mask the
-anchored terms skip new coordinates and the l1 term applies only to them; an
-absent or all-False mask means no expansion, and l1 covers every coordinate.
-`mwc_loss` evaluates the terms on full-length vectors (aligned anchor and
-Fisher hold zeros at new coordinates) and skips every term whose lambda is 0;
+A step's loss is a logit loss (CE; KD and CE in distill) plus an optional
+parameter penalty. The anchor (previous-task parameters) and its Fisher
+diagonal are float64 vectors aligned with a net's flat view. The penalty is
+quadratic Fisher anchoring + smoothed l2,1 coupling of current/previous
+weights + smoothed l1 sparsity. With an expansion mask the anchored terms skip
+new coordinates and l1 applies only to them; an absent or all-False mask means
+no expansion, and l1 covers every coordinate. `mwc_penalty` evaluates the
+terms on full-length vectors and skips every term whose lambda is 0;
 `ewc_term`, `l21_term` and `l1_term` are the reference formulas it matches.
-`consolidation` builds that objective for a net whose previous-task anchor is
-gathered through a reference vector (transform); `train_task` runs SGD on any
-objective.
+`consolidation` binds it to an anchor gathered through a reference vector
+(transform). A `train_task` step is one forward, the logit loss, one backward,
+then the penalty; `mwc_loss` is one such step with CE.
 """
 
 from __future__ import annotations
@@ -130,39 +130,33 @@ def l1_term(params: np.ndarray, mask: np.ndarray | None, lambda_1: float,
     return lambda_1 * float(np.sum(root[mask])), grad
 
 
-def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.ndarray | None,
-             cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Full consolidation objective: value and flat gradient.
+def mwc_penalty(params: np.ndarray, grads: np.ndarray, anchor: np.ndarray,
+                fisher: np.ndarray, cfg: PenaltyConfig, mask: np.ndarray | None = None) -> float:
+    """The consolidation penalty at `params`: returns its value and adds its
+    gradient into `grads` in place.
 
-    anchor/fisher absent disables every penalty (first-task objective). A mask
-    with any True entry marks expanded coordinates: anchor and fisher must then
-    already be aligned to the current flat view (zeros at masked positions; see
-    transform.align_reference). None and an all-False mask both mean no
-    expansion.
+    A mask with any True entry marks expanded coordinates: anchor and fisher
+    must then already be aligned to the current flat view (zeros at masked
+    positions; see transform.align_reference). None and an all-False mask both
+    mean no expansion.
 
     Each term is computed on full-length vectors, and a term whose lambda is 0
     is skipped. The zeros of aligned vectors make the Fisher term vanish on
     masked coordinates, and there sqrt(p^2 + a^2 + eps^2) is the l1 root, so
     an expanded net gets one root weighted lambda_21 on anchored and lambda_1
-    on new coordinates. The gradient equals ewc_term and l21_term over the
-    unmasked coordinates plus l1_term over the masked ones, added in that
+    on new coordinates. The gradient added equals ewc_term and l21_term over
+    the unmasked coordinates plus l1_term over the masked ones, added in that
     order, bit for bit (up to the sign of an exact zero, which a skipped term
     can flip); the value equals their sum up to summation order.
     """
-    logits, acts = forward(net, batch)
-    value, dlogits = loss_ce(logits, batch.labels)
-    grads = backward(net, acts, dlogits)
-    if anchor is None:
-        return value, grads
-
-    assert fisher is not None
-    p, a = net.params, anchor
+    p, a = params, anchor
     if mask is not None and mask.shape != p.shape:
         raise ValueError("mask length differs from net parameter count")
     lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
     # Every temporary of the penalty lives in these two vectors, updated in
     # place, so a step allocates two parameter-length arrays, not one per op.
     buf, work = np.empty_like(p), np.empty_like(p)
+    value = 0.0
     if cfg.lambda_ewc:
         diff = np.subtract(p, a, out=buf)
         np.multiply(cfg.lambda_ewc, fisher, out=work)
@@ -179,7 +173,7 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
             work *= p
             work /= root
             grads += work
-        return value, grads
+        return value
     for lam, anchored in ((lam_21, a), (lam_1, None)):
         if lam:
             root = _smoothed_root(p, anchored, eps2, buf, work)
@@ -187,7 +181,7 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
             np.multiply(lam, p, out=work)
             work /= root
             grads += work
-    return value, grads
+    return value
 
 
 def _smoothed_root(p: np.ndarray, a: np.ndarray | None, eps2: float, out: np.ndarray,
@@ -200,33 +194,50 @@ def _smoothed_root(p: np.ndarray, a: np.ndarray | None, eps2: float, out: np.nda
     return np.sqrt(out, out=out)
 
 
-# objective(net, batch, rows, epoch) -> (loss value, flat gradient); rows are
-# the batch's row indices into the training set, epoch counts from 0.
-Objective = Callable[[DenseNet, Batch, np.ndarray, int], tuple[float, np.ndarray]]
+def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable | None,
+          rows: np.ndarray | None, epoch: int) -> tuple[float, np.ndarray]:
+    """One training step's loss value and flat gradient."""
+    logits, acts = forward(net, batch)
+    value, dlogits = logit_loss(logits, batch.labels, rows, epoch)
+    grads = backward(net, acts, dlogits)
+    if penalty is not None:
+        value += penalty(net.params, grads)
+    return value, grads
+
+
+def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.ndarray | None,
+             cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Value and flat gradient of one training step with loss_ce and
+    mwc_penalty; without an anchor, of CE alone (the first-task objective)."""
+    penalty = None if anchor is None else (
+        lambda params, grads: mwc_penalty(params, grads, anchor, fisher, cfg, mask))
+    return _step(net, batch, loss_ce, penalty, None, 0)
 
 
 def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
-                  ref: np.ndarray | None = None) -> Objective:
-    """The mwc_loss objective for a net whose flat view `ref` describes.
-
-    The previous-task anchor and Fisher are gathered through the reference
-    vector (identity when None; see transform), and the coordinates with
-    ref < 0 form the loss mask. Without an anchor the objective is plain CE.
-    """
+                  ref: np.ndarray | None = None) -> Callable | None:
+    """mwc_penalty for a net whose flat view `ref` describes, or None without
+    an anchor. The anchor and Fisher are gathered through the reference vector
+    (identity when None; see transform), and ref < 0 is the mask."""
     if anchor is None:
-        return lambda net, batch, rows, epoch: mwc_loss(net, batch, None, None, cfg)
+        return None
     if ref is None:
         ref = np.arange(anchor.size)
     aligned = align_reference(anchor, ref), align_reference(fisher, ref)
     mask = ref < 0
-    return lambda net, batch, rows, epoch: mwc_loss(net, batch, *aligned, cfg, mask)
+    return lambda params, grads: mwc_penalty(params, grads, *aligned, cfg, mask)
 
 
-def train_task(net: DenseNet, train_set: Dataset, objective: Objective, epochs: int,
-               batch_size: int, lr: float, seed: int, momentum: float = 0.0) -> DenseNet:
-    """Minibatch SGD on `objective`; seeded shuffling; mutates and returns net.
+def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty: Callable | None,
+               epochs: int, batch_size: int, lr: float, seed: int,
+               momentum: float = 0.0) -> DenseNet:
+    """Minibatch SGD with seeded shuffling; mutates and returns net.
 
-    Raises TrainingDiverged on the first non-finite loss value or gradient;
+    Each step runs one forward, then logit_loss(logits, labels, rows, epoch)
+    -> (value, dlogits), where rows index the batch into train_set and epoch
+    counts from 0, then one backward, then (unless None) penalty(params,
+    grads) -> value, which adds its gradient into grads in place. Raises
+    TrainingDiverged on the first non-finite loss value or gradient;
     floating-point warnings on the way there are silenced.
     """
     rng = np.random.default_rng(seed)
@@ -238,7 +249,7 @@ def train_task(net: DenseNet, train_set: Dataset, objective: Objective, epochs: 
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
                 batch = Batch(train_set.inputs[idx], train_set.labels[idx])
-                value, grads = objective(net, batch, idx, epoch)
+                value, grads = _step(net, batch, logit_loss, penalty, idx, epoch)
                 if not np.isfinite(value) or not np.all(np.isfinite(grads)):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch offset {start}: value={value}")

@@ -6,7 +6,7 @@ import pytest
 from rec.controller import (SearchConfig, _deeper_probs, _wider_prob, encode, init_policy,
                             reinforce_update, reward_transform, sample_episode, search_child)
 from rec.data import Dataset
-from rec.netcore import Arch, init_network
+from rec.netcore import Arch, init_network, loss_ce
 from rec.regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
 from rec.transform import DeeperAction, WiderAction
 
@@ -18,16 +18,15 @@ def trained_prev(seed=0):
     train = Dataset(rng.standard_normal((300, 6)), rng.integers(0, 3, 300))
     val = Dataset(rng.standard_normal((80, 6)), rng.integers(0, 3, 80))
     net = init_network(ARCH, seed)
-    train_task(net, train, consolidation(None, None, PenaltyConfig()),
-               2, 64, 0.01, seed)
+    train_task(net, train, loss_ce, None, 2, 64, 0.01, seed)
     fisher = estimate_fisher(net, train, 100, seed)
     return net, train, val, net.get_flat(), fisher
 
 
 def fit_on(train, anchor, fisher, cfg=PenaltyConfig()):
-    """A task's fit: its consolidation objective, batch 64, lr 0.01."""
+    """A task's fit: CE plus its consolidation penalty, batch 64, lr 0.01."""
     def fit(net, ref, epochs, seed):
-        return train_task(net, train, consolidation(anchor, fisher, cfg, ref),
+        return train_task(net, train, loss_ce, consolidation(anchor, fisher, cfg, ref),
                           epochs, 64, 0.01, seed)
     return fit
 
@@ -223,8 +222,8 @@ class TestSearchChild:
                                  policy, None, seed=5, search_cfg=scfg)
         assert result.actions == []
         expect = net.copy()
-        objective = consolidation(anchor, fisher, cfg)
-        train_task(expect, train, objective, 2, 64, 0.01, seed=5 + 2)
+        penalty = consolidation(anchor, fisher, cfg)
+        train_task(expect, train, loss_ce, penalty, 2, 64, 0.01, seed=5 + 2)
         assert np.array_equal(result.net.get_flat(), expect.get_flat())
 
     def test_best_of_seen(self):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, RowView, load_idx_dataset,
-                      load_idx_images, load_idx_labels)
+                      load_idx_images, load_idx_labels, synthetic_classes)
+from rec.lifelong import gen_permuted_tasks
 
 
 def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):
@@ -40,6 +41,23 @@ def test_row_views_compose():
     assert view.shape == expect.shape and len(view) == 4
     assert view[:].tobytes() == expect.tobytes()
     assert view[np.array([2, 0])].tobytes() == expect[[2, 0]].tobytes()
+
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), np.arange(36)[::-1]),  # a column key: composed with the map at the parent
+    np.ones(20, dtype=bool),
+    np.arange(4).reshape(2, 2),
+    np.array([0.0, 1.0]),
+    3,
+    [0, 1],
+], ids=["columns", "bool-mask", "2-d", "float", "int", "list"])
+def test_row_view_takes_only_a_slice_or_an_integer_row_array(key):
+    train, test = synthetic_classes(40, 20, 6, 3, seed=0)
+    view = gen_permuted_tasks(train, test, 2, seed=0)[1].test.inputs
+    assert view.cols is not None
+    with pytest.raises(IndexError, match=f"not {type(key).__name__}$"):
+        view[key]
 
 
 class TestIdx:

@@ -171,7 +171,7 @@ class TestTaskGenerators:
             assert set(np.unique(t.test.labels)) <= {0, 1}
         block = np.isin(test.labels, [4, 5])  # task 3 holds classes 4 and 5
         assert np.array_equal(seq[2].test.labels, test.labels[block] - 4)
-        assert np.array_equal(seq[2].test.inputs[:], test.inputs[block])
+        assert np.array_equal(seq[2].test.inputs[:], test.inputs[:][block])
 
     @pytest.mark.parametrize("gen", [gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks])
     def test_class_count_reads_train_and_test_labels(self, gen):
@@ -435,9 +435,11 @@ class TestRunSequence:
         calls = []
         real = lifelong.train_task
 
-        def recording(net, train_set, objective, epochs, batch_size, lr, seed, momentum):
+        def recording(net, train_set, logit_loss, penalty, epochs, batch_size, lr, seed,
+                      momentum):
             calls.append((epochs, batch_size, lr, momentum))
-            return real(net, train_set, objective, epochs, batch_size, lr, seed, momentum)
+            return real(net, train_set, logit_loss, penalty, epochs, batch_size, lr, seed,
+                        momentum)
 
         monkeypatch.setattr(lifelong, "train_task", recording)
         mc = _cfg("rec", epochs=2, batch_size=96, lr=0.02, momentum=0.5,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec.data import Dataset
+from rec.distill import kd_loss
 from rec.lifelong import method_config
 from rec.netcore import (Arch, Batch, DenseNet, Layer, backward, forward,
                          init_network, loss_ce)
@@ -311,24 +312,48 @@ def test_all_false_mask_is_no_expansion():
     assert g_none.tobytes() == g_empty.tobytes()
 
 
-def mwc_by_terms(net, batch, anchor, fisher, cfg, mask=None):
-    """Reference objective built from the term functions: CE, then ewc_term and
-    l21_term over the unmasked coordinates, then l1_term over the masked ones
-    (every coordinate when nothing is masked), each evaluated whatever its
-    lambda."""
-    logits, cache = forward(net, batch)
-    value, dlogits = loss_ce(logits, batch.labels)
-    grads = backward(net, cache, dlogits)
-    p = net.get_flat()
+def penalty_by_terms(p, grads, anchor, fisher, cfg, mask=None):
+    """Reference penalty built from the term functions: ewc_term and l21_term
+    over the unmasked coordinates, then l1_term over the masked ones (every
+    coordinate when nothing is masked), each evaluated whatever its lambda and
+    added into grads in that order. Returns the value."""
     expanded = mask is not None and bool(mask.any())
     old = ~mask if expanded else slice(None)
     kept = anchor[old]
+    value = 0.0
     for v, g in (ewc_term(p[old], kept, fisher[old], cfg.lambda_ewc),
                  l21_term(p[old], kept, cfg.lambda_21, EPS)):
         value += v
         grads[old] += g
     v, g = l1_term(p, mask if expanded else None, cfg.lambda_1, EPS)
-    return value + v, grads + g
+    grads += g
+    return value + v
+
+
+def mwc_by_terms(net, batch, anchor, fisher, cfg, mask=None):
+    """Reference objective: CE, then penalty_by_terms."""
+    logits, cache = forward(net, batch)
+    value, dlogits = loss_ce(logits, batch.labels)
+    grads = backward(net, cache, dlogits)
+    return value + penalty_by_terms(net.params, grads, anchor, fisher, cfg, mask), grads
+
+
+def sgd_by_terms(net, ds, logit_loss, penalty, epochs, batch_size, lr, seed):
+    """Reference training loop written out: train_task's shuffling and
+    minibatches, then per step one forward, the logit loss, one backward, the
+    penalty and a plain SGD step."""
+    rng = np.random.default_rng(seed)
+    for epoch in range(epochs):
+        order = rng.permutation(len(ds))
+        for start in range(0, len(ds), batch_size):
+            rows = order[start:start + batch_size]
+            batch = Batch(ds.inputs[rows], ds.labels[rows])
+            logits, cache = forward(net, batch)
+            _, dlogits = logit_loss(logits, batch.labels, rows, epoch)
+            grads = backward(net, cache, dlogits)
+            penalty(net.params, grads)
+            net.params -= lr * grads
+    return net
 
 
 WIRED = PenaltyConfig(2.0, 0.3, 0.2, EPS)
@@ -358,8 +383,10 @@ def test_mwc_loss_matches_term_functions_bitwise(method, masking):
     assert (g + 0.0).tobytes() == (g_ref + 0.0).tobytes()
 
 
-@pytest.mark.parametrize("method", PENALIZED)
-def test_train_task_on_expanded_child_matches_term_functions(method):
+def check_expanded_child_against_loop(method, logit_loss):
+    """train_task with `logit_loss` and the consolidation penalty on a
+    widened-and-deepened child reaches the same bytes as sgd_by_terms with
+    penalty_by_terms on the aligned anchor and Fisher."""
     parent = random_net(Arch(6, (5,), 3), 6)
     child, ref = apply_actions(parent, [WiderAction(0, 8), DeeperAction(0)], seed=2)
     mask = ref < 0
@@ -369,15 +396,29 @@ def test_train_task_on_expanded_child_matches_term_functions(method):
     cfg = method_config(method, WIRED).penalty
     aligned = align_reference(anchor, ref), align_reference(fisher, ref)
 
-    def by_terms(net, batch, rows, epoch):
-        return mwc_by_terms(net, batch, *aligned, cfg, mask)
+    def by_terms(params, grads):
+        return penalty_by_terms(params, grads, *aligned, cfg, mask)
 
     fast, slow = child.copy(), child.copy()
-    train_task(fast, ds, consolidation(anchor, fisher, cfg, ref), epochs=2, batch_size=32,
-               lr=0.05, seed=3)
-    train_task(slow, ds, by_terms, epochs=2, batch_size=32, lr=0.05, seed=3)
+    train_task(fast, ds, logit_loss, consolidation(anchor, fisher, cfg, ref), epochs=2,
+               batch_size=32, lr=0.05, seed=3)
+    sgd_by_terms(slow, ds, logit_loss, by_terms, epochs=2, batch_size=32, lr=0.05, seed=3)
     assert not np.array_equal(fast.params, child.params)
     assert fast.params.tobytes() == slow.params.tobytes()
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+def test_train_task_on_expanded_child_matches_term_functions(method):
+    check_expanded_child_against_loop(method, loss_ce)
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+def test_train_task_takes_a_kd_loss_with_the_consolidation_penalty(method):
+    # A non-CE logit loss (KD against fixed targets) plus the consolidation
+    # penalty in one train_task call, as a student with an EWC term would train.
+    targets = np.random.default_rng(4).standard_normal((150, 3))
+    check_expanded_child_against_loop(
+        method, lambda logits, labels, rows, epoch: kd_loss(logits, targets[rows]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -403,8 +444,7 @@ class TestTrainTask:
     def test_paper_hyperparameters_on_separable_data(self):
         train = separable_blobs(2000, 0)
         net = init_network(Arch(2, (16,), 2), seed=0)
-        train_task(net, train, consolidation(None, None, PenaltyConfig()),
-                   epochs=8, batch_size=256, lr=0.001, seed=1)
+        train_task(net, train, loss_ce, None, epochs=8, batch_size=256, lr=0.001, seed=1)
         from rec.netcore import evaluate
         assert evaluate(net, train.inputs, train.labels) > 0.90
 
@@ -414,8 +454,8 @@ class TestTrainTask:
         anchor = np.random.default_rng(3).standard_normal(net.param_count())
         fisher = np.ones(net.param_count())
         cfg = PenaltyConfig(1e6, 0.0, 0.0, EPS)
-        objective = consolidation(anchor, fisher, cfg)
-        train_task(net, train, objective, epochs=3, batch_size=64, lr=1e-6, seed=4)
+        penalty = consolidation(anchor, fisher, cfg)
+        train_task(net, train, loss_ce, penalty, epochs=3, batch_size=64, lr=1e-6, seed=4)
         assert np.max(np.abs(net.get_flat() - anchor)) < 1e-2
 
     def test_divergence_raises_without_warnings(self):
@@ -424,13 +464,11 @@ class TestTrainTask:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged):
-                train_task(net, train, consolidation(None, None, PenaltyConfig()),
-                           epochs=5, batch_size=32, lr=1e6, seed=8)
+                train_task(net, train, loss_ce, None, epochs=5, batch_size=32, lr=1e6, seed=8)
 
     def test_zero_epochs_unchanged(self):
         train = separable_blobs(50, 2)
         net = init_network(Arch(2, (4,), 2), seed=5)
         before = net.get_flat()
-        train_task(net, train, consolidation(None, None, PenaltyConfig()),
-                   epochs=0, batch_size=16, lr=0.1, seed=6)
+        train_task(net, train, loss_ce, None, epochs=0, batch_size=16, lr=0.1, seed=6)
         assert np.array_equal(net.get_flat(), before)
