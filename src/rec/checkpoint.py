@@ -24,6 +24,11 @@ class CheckpointError(ValueError):
     pass
 
 
+def _is_dims(value) -> bool:
+    """Whether `value` is a JSON list of non-negative ints (bools and floats are not)."""
+    return isinstance(value, list) and all(type(d) is int and d >= 0 for d in value)
+
+
 def save_checkpoint(path: str | Path, net: DenseNet, anchor: np.ndarray | None = None,
                     fisher: np.ndarray | None = None) -> None:
     arrays: list[tuple[str, np.ndarray]] = []
@@ -66,8 +71,11 @@ def load_checkpoint(path: str | Path
                               f"{len(raw) - 12} present")
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        arch = Arch(header["arch"]["input_dim"], tuple(header["arch"]["hidden_widths"]),
-                    header["arch"]["output_dim"])
+        dims = header["arch"]
+        if not (_is_dims([dims["input_dim"], dims["output_dim"]])
+                and _is_dims(dims["hidden_widths"])):
+            raise TypeError(f"arch widths are not all non-negative integers: {dims}")
+        arch = Arch(dims["input_dim"], tuple(dims["hidden_widths"]), dims["output_dim"])
         directory = [(spec["name"], spec["shape"]) for spec in header["arrays"]]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"bad checkpoint header: {type(e).__name__}: {e}") from None
@@ -78,7 +86,7 @@ def load_checkpoint(path: str | Path
         if not isinstance(name, str) or name in loaded:
             raise CheckpointError(f"array name {name!r} is "
                                   + ("repeated" if isinstance(name, str) else "not a string"))
-        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        if not _is_dims(shape):
             raise CheckpointError(f"shape {shape!r} of array {name!r} is not a list of "
                                   "non-negative integers")
         count = math.prod(shape)  # a Python int: no overflow

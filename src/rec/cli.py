@@ -17,7 +17,7 @@ from typing import Callable
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .controller import SearchConfig
-from .data import Dataset, idx_image_shape, load_idx_dataset, synthetic_classes
+from .data import Dataset, load_idx_dataset, synthetic_classes
 from .distill import CompressConfig
 from .lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks, gen_split_tasks,
                        method_config, run_sequence, subseed)
@@ -188,19 +188,20 @@ def _build_tasks(cfg: RunConfig):
                                         subseed(data_seed, "data"))
     else:
         pairs = _idx_pairs(cfg["dataset"])
-        train = load_idx_dataset(*pairs[0])
+        train, (rows, cols) = load_idx_dataset(*pairs[0])
         if len(pairs) > 1:
-            test = load_idx_dataset(*pairs[1])
+            test, test_shape = load_idx_dataset(*pairs[1])
+            if test_shape != (rows, cols):
+                raise ValueError(f"train and test images differ in size: {pairs[0][0]} holds "
+                                 f"{rows}x{cols} images, {pairs[1][0]} holds "
+                                 f"{test_shape[0]}x{test_shape[1]} images")
         else:
             cut = int(len(train) * 0.8)  # first 80% train, the rest test, both views
+            if cut == 0:
+                raise ValueError(f"{pairs[0][0]} holds {len(train)} image, and its first "
+                                 "80% (the training part) holds none")
             train, test = (Dataset(train.inputs[part], train.labels[part])
                            for part in (slice(None, cut), slice(cut, None)))
-        shapes = [idx_image_shape(images) for images, _ in pairs]
-        (rows, cols), test_shape = shapes[0], shapes[-1]
-        if test_shape != (rows, cols):
-            raise ValueError(f"train and test images differ in size: {pairs[0][0]} holds "
-                             f"{rows}x{cols} images, {pairs[-1][0]} holds "
-                             f"{test_shape[0]}x{test_shape[1]} images")
         if cfg["task_kind"] == "rotated" and rows != cols:  # rotation reads a square grid
             raise ValueError(f"rotated tasks need square images; {pairs[0][0]} holds "
                              f"{rows}x{cols} images")
@@ -327,8 +328,7 @@ def cmd_checkpoint(mode: str, path: str, arch_spec: str | None, seed: int) -> in
     try:
         if mode == "load":
             net, anchor, fisher = load_checkpoint(path)
-            print(f"arch: {net.arch.input_dim}-"
-                  f"{'-'.join(map(str, net.arch.hidden_widths))}-{net.arch.output_dim}")
+            print(f"arch: {'-'.join(map(str, net.arch.widths))}")
             print(f"params: {net.param_count()}")
             print(f"anchor: {'yes' if anchor is not None else 'no'}")
             print(f"fisher: {'yes' if fisher is not None else 'no'}")
@@ -337,6 +337,8 @@ def cmd_checkpoint(mode: str, path: str, arch_spec: str | None, seed: int) -> in
                 print("error: checkpoint save requires --arch d,h1,...,K", file=sys.stderr)
                 return 2
             dims = [int(x) for x in arch_spec.split(",")]
+            if len(dims) < 2:
+                raise ValueError(f"--arch {arch_spec!r}: expected d,h1,...,K (at least d and K)")
             net = init_network(Arch(dims[0], tuple(dims[1:-1]), dims[-1]), seed)
             save_checkpoint(path, net)
             print(f"saved fresh network ({net.param_count()} params) to {path}")

@@ -1,11 +1,12 @@
 """Architecture-search meta-controller.
 
-A bidirectional tanh recurrent encoder reads the hidden-layer width sequence;
-a shared sigmoid head decides widening per layer and a categorical head picks
-identity-layer insertion points (or stop). Policy-gradient updates are
-hand-derived through both decision layers, both recurrent directions, and the
-embedding table. The sampler alone caps an episode: at most MAX_WIDER_ACTIONS
-widenings and SearchConfig.max_deeper insertions.
+A bidirectional tanh recurrent encoder reads the hidden-layer width sequence
+(one recurrence, run over the widths and over their reverse); a shared sigmoid
+head decides widening per layer and a categorical head picks identity-layer
+insertion points (or stop). Policy-gradient updates are hand-derived through
+both decision layers, both recurrent directions (one backprop through time),
+and the embedding table. The sampler alone caps an episode: at most
+MAX_WIDER_ACTIONS widenings and SearchConfig.max_deeper insertions.
 """
 
 from __future__ import annotations
@@ -72,51 +73,50 @@ def width_bucket(width: int, n_buckets: int) -> int:
     return min(int(np.log2(max(width, 1))), n_buckets - 1)
 
 
+def _recur(xs: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """States hs[0..n] of hs[t + 1] = tanh(xs[t] @ wx + hs[t] @ wh + b), hs[0] = 0."""
+    hs = np.zeros((xs.shape[0] + 1, b.shape[0]))
+    for t in range(xs.shape[0]):
+        hs[t + 1] = np.tanh(xs[t] @ wx + hs[t] @ wh + b)
+    return hs
+
+
+def _bptt(xs: np.ndarray, hs: np.ndarray, d_hs: np.ndarray, wx: np.ndarray,
+          wh: np.ndarray, dx: np.ndarray, grads: list[np.ndarray]) -> None:
+    """Backprop through time of hs = _recur(xs, wx, wh, b) given d_hs = d(loss)/d(hs[1:]):
+    adds the gradients of wx, wh and b into the arrays `grads` and that of xs into dx."""
+    g_wx, g_wh, g_b = grads
+    carry = np.zeros(hs.shape[1])
+    for t in range(xs.shape[0] - 1, -1, -1):
+        dz = (d_hs[t] + carry) * (1.0 - hs[t + 1] ** 2)
+        g_wx += np.outer(xs[t], dz)
+        g_wh += np.outer(hs[t], dz)
+        g_b += dz
+        dx[t] += wx @ dz
+        carry = wh @ dz
+
+
 def encode(policy: ControllerPolicy, widths: tuple[int, ...]):
     """Per-position concatenated forward/backward hidden states, plus a cache
-    for backprop."""
-    n = len(widths)
+    for backprop (hb holds the backward states in reversed order)."""
     buckets = [width_bucket(w, policy.emb.shape[0]) for w in widths]
     xs = policy.emb[buckets]
-    h = policy.hidden_size
-    hf = np.zeros((n + 1, h))
-    for t in range(n):
-        hf[t + 1] = np.tanh(xs[t] @ policy.wx_f + hf[t] @ policy.wh_f + policy.b_f)
-    hb = np.zeros((n + 1, h))
-    for t in range(n - 1, -1, -1):
-        hb[t] = np.tanh(xs[t] @ policy.wx_b + hb[t + 1] @ policy.wh_b + policy.b_b)
-    states = np.concatenate([hf[1:], hb[:n]], axis=1)
-    cache = {"xs": xs, "hf": hf, "hb": hb, "buckets": buckets}
-    return states, cache
+    hf = _recur(xs, policy.wx_f, policy.wh_f, policy.b_f)
+    hb = _recur(xs[::-1], policy.wx_b, policy.wh_b, policy.b_b)
+    states = np.concatenate([hf[1:], hb[:0:-1]], axis=1)
+    return states, (xs, hf, hb, buckets)
 
 
 def _encode_backward(policy: ControllerPolicy, cache, d_states: np.ndarray, grads: dict):
     """Accumulate parameter gradients given d(loss)/d(states)."""
+    xs, hf, hb, buckets = cache
     h = policy.hidden_size
-    n = d_states.shape[0]
-    xs, hf, hb = cache["xs"], cache["hf"], cache["hb"]
-    dhf, dhb = d_states[:, :h], d_states[:, h:]
     dx = np.zeros_like(xs)
-
-    carry = np.zeros(h)
-    for t in range(n - 1, -1, -1):
-        dh = dhf[t] + carry
-        dz = dh * (1.0 - hf[t + 1] ** 2)
-        grads["wx_f"] += np.outer(xs[t], dz)
-        grads["wh_f"] += np.outer(hf[t], dz)
-        grads["b_f"] += dz
-        dx[t] += policy.wx_f @ dz
-        carry = policy.wh_f @ dz
-    carry = np.zeros(h)
-    for t in range(n):
-        dh = dhb[t] + carry
-        dz = dh * (1.0 - hb[t] ** 2)
-        grads["wx_b"] += np.outer(xs[t], dz)
-        grads["wh_b"] += np.outer(hb[t + 1], dz)
-        grads["b_b"] += dz
-        dx[t] += policy.wx_b @ dz
-        carry = policy.wh_b @ dz
-    for t, b in enumerate(cache["buckets"]):
+    _bptt(xs, hf, d_states[:, :h], policy.wx_f, policy.wh_f, dx,
+          [grads[k] for k in ("wx_f", "wh_f", "b_f")])
+    _bptt(xs[::-1], hb, d_states[::-1, h:], policy.wx_b, policy.wh_b, dx[::-1],
+          [grads[k] for k in ("wx_b", "wh_b", "b_b")])
+    for t, b in enumerate(buckets):
         grads["emb"][b] += dx[t]
 
 

@@ -1,5 +1,5 @@
 """Dataset containers, row views, the bundled synthetic generator, and the
-IDX reader.
+IDX reader (one header and payload check for image and label files).
 
 A task sequence keeps one source copy of its training inputs and one of its
 test inputs. Every split of every task is a `RowView` over a source, built
@@ -14,6 +14,7 @@ all its rows.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,44 +131,43 @@ def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
     return draw(n_train), draw(n_test)
 
 
-def load_idx_images(path: str | Path) -> np.ndarray:
+def _read_idx(path: str | Path, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file whose header carries `magic`, shaped
+    by the dims the header lists (the magic's low byte gives their count)."""
     raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ValueError(f"truncated IDX image header in {path}: {len(raw)} of 16 bytes")
-    magic, n, rows, cols = struct.unpack(">iiii", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise ValueError(f"bad IDX image magic 0x{magic:08x} in {path}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    if data.size != n * rows * cols:
-        raise ValueError(f"truncated IDX image file {path}")
-    images = data.reshape(n, rows * cols).astype(np.float64)
+    size = 4 + 4 * (magic & 0xFF)
+    if len(raw) < size:
+        raise ValueError(f"truncated IDX {what} header in {path}: {len(raw)} of {size} bytes")
+    found, *dims = struct.unpack(f">{size // 4}I", raw[:size])  # unsigned: no dim is < 0
+    if found != magic:
+        raise ValueError(f"bad IDX {what} magic 0x{found:08x} in {path}")
+    data = np.frombuffer(raw, dtype=np.uint8, offset=size)
+    if data.size != math.prod(dims):
+        raise ValueError(f"truncated IDX {what} file {path}")
+    return data.reshape(dims)
+
+
+def load_idx_images(path: str | Path) -> np.ndarray:
+    """[n, rows, cols] float64 images, bytes scaled to [0, 1]."""
+    images = _read_idx(path, IDX_IMAGES_MAGIC, "image").astype(np.float64)
     images /= 255.0
     return images
 
 
-def idx_image_shape(path: str | Path) -> tuple[int, int]:
-    """(rows, cols) of every image in an IDX image file that load_idx_images
-    accepts, read from its header."""
-    with open(path, "rb") as fh:
-        return struct.unpack(">ii", fh.read(16)[8:])
-
-
 def load_idx_labels(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise ValueError(f"truncated IDX label header in {path}: {len(raw)} of 8 bytes")
-    magic, n = struct.unpack(">ii", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise ValueError(f"bad IDX label magic 0x{magic:08x} in {path}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=8)
-    if data.size != n:
-        raise ValueError(f"truncated IDX label file {path}")
-    return data.astype(np.int64)
+    return _read_idx(path, IDX_LABELS_MAGIC, "label").astype(np.int64)
 
 
-def load_idx_dataset(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    inputs = load_idx_images(images_path)
+def load_idx_dataset(images_path: str | Path,
+                     labels_path: str | Path) -> tuple[Dataset, tuple[int, int]]:
+    """An IDX image/label pair as a dataset of flattened images, plus the
+    images' (rows, cols). A pair with no images raises ValueError."""
+    images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
-    if inputs.shape[0] != labels.shape[0]:
-        raise ValueError("IDX image/label counts differ")
-    return Dataset(inputs, labels)
+    n, rows, cols = images.shape
+    if n != labels.shape[0]:
+        raise ValueError(f"IDX image/label counts differ: {images_path} holds {n} images, "
+                         f"{labels_path} holds {labels.shape[0]} labels")
+    if n == 0:
+        raise ValueError(f"IDX image file {images_path} holds 0 images")
+    return Dataset(images.reshape(n, rows * cols), labels), (rows, cols)

@@ -136,6 +136,21 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="bad checkpoint header"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("arch", [
+        {"input_dim": True, "hidden_widths": [3], "output_dim": 2},  # True == 1 chains
+        {"input_dim": 1, "hidden_widths": [3.9], "output_dim": 2},  # int() would make it 3
+        {"input_dim": 1, "hidden_widths": "3", "output_dim": 2},
+        {"input_dim": 1, "hidden_widths": [3], "output_dim": 2.0},
+    ], ids=["bool-input", "float-width", "string-widths", "float-output"])
+    def test_arch_widths_must_be_integers(self, tmp_path, capsys, arch):
+        # the layer arrays are those of a 1-3-2 net, so only the types are wrong
+        p = tmp_path / "n.recnet"
+        write_raw(p, init_network(Arch(1, (3,), 2), seed=0), {"arch": arch}, [])
+        with pytest.raises(CheckpointError, match="arch widths are not all non-negative "
+                                                  "integers"):
+            load_checkpoint(p)
+        assert main(["checkpoint", "load", str(p)]) == 1
+
     def test_missing_layer_arrays(self, tmp_path, net):
         # Directory lists only w0 and b0 for a three-layer arch.
         header = {"arch": {"input_dim": 6, "hidden_widths": [9, 5], "output_dim": 4},

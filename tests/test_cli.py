@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,18 @@ def write_cfg(tmp_path, body, out_dir, name="cfg.txt"):
     p = tmp_path / name
     p.write_text(body + f"\nout_dir = {out_dir}\n")
     return p
+
+
+def test_formats_doc_lists_every_key_with_its_default():
+    # the key table of docs/formats.md: one row per key, `train_samples` and
+    # `test_samples` share one (`a` / `b` in both columns)
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    table = doc[doc.index("| Key | Default | Meaning |"):].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        keys, defaults = (cell.strip() for cell in row.split("|")[1:3])
+        documented.update(zip(re.findall("`([^`]*)`", keys), re.findall("`([^`]*)`", defaults)))
+    assert documented == cli._DEFAULTS
 
 
 class TestParseConfig:
@@ -246,6 +260,33 @@ class TestRunCommand:
             f"holds 8x8 images, {test[0]} holds 6x6 images\n")
         assert not list((tmp_path / "out").glob("results_*"))
 
+    @pytest.mark.parametrize("case", ["empty-test", "empty-train", "one-image", "counts"])
+    def test_idx_without_rows_exits_1_naming_the_file(self, tmp_path, capsys, case):
+        # each is rejected before any job runs, naming the file(s) and counts
+        rng = np.random.default_rng(0)
+        sizes = {"empty-test": (40, 0), "empty-train": (0, 40), "one-image": (1,),
+                 "counts": (40, 20)}[case]
+        pairs = []
+        for i, n in enumerate(sizes):
+            (tmp_path / str(i)).mkdir()
+            pairs.append(write_idx_pair(tmp_path / str(i), rng.integers(0, 256, (n, 4, 4)),
+                                        np.arange(n) % 2))
+        if case == "counts":
+            pairs[1][1].write_bytes(pairs[0][1].read_bytes())
+        p = write_cfg(tmp_path, "dataset = " + ";".join(f"{i},{l}" for i, l in pairs)
+                      + "\ntasks = 2\nmethods = sn\nhidden = 8\nepochs = 1\n", tmp_path / "out")
+        assert main(["run", str(p)]) == 1
+        message = {
+            "empty-test": f"IDX image file {pairs[-1][0]} holds 0 images",
+            "empty-train": f"IDX image file {pairs[0][0]} holds 0 images",
+            "one-image": (f"{pairs[0][0]} holds 1 image, and its first 80% (the training "
+                          "part) holds none"),
+            "counts": (f"IDX image/label counts differ: {pairs[-1][0]} holds 20 images, "
+                       f"{pairs[-1][1]} holds 40 labels"),
+        }[case]
+        assert capsys.readouterr().err == f"run failed: ValueError: {message}\n"
+        assert not list((tmp_path / "out").glob("results_*"))
+
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG, tmp_path / "out")
         assert main(["run", str(cfg)]) == 0
@@ -354,6 +395,18 @@ class TestCheckpointCommand:
         out = capsys.readouterr().out
         assert "arch: 6-8-4" in out
         assert "params:" in out
+
+    def test_load_prints_the_widths_of_a_net_without_hidden_layers(self, tmp_path, capsys):
+        p = tmp_path / "net.recnet"
+        assert main(["checkpoint", "save", str(p), "--arch", "6,4"]) == 0
+        assert main(["checkpoint", "load", str(p)]) == 0
+        assert "arch: 6-4\n" in capsys.readouterr().out
+
+    def test_save_with_fewer_than_two_widths_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "net.recnet"
+        assert main(["checkpoint", "save", str(p), "--arch", "64"]) == 1
+        assert capsys.readouterr().err.startswith("checkpoint failed: --arch '64'")
+        assert not p.exists()
 
     def test_save_save_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.recnet", tmp_path / "b.recnet"

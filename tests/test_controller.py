@@ -3,8 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from rec.controller import (SearchConfig, _deeper_probs, _wider_prob, encode, init_policy,
-                            reinforce_update, reward_transform, sample_episode, search_child)
+from rec.controller import (PROB_FLOOR, SearchConfig, _deeper_probs, _wider_prob, encode,
+                            init_policy, reinforce_update, reward_transform, sample_episode,
+                            search_child)
 from rec.data import Dataset
 from rec.netcore import Arch, init_network, loss_ce
 from rec.regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
@@ -195,6 +196,54 @@ class TestReinforce:
         pol.w_wider[idx] -= 2 * h
         fd_w = (up - expected_reward(pol)) / (2 * h)
         assert abs(mc_w[idx] - fd_w) / abs(fd_w) < 0.05
+
+    def test_update_is_the_exact_log_likelihood_gradient(self):
+        # With reward 1 and lr 1, the update is the gradient of the episodes'
+        # mean sum of log-probabilities; central differences check every
+        # parameter, including the encoder's seven and the deeper/stop heads.
+        arch = Arch(8, (8, 16, 32), 3)
+        cfg = SearchConfig(max_deeper=3)
+        policy = init_policy(3, hidden_size=6, emb_dim=4)
+        rng = np.random.default_rng(0)
+        for k in ("w_wider", "w_deep", "w_stop"):
+            setattr(policy, k, rng.normal(0, 0.5, getattr(policy, k).shape))
+        policy.b_stop = -1.0
+        eps = [sample_episode(policy, arch, seed=s, cfg=cfg) for s in range(5)]
+        for ep in eps:
+            ep.reward = 1.0
+        assert {d.kind for ep in eps for d in ep.decisions} == {"wider", "deeper"}
+
+        def mean_log_prob(pol):
+            total = 0.0
+            for ep in eps:
+                for d in ep.decisions:
+                    states, _ = encode(pol, d.widths)
+                    if d.kind == "wider":
+                        p = _wider_prob(pol, states[d.position])
+                        probs = np.array([1 - p, p])
+                    else:
+                        probs = _deeper_probs(pol, states)
+                    # the analytic gradient ignores the probability clip
+                    assert np.all((probs > PROB_FLOOR) & (probs < 1 - PROB_FLOOR))
+                    total += np.log(probs[d.choice])
+            return total / len(eps)
+
+        updated = copy.deepcopy(policy)
+        reinforce_update(updated, eps, lr=1.0)
+        h = 1e-6
+        for k in policy.param_items():
+            analytic = np.asarray(getattr(updated, k)) - getattr(policy, k)
+            fd = np.zeros_like(analytic)
+            for i in np.ndindex(analytic.shape):
+                values = []
+                for step in (h, -h):
+                    pol = copy.deepcopy(policy)
+                    value = np.array(getattr(pol, k), dtype=float)
+                    value[i] += step
+                    setattr(pol, k, value if value.ndim else float(value))
+                    values.append(mean_log_prob(pol))
+                fd[i] = (values[0] - values[1]) / (2 * h)
+            assert np.linalg.norm(analytic - fd) <= 1e-5 * np.linalg.norm(fd), k
 
     def test_reward_scaling_linearity(self):
         policy = init_policy(11)

@@ -64,9 +64,18 @@ class TestIdx:
     def test_round_trip(self, tmp_path):
         images = np.arange(3 * 2 * 2).reshape(3, 2, 2) * 20
         img, lab = write_idx_pair(tmp_path, images, np.array([0, 2, 1]))
-        ds = load_idx_dataset(img, lab)
+        ds, shape = load_idx_dataset(img, lab)
+        assert shape == (2, 2) and load_idx_images(img).shape == (3, 2, 2)
         assert np.allclose(ds.inputs[:], images.reshape(3, 4) / 255.0)
         assert ds.labels.tolist() == [0, 2, 1]
+
+    def test_counts_differ_names_both_files(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))
+        lab.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2) + bytes(2))
+        with pytest.raises(ValueError) as e:
+            load_idx_dataset(img, lab)
+        assert str(e.value) == (f"IDX image/label counts differ: {img} holds 3 images, "
+                                f"{lab} holds 2 labels")
 
     @pytest.mark.parametrize("size", [0, 7, 15])
     def test_image_file_shorter_than_header(self, tmp_path, size):
@@ -86,6 +95,13 @@ class TestIdx:
         img, _ = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))
         img.write_bytes(img.read_bytes()[:-1])
         with pytest.raises(ValueError, match="truncated IDX image file"):
+            load_idx_images(img)
+
+    def test_header_dims_are_unsigned(self, tmp_path):
+        # read as signed, -1 x -1 x 4 images would match the 4-byte payload
+        img, _ = write_idx_pair(tmp_path, np.zeros((1, 1, 4)), np.zeros(1))
+        img.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, -1, -1, 4) + bytes(4))
+        with pytest.raises(ValueError, match=f"^truncated IDX image file {img}$"):
             load_idx_images(img)
 
     def test_run_with_short_idx_exits_1(self, tmp_path, capsys):
