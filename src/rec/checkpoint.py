@@ -29,16 +29,9 @@ def _is_dims(value) -> bool:
     return isinstance(value, list) and all(type(d) is int and d >= 0 for d in value)
 
 
-def save_checkpoint(path: str | Path, net: DenseNet, anchor: np.ndarray | None = None,
-                    fisher: np.ndarray | None = None) -> None:
-    arrays: list[tuple[str, np.ndarray]] = []
-    for i, l in enumerate(net.layers):
-        arrays.append((f"w{i}", l.weight))
-        arrays.append((f"b{i}", l.bias))
-    if anchor is not None:
-        arrays.append(("anchor", anchor))
-    if fisher is not None:
-        arrays.append(("fisher", fisher))
+def save_checkpoint(path: str | Path, net: DenseNet) -> None:
+    arrays = [(f"{k}{i}", a) for i, l in enumerate(net.layers)
+              for k, a in (("w", l.weight), ("b", l.bias))]
     header = {
         "arch": {
             "input_dim": net.arch.input_dim,
@@ -58,7 +51,8 @@ def save_checkpoint(path: str | Path, net: DenseNet, anchor: np.ndarray | None =
 
 def load_checkpoint(path: str | Path
                     ) -> tuple[DenseNet, np.ndarray | None, np.ndarray | None]:
-    """Read a RECNET01 file as (net, anchor, fisher); every malformed container
+    """Read a RECNET01 file as (net, anchor, fisher), the vectors None unless a
+    writer other than save_checkpoint added them; every malformed container
     raises CheckpointError. Older files' `fisher_samples` header key is ignored."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:

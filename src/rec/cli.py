@@ -205,10 +205,19 @@ def _build_tasks(cfg: RunConfig):
         if cfg["task_kind"] == "rotated" and rows != cols:  # rotation reads a square grid
             raise ValueError(f"rotated tasks need square images; {pairs[0][0]} holds "
                              f"{rows}x{cols} images")
-    num_tasks = cfg.get_int("tasks")
     gen = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
            "split": gen_split_tasks}[cfg["task_kind"]]
-    return gen(train, test, num_tasks, data_seed)
+    tasks = gen(train, test, cfg.get_int("tasks"), data_seed)
+    # As in run_sequence, methods that expand and compress search on validation rows.
+    searching = ", ".join(m for m in cfg.get_list("methods") if METHODS[m][1] and METHODS[m][2])
+    for t, task in enumerate(tasks, 1):
+        rows = {"train": len(task.train), "validation": len(task.val), "test": len(task.test)}
+        for split, needed in (("train", True), ("test", True), ("validation", bool(searching))):
+            if needed and rows[split] == 0:
+                why = f", which the search of {searching} scores on" if split == "validation" else ""
+                raise ValueError(f"task {t} has an empty {split} split{why}: "
+                                 + ", ".join(f"{n} {s}" for s, n in rows.items()) + " rows")
+    return tasks
 
 
 def _method_cfg(cfg: RunConfig, method: str):

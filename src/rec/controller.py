@@ -253,8 +253,8 @@ class SearchResult:
     log: list[dict]
 
 
-# fit(net, ref, epochs, seed): train net, whose reference vector is ref, on
-# the task's CE, consolidation penalty and SGD settings; mutates and returns net.
+# fit(net, ref, epochs, seed): train net, new from apply_actions with reference
+# vector ref, on the task's CE, penalty and SGD settings; mutates and returns net.
 Fit = Callable[[DenseNet, np.ndarray, int, int], DenseNet]
 
 
@@ -289,7 +289,7 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
             diverged = False
             try:
-                child, child_ref = apply_actions(prev_net.copy(), ep.actions, ep_seed + 1)
+                child, child_ref = apply_actions(prev_net, ep.actions, ep_seed + 1)
                 fit(child, child_ref, search_cfg.child_epochs, ep_seed + 2)
                 ep.a_val = evaluate(child, val_inputs, val_labels)
             except TrainingDiverged:

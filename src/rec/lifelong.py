@@ -9,8 +9,8 @@ share one row split and differ by a column map; split tasks own disjoint
 class rows. Every task kind sizes its output from the largest label of the
 training and test data together. Training gathers inputs a minibatch at a
 time, the Fisher estimate, soft targets and scoring a 512-row chunk at a time;
-only the expansion search stacks a split whole (its validation rows, once per
-search).
+only the expansion search stacks whole splits (the validation rows it scores,
+once per search).
 
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
@@ -179,14 +179,15 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
                  hidden_widths: tuple[int, ...] = (40, 40)) -> RunResult:
     """Algorithm-1 orchestration of one (method, seed) run.
 
-    Every task is the same three steps, switched by the method's config:
-    optionally expand the carried net (searched children when the method
-    compresses, else a capped widening of the first hidden layer), train it
-    on CE plus the consolidation penalty (anchored only when some lambda is
-    positive), and optionally distill it into a copy of the carried net.
-    Every task, split tasks too, trains and is scored through the net's one
-    output layer. Every split is a view, so a task's inputs are resident only
-    a minibatch or a 512-row chunk at a time.
+    Every task is the same three steps, switched by the method's config: make
+    its net with apply_actions (a searched child if the method expands and
+    compresses, a capped widening of the first hidden layer if it only
+    expands, else a copy of the carried net), train it on CE plus the
+    consolidation penalty (anchored only when some lambda is positive), and
+    optionally distill it into a copy of the carried net. Every task, split
+    tasks too, trains and is scored through the net's one output layer. Task
+    inputs are views, resident a minibatch or a 512-row chunk at a time, save
+    the validation rows the search scores (stacked once per search).
     """
     searches = method.expansion and method.compression
     first = tasks[0]
@@ -206,15 +207,13 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
     for t, task in enumerate(tasks):
         extra: dict = {}
 
-        def fit(model: DenseNet, model_ref: np.ndarray | None, epochs: int,
-                fit_seed: int) -> DenseNet:
+        def fit(model: DenseNet, model_ref: np.ndarray, epochs: int, fit_seed: int) -> DenseNet:
             """The task's one training recipe (CE, its consolidation penalty and
             the method's SGD settings), for its own net and every child."""
             penalty = consolidation(anchor, fisher, method.penalty, model_ref)
             return train_task(model, task.train, loss_ce, penalty, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
-        child, ref, actions = net, None, []  # ref None: the identity
         if t > 0 and searches:
             scored = tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
             result, baseline = search_child(net, fit, [tk.val for tk in scored],
@@ -222,10 +221,12 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
                                             method.search)
             search_log.extend({"task": t + 1, **rec} for rec in result.log)
             child, ref, actions = result.net, result.ref, result.actions
-        elif t > 0 and method.expansion:
-            w = net.arch.hidden_widths[0]
-            cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
-            actions = [WiderAction(0, min(2 * w, cap))]
+        else:
+            actions = []  # none: apply_actions returns a copy of the carried net
+            if t > 0 and method.expansion:
+                w = net.arch.hidden_widths[0]
+                cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
+                actions = [WiderAction(0, min(2 * w, cap))]
             child, ref = apply_actions(net, actions, subseed(seed, "expand", t))
 
         fit(child, ref, method.epochs, subseed(seed, "train", t))

@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+CHUNK_ROWS = 512  # rows per sweep in predict_logits and regularize.estimate_fisher
+
 
 @dataclass(frozen=True)
 class Arch:
@@ -201,11 +203,11 @@ def sgd_step(net: DenseNet, grads: np.ndarray, lr: float, momentum: float = 0.0,
     return velocity
 
 
-def predict_logits(net: DenseNet, inputs: np.ndarray, batch_size: int = 512) -> np.ndarray:
+def predict_logits(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
     if inputs.shape[0] == 0:
         raise ValueError("empty dataset")
-    return np.vstack([_activations(net, inputs[i:i + batch_size])[-1]
-                      for i in range(0, inputs.shape[0], batch_size)])
+    return np.vstack([_activations(net, inputs[i:i + CHUNK_ROWS])[-1]
+                      for i in range(0, inputs.shape[0], CHUNK_ROWS)])
 
 
 def evaluate(net: DenseNet, inputs: np.ndarray, labels: np.ndarray) -> float:

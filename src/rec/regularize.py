@@ -23,10 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .netcore import Batch, DenseNet, backward, forward, layer_deltas, loss_ce, sgd_step
+from .netcore import CHUNK_ROWS, Batch, DenseNet, backward, forward, layer_deltas, loss_ce, sgd_step
 from .transform import align_reference
-
-FISHER_CHUNK = 512  # rows per forward/backward sweep in estimate_fisher
 
 
 class TrainingDiverged(RuntimeError):
@@ -57,10 +55,10 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     divided by n), so with A and D stacking those rows,
     sum_n (a_ni * delta_nj)^2 = ((A*A).T @ (D*D))_ij, and the bias entry is
     sum_n delta_nj^2 (Goodfellow, arXiv 1510.01799). The sampled rows are
-    gathered, and go through one forward and one backward sweep, FISHER_CHUNK
-    rows at a time, which bounds the inputs and activation lists held when
-    max_samples is the size of a large dataset. Equal to a per-sample
-    forward/backward loop up to rounding.
+    gathered, and go through one forward and one backward sweep, CHUNK_ROWS
+    (netcore's scoring chunk) at a time, which bounds the inputs and
+    activation lists held when max_samples is the size of a large dataset.
+    Equal to a per-sample forward/backward loop up to rounding.
     """
     if len(dataset) == 0:
         raise ValueError("cannot estimate Fisher on an empty dataset")
@@ -69,8 +67,8 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
     n = min(max_samples, len(dataset))
     idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
     acc = np.zeros(net.param_count())
-    for start in range(0, n, FISHER_CHUNK):
-        rows = idx[start:start + FISHER_CHUNK]
+    for start in range(0, n, CHUNK_ROWS):
+        rows = idx[start:start + CHUNK_ROWS]
         _add_squared_grads(net, Batch(dataset.inputs[rows], dataset.labels[rows]), acc)
     return acc / n
 
@@ -215,14 +213,12 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
 
 
 def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
-                  ref: np.ndarray | None = None) -> Callable | None:
-    """mwc_penalty for a net whose flat view `ref` describes, or None without
-    an anchor. The anchor and Fisher are gathered through the reference vector
-    (identity when None; see transform), and ref < 0 is the mask."""
+                  ref: np.ndarray) -> Callable | None:
+    """mwc_penalty for a net whose flat view `ref` describes (the vector
+    transform.apply_actions returns with it), or None without an anchor. The
+    anchor and Fisher are gathered through `ref`, and ref < 0 is the mask."""
     if anchor is None:
         return None
-    if ref is None:
-        ref = np.arange(anchor.size)
     aligned = align_reference(anchor, ref), align_reference(fisher, ref)
     mask = ref < 0
     return lambda params, grads: mwc_penalty(params, grads, *aligned, cfg, mask)

@@ -7,8 +7,8 @@ position whose value coordinate j still holds, or -1 when it holds none
 (replicated, rescaled or inserted). Composing steps and aligning the
 previous-task anchor and Fisher both go through this one vector.
 
-Any list of actions composes; the search's sampler (controller.sample_episode)
-limits how many an episode holds.
+`apply_actions` makes every task's net from any list of actions (none: a copy);
+the search's sampler (controller.sample_episode) limits an episode's actions.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarra
 
 def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction],
                   seed: int = 0) -> tuple[DenseNet, np.ndarray]:
-    """Sequential composition of morphisms: the child and its reference
-    vector into `net`'s flat view."""
+    """Sequential composition of morphisms: a new child (a copy of `net` when
+    there are no actions) and its reference vector into `net`'s flat view."""
     current, ref = net, np.arange(net.param_count())
     for i, action in enumerate(actions):
         if isinstance(action, WiderAction):
@@ -103,7 +103,7 @@ def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction],
         else:
             current, step = net2deeper(current, action)
         ref = np.where(step >= 0, ref[step], -1)
-    return current, ref
+    return (current if actions else net.copy()), ref
 
 
 def align_reference(values: np.ndarray, ref: np.ndarray) -> np.ndarray:

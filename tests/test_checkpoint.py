@@ -45,17 +45,19 @@ class TestRoundTrip:
         assert loaded.arch == net.arch
         assert np.array_equal(loaded.get_flat(), net.get_flat())
         assert anchor is None and fisher is None
+        header = read_header(p)
+        assert [a["name"] for a in header["arrays"]] == ["w0", "b0", "w1", "b1", "w2", "b2"]
+        assert "fisher_samples" not in header
 
     def test_with_anchor_and_fisher(self, tmp_path, net, rng):
         n = net.param_count()
         a = rng.standard_normal(n)
         f = np.abs(rng.standard_normal(n))
         p = tmp_path / "n.recnet"
-        save_checkpoint(p, net, a, f)
+        write_raw(p, net, {}, [("anchor", a), ("fisher", f)])
         _, a2, f2 = load_checkpoint(p)
         assert np.array_equal(a2, a)
         assert np.array_equal(f2, f)
-        assert "fisher_samples" not in read_header(p)
 
     def test_old_format_with_fisher_samples_loads(self, tmp_path, net, rng):
         n = net.param_count()
@@ -185,7 +187,7 @@ class TestCorruption:
         fisher = np.ones(net.param_count())
         fisher[7] = -1e-3
         p = tmp_path / "n.recnet"
-        save_checkpoint(p, net, net.get_flat(), fisher)
+        write_raw(p, net, {}, [("anchor", net.get_flat()), ("fisher", fisher)])
         with pytest.raises(CheckpointError, match="negative"):
             load_checkpoint(p)
 
@@ -232,7 +234,7 @@ class TestCorruption:
 def valid_checkpoint(tmp_path_factory) -> bytes:
     p = tmp_path_factory.mktemp("fuzz") / "n.recnet"
     net = init_network(Arch(3, (2,), 2), seed=0)
-    save_checkpoint(p, net, net.get_flat(), np.ones(net.param_count()))
+    write_raw(p, net, {}, [("anchor", net.get_flat()), ("fisher", np.ones(net.param_count()))])
     return p.read_bytes()
 
 

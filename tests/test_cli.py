@@ -287,6 +287,42 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"run failed: ValueError: {message}\n"
         assert not list((tmp_path / "out").glob("results_*"))
 
+    @pytest.mark.parametrize("body, message", [
+        ("task_kind = split\ntrain_samples = 6\nmethods = sn",
+         r"task 1 has an empty train split: 0 train, 0 validation, \d+ test rows"),
+        ("task_kind = split\ntrain_samples = 6\nmethods = sn,ewc",
+         r"task 1 has an empty train split: 0 train, 0 validation, \d+ test rows"),
+        ("task_kind = split\ntest_samples = 3\nmethods = sn",
+         r"task 2 has an empty test split: \d+ train, \d+ validation, 0 test rows"),
+        ("train_samples = 4\nmethods = sn,rec",
+         "task 1 has an empty validation split, which the search of rec scores on: "
+         "4 train, 0 validation, 1000 test rows"),
+    ], ids=["split-train", "split-train-ewc", "split-test", "validation"])
+    def test_task_with_an_empty_split_exits_1(self, tmp_path, capsys, body, message):
+        # rejected once the tasks are built, before any job runs
+        p = write_cfg(tmp_path, body + "\nseeds = 0\n", tmp_path / "out")
+        assert main(["run", str(p)]) == 1
+        assert re.fullmatch(f"run failed: ValueError: {message}\n", capsys.readouterr().err)
+        assert not list((tmp_path / "out").glob("results_*"))
+
+    def test_one_file_idx_pair_too_small_to_search_exits_1(self, tmp_path, capsys):
+        # 2 images: the 80/20 cut leaves 1 training row, and its validation part none
+        rng = np.random.default_rng(0)
+        images, labels = write_idx_pair(tmp_path, rng.integers(0, 256, (2, 4, 4)), np.arange(2))
+        p = write_cfg(tmp_path, f"dataset = {images},{labels}\ntasks = 1\nmethods = sn,ewc,rec\n"
+                      "hidden = 8\nepochs = 1\nseeds = 0\n", tmp_path / "out")
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "run failed: ValueError: task 1 has an empty validation split, which the search "
+            "of rec scores on: 1 train, 0 validation, 1 test rows\n")
+        assert not list((tmp_path / "out").glob("results_*"))
+
+    def test_empty_validation_split_is_fine_without_a_search(self, tmp_path):
+        # net2net expands on a schedule and never reads its validation rows
+        p = write_cfg(tmp_path, "train_samples = 4\ntasks = 2\nmethods = sn,net2net\n"
+                      "epochs = 1\nseeds = 0\n", tmp_path / "out")
+        assert main(["run", str(p)]) == 0
+
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG, tmp_path / "out")
         assert main(["run", str(cfg)]) == 0

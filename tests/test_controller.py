@@ -271,7 +271,7 @@ class TestSearchChild:
                                  policy, None, seed=5, search_cfg=scfg)
         assert result.actions == []
         expect = net.copy()
-        penalty = consolidation(anchor, fisher, cfg)
+        penalty = consolidation(anchor, fisher, cfg, np.arange(net.param_count()))
         train_task(expect, train, loss_ce, penalty, 2, 64, 0.01, seed=5 + 2)
         assert np.array_equal(result.net.get_flat(), expect.get_flat())
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rec import netcore
 from rec.netcore import (Arch, Batch, DenseNet, Layer, backward,
                          evaluate, forward, init_network, loss_ce, predict_logits,
                          sgd_step)
@@ -228,10 +229,11 @@ class TestEvaluate:
 
 
 class TestPredictLogits:
-    def test_matches_forward_per_sample(self, rng):
+    def test_matches_forward_per_sample(self, rng, monkeypatch):
+        monkeypatch.setattr(netcore, "CHUNK_ROWS", 7)
         net = init_network(Arch(4, (3,), 2), seed=5)
         x = rng.standard_normal((23, 4))
-        batched = predict_logits(net, x, batch_size=7)
+        batched = predict_logits(net, x)
         for i in range(23):
             row, _ = forward(net, Batch(x[i:i + 1], np.array([0])))
             assert np.allclose(batched[i], row[0], atol=1e-12)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from rec.data import Dataset
 from rec.distill import kd_loss
 from rec.lifelong import method_config
-from rec.netcore import (Arch, Batch, DenseNet, Layer, backward, forward,
+from rec.netcore import (CHUNK_ROWS, Arch, Batch, DenseNet, Layer, backward, forward,
                          init_network, loss_ce)
-from rec.regularize import (FISHER_CHUNK, PenaltyConfig, consolidation, TrainingDiverged,
+from rec.regularize import (PenaltyConfig, consolidation, TrainingDiverged,
                             estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
                             train_task)
 from rec.transform import DeeperAction, WiderAction, align_reference, apply_actions
@@ -130,7 +130,7 @@ class TestFisher:
         assert np.array_equal(estimate_fisher(net, ds, 1000, 3), estimate_fisher(net, ds, 30, 3))
 
     def test_count_not_a_multiple_of_the_chunk(self):
-        n = 2 * FISHER_CHUNK + 37
+        n = 2 * CHUNK_ROWS + 37
         net = random_net(Arch(5, (4,), 3), 5)
         assert_matches_loop(net, random_dataset(n + 10, 5, 3, 8), max_samples=n, seed=4)
 
@@ -143,7 +143,7 @@ class TestFisher:
         net = init_network(Arch(256, (128, 128), 10), seed=0)
         ds = random_dataset(1000, 256, 10, 9)
         _, _, peak = traced_memory(estimate_fisher, net, ds, 1000, 0)
-        chunk_acts = FISHER_CHUNK * (256 + 128 + 128 + 10) * 8
+        chunk_acts = CHUNK_ROWS * (256 + 128 + 128 + 10) * 8
         assert peak < 2.6 * chunk_acts, peak
 
 
@@ -454,7 +454,7 @@ class TestTrainTask:
         anchor = np.random.default_rng(3).standard_normal(net.param_count())
         fisher = np.ones(net.param_count())
         cfg = PenaltyConfig(1e6, 0.0, 0.0, EPS)
-        penalty = consolidation(anchor, fisher, cfg)
+        penalty = consolidation(anchor, fisher, cfg, np.arange(net.param_count()))
         train_task(net, train, loss_ce, penalty, epochs=3, batch_size=64, lr=1e-6, seed=4)
         assert np.max(np.abs(net.get_flat() - anchor)) < 1e-2
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rec.netcore import Arch, init_network, predict_logits
+from rec.data import Dataset
+from rec.netcore import Arch, init_network, loss_ce, predict_logits
+from rec.regularize import train_task
 from rec.transform import (DeeperAction, WiderAction, action_to_line, align_reference,
                            apply_actions, net2deeper, net2wider)
 
@@ -100,6 +102,17 @@ class TestApplyActions:
         assert np.array_equal(net2.get_flat(), net.get_flat())
         assert not mask.any()
         assert np.array_equal(ref, np.arange(net.param_count()))
+
+    def test_empty_gives_a_copy_that_trains_apart(self):
+        net = random_net(12)
+        before = net.get_flat()
+        net2, _ = apply_actions(net, [])
+        assert net2 is not net and np.array_equal(net2.get_flat(), before)
+        rng = np.random.default_rng(0)
+        train = Dataset(rng.standard_normal((40, 5)), rng.integers(0, 2, 40))
+        train_task(net2, train, loss_ce, None, epochs=2, batch_size=8, lr=0.1, seed=1)
+        assert not np.array_equal(net2.get_flat(), before)
+        assert np.array_equal(net.get_flat(), before)
 
     def test_wider_plus_deeper_preserves(self):
         net = random_net(11)
