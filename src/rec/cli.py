@@ -1,8 +1,9 @@
 """Command-line surface: `run <config>`, `report <dir>`, `checkpoint <save|load>`.
 
-Config files are plain key=value lines (# comments). Every emitted number is
-recomputable from the persisted JSONL records; see docs/formats.md for all
-schemas.
+Config files are plain key=value lines (# comments). KEYS holds each key's
+default and what it takes; `parse_config` parses each value once, and `rec
+run` reads the typed values. Every emitted number is recomputable from the
+persisted JSONL records; see docs/formats.md for all schemas.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -24,35 +26,49 @@ from .lifelong import (METHODS, gen_permuted_tasks, gen_rotated_tasks, gen_split
 from .netcore import Arch, init_network
 from .regularize import PenaltyConfig, TrainingDiverged
 
-_DEFAULTS: dict[str, str] = {
-    "dataset": "synthetic",
-    "task_kind": "permuted",
-    "tasks": "5",
-    "methods": "sn,ewc,mwc",
-    "seeds": "0,1,2",
-    "hidden": "40,40",
-    "side": "8",
-    "classes": "10",
-    "train_samples": "2000",
-    "test_samples": "1000",
-    "data_seed": "0",
-    "lambda_ewc": "40",
-    "lambda_21": "3e-5",
-    "lambda_1": "1e-5",
-    "epsilon": "1e-8",
-    "epochs": "8",
-    "batch_size": "256",
-    "lr": "0.03",
-    "momentum": "0.0",
-    "fisher_samples": "600",
-    "search_budget": "6",
-    "m_children": "3",
-    "child_epochs": "2",
-    "controller_lr": "0.05",
-    "compress_epochs": "20",
-    "compress_lr": "0.005",
-    "reward_scope": "new-only",
-    "out_dir": "results",
+
+@dataclass(frozen=True)
+class Key:
+    """A config key's default text and what it takes; free text unless set."""
+
+    default: str
+    min_int: int | None = None  # an integer, this or above
+    in_range: tuple[Callable[[float], bool], str] | None = None  # a float: test, wording
+    words: tuple[str, ...] = ()  # one of these words
+    is_list: bool = False  # a comma-separated list of such values
+
+
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+KEYS: dict[str, Key] = {
+    "dataset": Key("synthetic"),  # else IDX path pairs, see _idx_pairs
+    "task_kind": Key("permuted", words=("permuted", "rotated", "split")),
+    "tasks": Key("5", min_int=1),
+    "methods": Key("sn,ewc,mwc", words=tuple(METHODS), is_list=True),
+    "seeds": Key("0,1,2", min_int=0, is_list=True),
+    "hidden": Key("40,40", min_int=1, is_list=True),
+    "side": Key("8", min_int=1),
+    "classes": Key("10", min_int=1),
+    "train_samples": Key("2000", min_int=1),
+    "test_samples": Key("1000", min_int=1),
+    "data_seed": Key("0", min_int=0),
+    "lambda_ewc": Key("40", in_range=_NONNEGATIVE),
+    "lambda_21": Key("3e-5", in_range=_NONNEGATIVE),
+    "lambda_1": Key("1e-5", in_range=_NONNEGATIVE),
+    "epsilon": Key("1e-8", in_range=(lambda v: 0 < v <= 1e-4, "in (0, 1e-4]")),
+    "epochs": Key("8", min_int=1),
+    "batch_size": Key("256", min_int=1),
+    "lr": Key("0.03", in_range=_POSITIVE),
+    "momentum": Key("0.0", in_range=(lambda v: 0 <= v < 1, "in [0, 1)")),
+    "fisher_samples": Key("600", min_int=1),
+    "search_budget": Key("6", min_int=1),
+    "m_children": Key("3", min_int=1),
+    "child_epochs": Key("2", min_int=1),
+    "controller_lr": Key("0.05", in_range=_POSITIVE),
+    "compress_epochs": Key("20", min_int=1),
+    "compress_lr": Key("0.005", in_range=_POSITIVE),
+    "reward_scope": Key("new-only", words=("new-only", "all-learned")),
+    "out_dir": Key("results"),
 }
 
 # Files `rec run` writes into out_dir; it removes earlier ones before its first
@@ -61,43 +77,16 @@ _OWNED_PATTERNS = ("results_*.jsonl", "search_*.jsonl", "final_*.recnet",
                    "summary.csv", "series.csv")
 
 
-# Smallest valid value of each integer key; `seeds` and `hidden` are
-# comma-separated lists, and every element is checked.
-_INT_MIN = {"tasks": 1, "seeds": 0, "hidden": 1, "side": 1, "classes": 1,
-            "train_samples": 1, "test_samples": 1, "data_seed": 0, "epochs": 1,
-            "batch_size": 1, "fisher_samples": 1, "search_budget": 1,
-            "m_children": 1, "child_epochs": 1, "compress_epochs": 1}
-_LIST_KEYS = ("seeds", "hidden")
-_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: v > 0, "> 0")
-# Valid range of each float key, as a test and as the error message states it.
-_FLOAT_RANGE: dict[str, tuple[Callable[[float], bool], str]] = {
-    "lambda_ewc": _NONNEGATIVE, "lambda_21": _NONNEGATIVE, "lambda_1": _NONNEGATIVE,
-    "epsilon": (lambda v: 0 < v <= 1e-4, "in (0, 1e-4]"),
-    "lr": _POSITIVE, "controller_lr": _POSITIVE, "compress_lr": _POSITIVE,
-    "momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    values: dict[str, str] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> str:
-        return self.values[key]
-
+class RunConfig(dict):
     def get_int(self, key: str) -> int:
-        return int(self.values[key])
+        return self[key]
 
-    def get_float(self, key: str) -> float:
-        return float(self.values[key])
-
-    def get_list(self, key: str) -> list[str]:
-        return [v.strip() for v in self.values[key].split(",") if v.strip()]
+    def get_list(self, key: str) -> list:
+        return list(self[key])
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -108,7 +97,7 @@ def parse_config(path: str | Path) -> RunConfig:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {p}: {e}") from None
-    values, key_line = dict(_DEFAULTS), {}
+    given, key_line = {key: row.default for key, row in KEYS.items()}, {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -116,63 +105,61 @@ def parse_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{p}:{ln}: expected key=value, got {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"{p}:{ln}: unknown config key {key!r}")
         if key_line.setdefault(key, ln) != ln:
             raise ConfigError(f"{p}:{ln}: config key {key!r} already set on line {key_line[key]}")
-        values[key] = val
-    cfg = RunConfig(values)
-    for m in cfg.get_list("methods"):
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHODS)}")
-    if cfg["task_kind"] not in ("permuted", "rotated", "split"):
-        raise ConfigError(f"unknown task_kind {cfg['task_kind']!r}")
-    if cfg["reward_scope"] not in ("new-only", "all-learned"):
-        raise ConfigError(f"unknown reward_scope {cfg['reward_scope']!r}")
-    _check_numbers(cfg)
-    for key, parse in (("methods", str), ("seeds", int)):
-        items = [parse(v) for v in cfg.get_list(key)]
-        if not items:
+        given[key] = val
+    values = {key: _parse_value(key, val) for key, val in given.items()}
+    for key in ("methods", "seeds"):
+        if not values[key]:
             raise ConfigError(f"{key} is empty")
-        repeated = [v for i, v in enumerate(items) if v in items[:i]]
+        repeated = [v for i, v in enumerate(values[key]) if v in values[key][:i]]
         if repeated:  # each (method, seed) pair is one job and names its files
-            raise ConfigError(f"{key} = {cfg[key]!r}: {repeated[0]} is listed twice")
-    expanding = [m for m in cfg.get_list("methods") if METHODS[m][1]]
-    if expanding and not cfg.get_list("hidden"):
+            raise ConfigError(f"{key} = {given[key]!r}: {repeated[0]} is listed twice")
+    expanding = [m for m in values["methods"] if METHODS[m][1]]
+    if expanding and not values["hidden"]:
         raise ConfigError("hidden is empty, but expanding methods need a hidden layer: "
                           + ", ".join(expanding))
-    if cfg["dataset"] != "synthetic":
-        _idx_pairs(cfg["dataset"])
-    if (cfg["task_kind"] == "split" and cfg["dataset"] == "synthetic"
-            and cfg.get_int("classes") % cfg.get_int("tasks")):
-        raise ConfigError(f"split tasks need classes ({cfg['classes']}) divisible by "
-                          f"tasks ({cfg['tasks']})")
-    return cfg
+    if values["dataset"] != "synthetic":
+        values["dataset"] = _idx_pairs(values["dataset"])
+    elif values["task_kind"] == "split" and values["classes"] % values["tasks"]:
+        raise ConfigError(f"split tasks need classes ({values['classes']}) divisible by "
+                          f"tasks ({values['tasks']})")
+    return RunConfig(values)
 
 
-def _check_numbers(cfg: RunConfig) -> None:
-    """Every numeric value parses as its type, is finite and is in range."""
-    for key, lo in _INT_MIN.items():
-        for item in cfg.get_list(key) if key in _LIST_KEYS else [cfg[key]]:
+def _parse_value(key: str, text: str):
+    """`text` as what KEYS[key] takes; a list key's value is a tuple."""
+    row = KEYS[key]
+    items = [v.strip() for v in text.split(",") if v.strip()] if row.is_list else [text]
+    parsed = []
+    for item in items:
+        value = item  # free text or one of the words
+        if row.min_int is not None:
             try:
-                ok = int(item) >= lo
+                value = int(item)
             except ValueError:
-                raise ConfigError(f"{key} = {cfg[key]!r}: {item!r} is not an integer") from None
-            if not ok:
-                raise ConfigError(f"{key} = {cfg[key]!r}: must be >= {lo}")
-    for key, (in_range, wanted) in _FLOAT_RANGE.items():
-        try:
-            v = float(cfg[key])
-        except ValueError:
-            raise ConfigError(f"{key} = {cfg[key]!r}: not a number") from None
-        if not (math.isfinite(v) and in_range(v)):
-            raise ConfigError(f"{key} = {cfg[key]!r}: must be finite and {wanted}")
+                raise ConfigError(f"{key} = {text!r}: {item!r} is not an integer") from None
+            if value < row.min_int:
+                raise ConfigError(f"{key} = {text!r}: must be >= {row.min_int}")
+        elif row.in_range is not None:
+            try:
+                value = float(item)
+            except ValueError:
+                raise ConfigError(f"{key} = {text!r}: not a number") from None
+            if not (math.isfinite(value) and row.in_range[0](value)):
+                raise ConfigError(f"{key} = {text!r}: must be finite and {row.in_range[1]}")
+        elif row.words and item not in row.words:
+            raise ConfigError(f"unknown {key} {item!r}; known: {', '.join(row.words)}")
+        parsed.append(value)
+    return tuple(parsed) if row.is_list else parsed[0]
 
 
-def _idx_pairs(spec: str) -> list[tuple[str, str]]:
+def _idx_pairs(spec: str) -> tuple[tuple[str, str], ...]:
     """A non-synthetic `dataset` value as (images, labels) IDX path pairs:
     the training pair, then optionally the test pair."""
-    parts = [tuple(path.strip() for path in part.split(",")) for part in spec.split(";")]
+    parts = tuple(tuple(path.strip() for path in part.split(",")) for part in spec.split(";"))
     if len(parts) > 2 or any(len(p) != 2 or not all(p) for p in parts):
         raise ConfigError(f"dataset = {spec!r}: expected synthetic or "
                           "train_imgs,train_labels[;test_imgs,test_labels]")
@@ -180,14 +167,12 @@ def _idx_pairs(spec: str) -> list[tuple[str, str]]:
 
 
 def _build_tasks(cfg: RunConfig):
-    data_seed = cfg.get_int("data_seed")
     if cfg["dataset"] == "synthetic":
-        train, test = synthetic_classes(cfg.get_int("train_samples"),
-                                        cfg.get_int("test_samples"),
-                                        cfg.get_int("side"), cfg.get_int("classes"),
-                                        subseed(data_seed, "data"))
+        train, test = synthetic_classes(cfg["train_samples"], cfg["test_samples"],
+                                        cfg["side"], cfg["classes"],
+                                        subseed(cfg["data_seed"], "data"))
     else:
-        pairs = _idx_pairs(cfg["dataset"])
+        pairs = cfg["dataset"]
         train, (rows, cols) = load_idx_dataset(*pairs[0])
         if len(pairs) > 1:
             test, test_shape = load_idx_dataset(*pairs[1])
@@ -207,9 +192,8 @@ def _build_tasks(cfg: RunConfig):
                              f"{rows}x{cols} images")
     gen = {"permuted": gen_permuted_tasks, "rotated": gen_rotated_tasks,
            "split": gen_split_tasks}[cfg["task_kind"]]
-    tasks = gen(train, test, cfg.get_int("tasks"), data_seed)
-    # As in run_sequence, methods that expand and compress search on validation rows.
-    searching = ", ".join(m for m in cfg.get_list("methods") if METHODS[m][1] and METHODS[m][2])
+    tasks = gen(train, test, cfg["tasks"], cfg["data_seed"])
+    searching = ", ".join(m for m in cfg["methods"] if _method_cfg(cfg, m).searches)
     for t, task in enumerate(tasks, 1):
         rows = {"train": len(task.train), "validation": len(task.val), "test": len(task.test)}
         for split, needed in (("train", True), ("test", True), ("validation", bool(searching))):
@@ -221,26 +205,21 @@ def _build_tasks(cfg: RunConfig):
 
 
 def _method_cfg(cfg: RunConfig, method: str):
-    penalty = PenaltyConfig(cfg.get_float("lambda_ewc"), cfg.get_float("lambda_21"),
-                            cfg.get_float("lambda_1"), cfg.get_float("epsilon"))
-    search = SearchConfig(budget=cfg.get_int("search_budget"),
-                          m_children=cfg.get_int("m_children"),
-                          child_epochs=cfg.get_int("child_epochs"),
-                          controller_lr=cfg.get_float("controller_lr"))
+    penalty = PenaltyConfig(cfg["lambda_ewc"], cfg["lambda_21"], cfg["lambda_1"], cfg["epsilon"])
+    search = SearchConfig(budget=cfg["search_budget"], m_children=cfg["m_children"],
+                          child_epochs=cfg["child_epochs"],
+                          controller_lr=cfg["controller_lr"])
     return method_config(
         method, penalty,
-        epochs=cfg.get_int("epochs"), batch_size=cfg.get_int("batch_size"),
-        lr=cfg.get_float("lr"), momentum=cfg.get_float("momentum"),
-        fisher_samples=cfg.get_int("fisher_samples"), search=search,
-        compress_cfg=CompressConfig(epochs=cfg.get_int("compress_epochs"),
-                                    lr=cfg.get_float("compress_lr")),
+        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
+        momentum=cfg["momentum"], fisher_samples=cfg["fisher_samples"], search=search,
+        compress_cfg=CompressConfig(epochs=cfg["compress_epochs"], lr=cfg["compress_lr"]),
         reward_scope=cfg["reward_scope"],
     )
 
 
 def _run_one(cfg: RunConfig, tasks, method: str, seed: int, out: Path) -> None:
-    hidden = tuple(int(w) for w in cfg.get_list("hidden"))
-    result = run_sequence(tasks, _method_cfg(cfg, method), seed, hidden)
+    result = run_sequence(tasks, _method_cfg(cfg, method), seed, cfg["hidden"])
     with open(out / f"results_{method}_s{seed}.jsonl", "w", encoding="utf-8") as fh:
         for rec in result.records:
             fh.write(json.dumps({"method": method, "seed": seed, **rec},
@@ -265,7 +244,7 @@ def cmd_run(config_path: str) -> int:
             for stale in out.glob(pattern):
                 stale.unlink()
         tasks = _build_tasks(cfg)
-        jobs = [(m, int(s)) for m in cfg.get_list("methods") for s in cfg.get_list("seeds")]
+        jobs = [(m, s) for m in cfg["methods"] for s in cfg["seeds"]]
         failed = 0
         for m, s in jobs:
             try:  # a failed job writes no files; the other jobs still run
@@ -337,10 +316,10 @@ def cmd_checkpoint(mode: str, path: str, arch_spec: str | None, seed: int) -> in
     try:
         if mode == "load":
             net, anchor, fisher = load_checkpoint(path)
-            print(f"arch: {'-'.join(map(str, net.arch.widths))}")
-            print(f"params: {net.param_count()}")
-            print(f"anchor: {'yes' if anchor is not None else 'no'}")
-            print(f"fisher: {'yes' if fisher is not None else 'no'}")
+            lines = [f"arch: {'-'.join(map(str, net.arch.widths))}",
+                     f"params: {net.param_count()}",
+                     f"anchor: {'yes' if anchor is not None else 'no'}",
+                     f"fisher: {'yes' if fisher is not None else 'no'}"]
         else:
             if not arch_spec:
                 print("error: checkpoint save requires --arch d,h1,...,K", file=sys.stderr)
@@ -350,10 +329,11 @@ def cmd_checkpoint(mode: str, path: str, arch_spec: str | None, seed: int) -> in
                 raise ValueError(f"--arch {arch_spec!r}: expected d,h1,...,K (at least d and K)")
             net = init_network(Arch(dims[0], tuple(dims[1:-1]), dims[-1]), seed)
             save_checkpoint(path, net)
-            print(f"saved fresh network ({net.param_count()} params) to {path}")
+            lines = [f"saved fresh network ({net.param_count()} params) to {path}"]
     except (CheckpointError, OSError, ValueError) as e:
         print(f"checkpoint failed: {e}", file=sys.stderr)
         return 1
+    print("\n".join(lines))  # outside the try: a closed stdout is main's to handle
     return 0
 
 
@@ -362,19 +342,24 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute the runs described by a config file")
     p_run.add_argument("config")
+    p_run.set_defaults(func=lambda a: cmd_run(a.config))
     p_rep = sub.add_parser("report", help="summarize a results directory")
     p_rep.add_argument("results_dir")
+    p_rep.set_defaults(func=lambda a: cmd_report(a.results_dir))
     p_ck = sub.add_parser("checkpoint", help="save or inspect a RECNET01 checkpoint")
     p_ck.add_argument("mode", choices=["save", "load"])
     p_ck.add_argument("path")
     p_ck.add_argument("--arch", default=None, help="dims for save, e.g. 64,40,40,10")
     p_ck.add_argument("--seed", type=int, default=0)
+    p_ck.set_defaults(func=lambda a: cmd_checkpoint(a.mode, a.path, a.arch, a.seed))
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "report":
-        return cmd_report(args.results_dir)
-    return cmd_checkpoint(args.mode, args.path, args.arch, args.seed)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:  # e.g. `rec report DIR | head -1`; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -162,7 +162,7 @@ def load_idx_labels(path: str | Path) -> np.ndarray:
 def load_idx_dataset(images_path: str | Path,
                      labels_path: str | Path) -> tuple[Dataset, tuple[int, int]]:
     """An IDX image/label pair as a dataset of flattened images, plus the
-    images' (rows, cols). A pair with no images raises ValueError."""
+    images' (rows, cols). A pair with no images or no pixels raises ValueError."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     n, rows, cols = images.shape
@@ -171,4 +171,6 @@ def load_idx_dataset(images_path: str | Path,
                          f"{labels_path} holds {labels.shape[0]} labels")
     if n == 0:
         raise ValueError(f"IDX image file {images_path} holds 0 images")
+    if rows * cols == 0:
+        raise ValueError(f"IDX image file {images_path} holds {rows}x{cols} images: no pixels")
     return Dataset(images.reshape(n, rows * cols), labels), (rows, cols)

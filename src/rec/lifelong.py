@@ -158,6 +158,11 @@ class MethodConfig:
         if self.reward_scope not in ("new-only", "all-learned"):
             raise ValueError(f"bad reward scope {self.reward_scope!r}")
 
+    @property
+    def searches(self) -> bool:
+        """A method that expands and compresses searches its child on validation rows."""
+        return self.expansion and self.compression
+
 
 def method_config(method: str, penalty: PenaltyConfig, **kw) -> MethodConfig:
     """The named method's METHODS row applied to `penalty`; `kw` sets the rest."""
@@ -189,7 +194,6 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
     inputs are views, resident a minibatch or a 512-row chunk at a time, save
     the validation rows the search scores (stacked once per search).
     """
-    searches = method.expansion and method.compression
     first = tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
     net = init_network(initial_arch, subseed(seed, "init"))
@@ -214,7 +218,7 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
             return train_task(model, task.train, loss_ce, penalty, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
-        if t > 0 and searches:
+        if t > 0 and method.searches:
             scored = tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
             result, baseline = search_child(net, fit, [tk.val for tk in scored],
                                             policy, baseline, subseed(seed, "search", t),

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,7 @@ def test_formats_doc_lists_every_key_with_its_default():
     for row in table.splitlines()[2:]:
         keys, defaults = (cell.strip() for cell in row.split("|")[1:3])
         documented.update(zip(re.findall("`([^`]*)`", keys), re.findall("`([^`]*)`", defaults)))
-    assert documented == cli._DEFAULTS
+    assert documented == {key: row.default for key, row in cli.KEYS.items()}
 
 
 class TestParseConfig:
@@ -118,7 +121,9 @@ class TestParseConfig:
         ("methods = sn,ewc,sn\n", "methods = 'sn,ewc,sn': sn is listed twice"),
         ("seeds = 0,0\n", "seeds = '0,0': 0 is listed twice"),
         ("seeds = 1, 2,01\n", "seeds = '1, 2,01': 1 is listed twice"),
-        ("reward_scope = everything\n", "unknown reward_scope"),
+        ("reward_scope = everything\n",
+         "unknown reward_scope 'everything'; known: new-only, all-learned"),
+        ("task_kind = shuffled\n", "unknown task_kind 'shuffled'; known: permuted, rotated, split"),
         ("task_kind = split\ntasks = 3\n", "divisible"),
         ("methods = net2net\nhidden =\n", "hidden is empty"),
         ("methods = sn,net2net_ewc\nhidden =\n", "hidden is empty"),
@@ -136,15 +141,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(p)
 
-    @pytest.mark.parametrize("body", [
-        "dataset = tr_imgs,tr_labels\n",
-        "dataset = tr_imgs , tr_labels ; te_imgs , te_labels\n",
-        "methods = sn,ewc,mwc\nhidden =\n",
-    ])
-    def test_well_formed_values_accepted(self, tmp_path, body):
+    WELL_FORMED = [  # a config body, then some of its parsed values
+        ("", {"seeds": (0, 1, 2), "hidden": (40, 40), "lr": 0.03, "dataset": "synthetic"}),
+        ("dataset = tr_imgs,tr_labels\n", {"dataset": (("tr_imgs", "tr_labels"),)}),
+        ("dataset = tr_imgs , tr_labels ; te_imgs , te_labels\n",
+         {"dataset": (("tr_imgs", "tr_labels"), ("te_imgs", "te_labels"))}),
+        ("methods = sn,ewc,mwc\nhidden =\n", {"hidden": ()}),
+    ]
+
+    @pytest.mark.parametrize("body, typed", [pytest.param(*case, id=case[0] or "empty")
+                                             for case in WELL_FORMED])
+    def test_well_formed_values_accepted(self, tmp_path, body, typed):
+        # each value is parsed once, into what its KEYS row takes
         p = tmp_path / "c.txt"
         p.write_text(body)
-        parse_config(p)
+        cfg = parse_config(p)
+        assert {key: cfg[key] for key in typed} == typed
 
 
 class TestBuildTasks:
@@ -260,16 +272,18 @@ class TestRunCommand:
             f"holds 8x8 images, {test[0]} holds 6x6 images\n")
         assert not list((tmp_path / "out").glob("results_*"))
 
-    @pytest.mark.parametrize("case", ["empty-test", "empty-train", "one-image", "counts"])
+    @pytest.mark.parametrize("case", ["empty-test", "empty-train", "one-image", "counts",
+                                      "no-pixels"])
     def test_idx_without_rows_exits_1_naming_the_file(self, tmp_path, capsys, case):
         # each is rejected before any job runs, naming the file(s) and counts
         rng = np.random.default_rng(0)
         sizes = {"empty-test": (40, 0), "empty-train": (0, 40), "one-image": (1,),
-                 "counts": (40, 20)}[case]
+                 "counts": (40, 20), "no-pixels": (50,)}[case]
+        side = 0 if case == "no-pixels" else 4
         pairs = []
         for i, n in enumerate(sizes):
             (tmp_path / str(i)).mkdir()
-            pairs.append(write_idx_pair(tmp_path / str(i), rng.integers(0, 256, (n, 4, 4)),
+            pairs.append(write_idx_pair(tmp_path / str(i), rng.integers(0, 256, (n, side, side)),
                                         np.arange(n) % 2))
         if case == "counts":
             pairs[1][1].write_bytes(pairs[0][1].read_bytes())
@@ -283,6 +297,7 @@ class TestRunCommand:
                           "part) holds none"),
             "counts": (f"IDX image/label counts differ: {pairs[-1][0]} holds 20 images, "
                        f"{pairs[-1][1]} holds 40 labels"),
+            "no-pixels": f"IDX image file {pairs[0][0]} holds 0x0 images: no pixels",
         }[case]
         assert capsys.readouterr().err == f"run failed: ValueError: {message}\n"
         assert not list((tmp_path / "out").glob("results_*"))
@@ -467,3 +482,26 @@ class TestCheckpointCommand:
 
     def test_load_missing_file_exits_1(self, tmp_path):
         assert main(["checkpoint", "load", str(tmp_path / "absent.recnet")]) == 1
+
+
+@pytest.mark.parametrize("command", ["report", "checkpoint save", "checkpoint load"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, command):
+    # stdout is a pipe whose reader is gone before the command prints, as when
+    # `head -1` exits first in `rec report DIR | head -1`
+    (tmp_path / "results_sn_s0.jsonl").write_text(json.dumps(
+        {"method": "sn", "seed": 0, "task": 1, "accuracies": [0.5], "param_count": 10}) + "\n")
+    assert main(["checkpoint", "save", str(tmp_path / "n.recnet"), "--arch", "4,3,2"]) == 0
+    args = {"report": ["report", str(tmp_path)],
+            "checkpoint save": ["checkpoint", "save", str(tmp_path / "m.recnet"), "--arch", "4,2"],
+            "checkpoint load": ["checkpoint", "load", str(tmp_path / "n.recnet")]}[command]
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "rec.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
