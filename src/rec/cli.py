@@ -324,10 +324,16 @@ def cmd_checkpoint(mode: str, path: str, arch_spec: str | None, seed: int) -> in
             if not arch_spec:
                 print("error: checkpoint save requires --arch d,h1,...,K", file=sys.stderr)
                 return 2
-            dims = [int(x) for x in arch_spec.split(",")]
-            if len(dims) < 2:
-                raise ValueError(f"--arch {arch_spec!r}: expected d,h1,...,K (at least d and K)")
-            net = init_network(Arch(dims[0], tuple(dims[1:-1]), dims[-1]), seed)
+            try:
+                dims = [int(x) for x in arch_spec.split(",")]
+                if len(dims) < 2:
+                    raise ValueError("expected d,h1,...,K (at least d and K)")
+                arch = Arch(dims[0], tuple(dims[1:-1]), dims[-1])
+            except ValueError as e:
+                raise ValueError(f"--arch {arch_spec!r}: {e}") from None
+            if seed < 0:
+                raise ValueError(f"--seed {seed}: must be >= 0")
+            net = init_network(arch, seed)
             save_checkpoint(path, net)
             lines = [f"saved fresh network ({net.param_count()} params) to {path}"]
     except (CheckpointError, OSError, ValueError) as e:

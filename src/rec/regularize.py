@@ -7,16 +7,17 @@ diagonal are float64 vectors aligned with a net's flat view. The penalty is
 quadratic Fisher anchoring + smoothed l2,1 coupling of current/previous
 weights + smoothed l1 sparsity. With an expansion mask the anchored terms skip
 new coordinates and l1 applies only to them; an absent or all-False mask means
-no expansion, and l1 covers every coordinate. `mwc_penalty` evaluates the
-terms on full-length vectors and skips every term whose lambda is 0;
-`ewc_term`, `l21_term` and `l1_term` are the reference formulas it matches.
-`consolidation` binds it to an anchor gathered through a reference vector
-(transform). A `train_task` step is one forward, the logit loss, one backward,
-then the penalty; `mwc_loss` is one such step with CE.
+no expansion, and l1 covers every coordinate. `consolidation` (an anchor
+gathered through a transform reference vector) and `mwc_loss` bind the penalty
+once per net; each step's `mwc_penalty` is one pass over the bound terms that
+allocates no parameter-length array, and `ewc_term`, `l21_term` and `l1_term`
+are the reference formulas it matches. A `train_task` step is one forward, the
+logit loss, one backward, then the penalty; `mwc_loss` is one such step with CE.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,8 +40,9 @@ class PenaltyConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if min(self.lambda_ewc, self.lambda_21, self.lambda_1) < 0:
-            raise ValueError("lambdas must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0
+                   for x in (self.lambda_ewc, self.lambda_21, self.lambda_1)):
+            raise ValueError("lambdas must be finite and nonnegative")
         if not (0 < self.epsilon <= 1e-4):
             raise ValueError("epsilon must be in (0, 1e-4]")
 
@@ -128,68 +130,66 @@ def l1_term(params: np.ndarray, mask: np.ndarray | None, lambda_1: float,
     return lambda_1 * float(np.sum(root[mask])), grad
 
 
-def mwc_penalty(params: np.ndarray, grads: np.ndarray, anchor: np.ndarray,
-                fisher: np.ndarray, cfg: PenaltyConfig, mask: np.ndarray | None = None) -> float:
-    """The consolidation penalty at `params`: returns its value and adds its
-    gradient into `grads` in place.
+def mwc_penalty(params: np.ndarray, grads: np.ndarray, ewc: tuple | None, roots: list,
+                eps2: float, buf: np.ndarray, work: np.ndarray) -> float:
+    """The consolidation penalty at `params` from the terms _bind made for its
+    net: returns the value and adds the gradient into `grads` in place.
 
-    A mask with any True entry marks expanded coordinates: anchor and fisher
-    must then already be aligned to the current flat view (zeros at masked
-    positions; see transform.align_reference). None and an all-False mask both
-    mean no expansion.
-
-    Each term is computed on full-length vectors, and a term whose lambda is 0
-    is skipped. The zeros of aligned vectors make the Fisher term vanish on
-    masked coordinates, and there sqrt(p^2 + a^2 + eps^2) is the l1 root, so
-    an expanded net gets one root weighted lambda_21 on anchored and lambda_1
-    on new coordinates. The gradient added equals ewc_term and l21_term over
-    the unmasked coordinates plus l1_term over the masked ones, added in that
-    order, bit for bit (up to the sign of an exact zero, which a skipped term
-    can flip); the value equals their sum up to summation order.
+    `ewc` is (anchor, lambda_ewc * F), or None when lambda_ewc is 0. Each of
+    `roots` is (a^2 or None, w) for the term sum w * sqrt(p^2 + a^2 + eps2),
+    w a scalar or a per-coordinate vector. Every temporary lives in buf and
+    work, so a call allocates no parameter-length array.
     """
-    p, a = params, anchor
-    if mask is not None and mask.shape != p.shape:
-        raise ValueError("mask length differs from net parameter count")
-    lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
-    # Every temporary of the penalty lives in these two vectors, updated in
-    # place, so a step allocates two parameter-length arrays, not one per op.
-    buf, work = np.empty_like(p), np.empty_like(p)
     value = 0.0
-    if cfg.lambda_ewc:
-        diff = np.subtract(p, a, out=buf)
-        np.multiply(cfg.lambda_ewc, fisher, out=work)
-        work *= diff
+    if ewc is not None:
+        anchor, lam_fisher = ewc
+        diff = np.subtract(params, anchor, out=buf)
+        np.multiply(lam_fisher, diff, out=work)
         value += 0.5 * float(work @ diff)
         grads += work
-    eps2 = cfg.epsilon ** 2
-    if mask is not None and mask.any():
-        if lam_21 or lam_1:
-            root = _smoothed_root(p, a, eps2, buf, work)
-            work.fill(lam_21)
-            work[mask] = lam_1
-            value += float(work @ root)
-            work *= p
-            work /= root
-            grads += work
-        return value
-    for lam, anchored in ((lam_21, a), (lam_1, None)):
-        if lam:
-            root = _smoothed_root(p, anchored, eps2, buf, work)
-            value += lam * float(np.sum(root))
-            np.multiply(lam, p, out=work)
-            work /= root
-            grads += work
+    for anchor_sq, weight in roots:
+        root = np.square(params, out=buf)
+        if anchor_sq is not None:
+            root += anchor_sq
+        root += eps2
+        np.sqrt(root, out=root)
+        value += float(weight @ root) if np.ndim(weight) else weight * float(np.sum(root))
+        np.multiply(weight, params, out=work)
+        work /= root
+        grads += work
     return value
 
 
-def _smoothed_root(p: np.ndarray, a: np.ndarray | None, eps2: float, out: np.ndarray,
-                   work: np.ndarray) -> np.ndarray:
-    """out <- sqrt(p^2 + a^2 + eps2), or sqrt(p^2 + eps2) without a; work is scratch."""
-    np.square(p, out=out)
-    if a is not None:
-        out += np.square(a, out=work)
-    out += eps2
-    return np.sqrt(out, out=out)
+def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
+          mask: np.ndarray | None) -> Callable:
+    """penalty(params, grads) -> value for one net: mwc_penalty, with what
+    does not depend on the parameters made once.
+
+    A mask with any True entry marks expanded coordinates; anchor and fisher
+    are then aligned to the net's flat view (zeros there; see
+    transform.align_reference), so the Fisher term vanishes on them and one
+    root sqrt(p^2 + a^2 + eps^2) serves, weighted lambda_21 on anchored and
+    lambda_1 on new coordinates. Without expansion (None or all False) the
+    l2,1 root is over (p, a) and the l1 root over p. A zero-lambda term is
+    skipped. The gradient equals ewc_term and l21_term over the unmasked
+    coordinates plus l1_term over the masked ones, added in that order, bit
+    for bit up to the sign of an exact zero; the value, up to summation order.
+    """
+    if mask is not None:
+        if mask.dtype != bool:
+            raise ValueError(f"mask must be boolean, got dtype {mask.dtype}")
+        if mask.shape != anchor.shape:
+            raise ValueError("mask length differs from net parameter count")
+    lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
+    ewc = (anchor, cfg.lambda_ewc * fisher) if cfg.lambda_ewc else None
+    if mask is not None and mask.any():
+        roots = [(np.square(anchor), np.where(mask, lam_1, lam_21))] if lam_21 or lam_1 else []
+    else:
+        roots = [(np.square(anchor), lam_21)] if lam_21 else []
+        roots += [(None, lam_1)] if lam_1 else []
+    eps2 = cfg.epsilon ** 2
+    buf, work = np.empty(len(anchor)), np.empty(len(anchor))
+    return lambda params, grads: mwc_penalty(params, grads, ewc, roots, eps2, buf, work)
 
 
 def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable | None,
@@ -207,8 +207,7 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
              cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Value and flat gradient of one training step with loss_ce and
     mwc_penalty; without an anchor, of CE alone (the first-task objective)."""
-    penalty = None if anchor is None else (
-        lambda params, grads: mwc_penalty(params, grads, anchor, fisher, cfg, mask))
+    penalty = None if anchor is None else _bind(anchor, fisher, cfg, mask)
     return _step(net, batch, loss_ce, penalty, None, 0)
 
 
@@ -219,9 +218,7 @@ def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: Pen
     anchor and Fisher are gathered through `ref`, and ref < 0 is the mask."""
     if anchor is None:
         return None
-    aligned = align_reference(anchor, ref), align_reference(fisher, ref)
-    mask = ref < 0
-    return lambda params, grads: mwc_penalty(params, grads, *aligned, cfg, mask)
+    return _bind(align_reference(anchor, ref), align_reference(fisher, ref), cfg, ref < 0)
 
 
 def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty: Callable | None,

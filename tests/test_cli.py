@@ -459,6 +459,16 @@ class TestCheckpointCommand:
         assert capsys.readouterr().err.startswith("checkpoint failed: --arch '64'")
         assert not p.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--arch", "4,x,2"], "--arch '4,x,2': invalid literal for int() with base 10: 'x'"),
+        (["--arch", "4,0,2"], "--arch '4,0,2': hidden widths must be >= 1: (0,)"),
+        (["--arch", "4,3,2", "--seed", "-1"], "--seed -1: must be >= 0")])
+    def test_save_names_the_bad_flag_and_exits_1(self, tmp_path, capsys, flags, message):
+        p = tmp_path / "net.recnet"
+        assert main(["checkpoint", "save", str(p), *flags]) == 1
+        assert capsys.readouterr().err == f"checkpoint failed: {message}\n"
+        assert not p.exists()
+
     def test_save_save_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.recnet", tmp_path / "b.recnet"
         main(["checkpoint", "save", str(p1), "--arch", "6,8,4", "--seed", "5"])

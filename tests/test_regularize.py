@@ -312,6 +312,22 @@ def test_all_false_mask_is_no_expansion():
     assert g_none.tobytes() == g_empty.tobytes()
 
 
+def test_integer_mask_rejected():
+    # 0/1 integers would index the vectors instead of selecting coordinates
+    net, batch, anchor, fisher = small_problem(6)
+    mask = np.zeros(net.param_count(), dtype=int)
+    mask[::4] = 1
+    with pytest.raises(ValueError, match="mask must be boolean"):
+        mwc_loss(net, batch, anchor, fisher, PenaltyConfig(1.0, 0.3, 0.2, EPS), mask)
+
+
+@pytest.mark.parametrize("field", ["lambda_ewc", "lambda_21", "lambda_1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_penalty_config_rejects_non_finite_or_negative_lambdas(field, value):
+    with pytest.raises(ValueError, match="lambdas must be finite and nonnegative"):
+        PenaltyConfig(**{field: value})
+
+
 def penalty_by_terms(p, grads, anchor, fisher, cfg, mask=None):
     """Reference penalty built from the term functions: ewc_term and l21_term
     over the unmasked coordinates, then l1_term over the masked ones (every
@@ -419,6 +435,39 @@ def test_train_task_takes_a_kd_loss_with_the_consolidation_penalty(method):
     targets = np.random.default_rng(4).standard_normal((150, 3))
     check_expanded_child_against_loop(
         method, lambda logits, labels, rows, epoch: kd_loss(logits, targets[rows]))
+
+
+def widened_consolidation(method):
+    """(penalty, n): the consolidation penalty of a widened 20-30-5 net, bound
+    once, and the child's parameter count."""
+    parent = random_net(Arch(20, (30,), 5), 11)
+    child, ref = apply_actions(parent, [WiderAction(0, 60)], seed=12)
+    rng = np.random.default_rng(13)
+    fisher = rng.random(parent.param_count())
+    cfg = method_config(method, WIRED).penalty
+    return consolidation(parent.get_flat(), fisher, cfg, ref), child.param_count()
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+def test_bound_penalty_step_allocates_no_parameter_vector(method):
+    penalty, n = widened_consolidation(method)
+    params = np.random.default_rng(14).standard_normal(n)
+    grads = np.zeros(n)
+    _, _, peak = traced_memory(penalty, params, grads)
+    assert peak < 8 * n
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+def test_bound_penalty_carries_nothing_between_calls(method):
+    rng = np.random.default_rng(15)
+    penalty, n = widened_consolidation(method)
+    for params in (rng.standard_normal(n), rng.standard_normal(n)):
+        start = rng.standard_normal(n)
+        reused, fresh = start.copy(), start.copy()
+        value = penalty(params, reused)
+        assert value == widened_consolidation(method)[0](params, fresh)
+        assert reused.tobytes() == fresh.tobytes()
+        assert not np.array_equal(reused, start)
 
 
 @settings(max_examples=25, deadline=None)
