@@ -263,12 +263,43 @@ def cmd_run(config_path: str) -> int:
     return 1 if failed else 0
 
 
+# The fields the report reads from every results record, with their JSON types.
+_RECORD_TYPES = {"method": str, "seed": int, "task": int, "param_count": int,
+                 "accuracies": list}
+
+
+def _record(line: bytes) -> dict:
+    """One results_*.jsonl line as a record holding the fields the report
+    reads; ValueError says what is wrong."""
+    try:
+        rec = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"not UTF-8: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"not JSON: {e}") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"a record is a JSON object, not {type(rec).__name__}")
+    for key, kind in _RECORD_TYPES.items():
+        if key not in rec:
+            raise ValueError(f"no {key!r}")
+        if type(rec[key]) is not kind:
+            raise ValueError(f"{key!r} must be {kind.__name__}, not {type(rec[key]).__name__}")
+    if not rec["accuracies"] or any(type(a) not in (int, float) for a in rec["accuracies"]):
+        raise ValueError("'accuracies' must be a non-empty list of numbers")
+    return rec
+
+
 def _load_records(results_dir: Path) -> list[dict]:
+    """Every record of the directory's results_*.jsonl files; a malformed one
+    raises ValueError naming its file and line."""
     records = []
     for path in sorted(results_dir.glob("results_*.jsonl")):
-        for line in path.read_text().splitlines():
+        for n, line in enumerate(path.read_bytes().splitlines(), 1):
             if line.strip():
-                records.append(json.loads(line))
+                try:
+                    records.append(_record(line))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{n}: {e}") from None
     if not records:
         raise ValueError(f"no results_*.jsonl records under {results_dir}")
     return records

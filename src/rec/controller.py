@@ -155,7 +155,7 @@ class SearchConfig:
     m_children: int = 3
     child_epochs: int = 2
     controller_lr: float = 0.05
-    width_cap_factor: int = 4
+    width_cap_factor: int = 4  # net2net's widening cap, times the initial width
     max_deeper: int = 3  # identity-layer insertions per episode
 
 
@@ -178,12 +178,11 @@ def _deeper_probs(policy: ControllerPolicy, states: np.ndarray) -> np.ndarray:
 
 def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
                    cfg: SearchConfig = SearchConfig()) -> Episode:
-    """Sample widen decisions per layer, then insertion decisions until stop;
-    caps hold by construction."""
+    """Sample widen decisions per layer (a widened layer doubles, once), then
+    insertion decisions until stop."""
     rng = np.random.default_rng(seed)
     ep = Episode()
     widths = list(arch.hidden_widths)
-    caps = [cfg.width_cap_factor * w for w in widths]
 
     states, _ = encode(policy, tuple(widths))
     n_wider = 0
@@ -195,7 +194,7 @@ def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
         ep.decisions.append(Decision("wider", tuple(arch.hidden_widths), i, a))
         if a:
             n_wider += 1
-            new_w = min(2 * widths[i], caps[i])
+            new_w = 2 * widths[i]
             ep.actions.append(WiderAction(i, new_w))
             widths[i] = new_w
 
@@ -265,33 +264,33 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
 
     Each child is created by the sampled morphisms, fine-tuned for
     `search_cfg.child_epochs` through `fit` (the task's own loss and SGD
-    settings), and scored on the validation data (the rows of every val_sets
-    view, gathered and stacked once); rewards update the policy in batches of
-    m. Returns the best-scoring child seen and the reward moving average
+    settings), and scored on the rows of every val_sets view, one view and
+    512-row chunk at a time; rewards update the policy in batches of m.
+    Returns the best-scoring child seen and the reward moving average
     (reward_transform).
     """
     budget = search_cfg.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    val_inputs = np.vstack([v.inputs[:] for v in val_sets])
-    val_labels = np.concatenate([v.labels for v in val_sets])
-    if val_inputs.shape[0] == 0:
+    n_val = sum(len(v) for v in val_sets)
+    if n_val == 0:
         raise ValueError("empty validation set")
 
     best: SearchResult | None = None
     log: list[dict] = []
-    done = 0
-    while done < budget:
-        batch_n = min(search_cfg.m_children, budget - done)
+    for start in range(0, budget, search_cfg.m_children):
         episodes = []
-        for j in range(batch_n):
-            ep_seed = seed + 1013 * (done + j)
+        for i in range(start, min(start + search_cfg.m_children, budget)):
+            ep_seed = seed + 1013 * i
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
             diverged = False
             try:
                 child, child_ref = apply_actions(prev_net, ep.actions, ep_seed + 1)
                 fit(child, child_ref, search_cfg.child_epochs, ep_seed + 2)
-                ep.a_val = evaluate(child, val_inputs, val_labels)
+                # Below 2**51 rows, accuracy x rows rounds back to a view's exact
+                # hit count: a_val is the same float as scoring the views stacked.
+                ep.a_val = sum(round(evaluate(child, v.inputs, v.labels) * len(v))
+                               for v in val_sets if len(v)) / n_val
             except TrainingDiverged:
                 # A diverged child is a legal search outcome, not a pipeline
                 # failure; score it at the floor so the policy steers away.
@@ -310,8 +309,6 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
             if not diverged and (best is None or ep.a_val > best.a_val):
                 best = SearchResult(child, ep.actions, child_ref, ep.a_val, log)
         reinforce_update(policy, episodes, search_cfg.controller_lr)
-        done += batch_n
     if best is None:
         raise TrainingDiverged("every sampled child diverged during the search")
     return best, baseline
-

@@ -7,10 +7,9 @@ once with the task: an optional row index (a train/val part, a split task's
 class rows) and an optional column map (a permuted or rotated task).
 Reading `view[rows]` gathers just those rows into a new C-contiguous
 (row-major) array, and nothing else reads the source, so task inputs exist
-only as large as the minibatch or 512-row chunk that is read, except the
-validation rows the expansion search scores (stacked once per search). A
-`Dataset`'s inputs are always such a view: an array given to one becomes the
-view of all its rows.
+only as large as the minibatch or 512-row chunk that is read. A `Dataset`'s
+inputs are always such a view: an array given to one becomes the view of all
+its rows.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ them (data.RowView), built once by its generator: permuted and rotated tasks
 share one row split and differ by a column map; split tasks own disjoint
 class rows. Every task kind sizes its output from the largest label of the
 training and test data together. Training gathers inputs a minibatch at a
-time, the Fisher estimate, soft targets and scoring a 512-row chunk at a time;
-only the expansion search stacks whole splits (the validation rows it scores,
-once per search).
+time; the Fisher estimate, soft targets and scoring (the expansion search's
+too, one validation view after another) a 512-row chunk at a time.
 
 A method is its row of METHODS (the lambdas it zeroes, expansion, compression);
 `run_sequence` reads only the MethodConfig built from it, never the name."""
@@ -191,8 +190,7 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
     consolidation penalty (anchored only when some lambda is positive), and
     optionally distill it into a copy of the carried net. Every task, split
     tasks too, trains and is scored through the net's one output layer. Task
-    inputs are views, resident a minibatch or a 512-row chunk at a time, save
-    the validation rows the search scores (stacked once per search).
+    inputs are views, resident a minibatch or a 512-row chunk at a time.
     """
     first = tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)

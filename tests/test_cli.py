@@ -437,6 +437,29 @@ class TestReportCommand:
     def test_report_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
 
+    GOOD_RECORD = b'{"accuracies": [0.5], "method": "sn", "param_count": 10, "seed": 0, "task": 1}'
+
+    @pytest.mark.parametrize("line, what", [
+        (b"not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b'{"method": "sn", "param_count": 10, "seed": 0, "task": 2}', "no 'accuracies'"),
+        (b'{"accuracies": [], "method": "sn", "param_count": 10, "seed": 0, "task": 2}',
+         "'accuracies' must be a non-empty list of numbers"),
+        (b'{"accuracies": [0.5, "x"], "method": "sn", "param_count": 10, "seed": 0, "task": 2}',
+         "'accuracies' must be a non-empty list of numbers"),
+        (b'{"accuracies": [0.5], "method": "sn", "param_count": 10, "seed": "0", "task": 2}',
+         "'seed' must be int, not str"),
+        (b"[1, 2]", "a record is a JSON object, not list"),
+        (b"\xff{}", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    ], ids=["not-json", "no-accuracies", "no-accuracy", "text-accuracy", "text-seed",
+            "list", "not-utf8"])
+    def test_report_names_the_malformed_record_and_exits_1(self, tmp_path, capsys, line, what):
+        path = tmp_path / "results_sn_s0.jsonl"
+        path.write_bytes(self.GOOD_RECORD + b"\n" + line + b"\n")
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"report failed: ValueError: {path}:2: {what}\n"
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestCheckpointCommand:
     def test_save_load_round_trip(self, tmp_path, capsys):

@@ -7,9 +7,11 @@ from rec.controller import (PROB_FLOOR, SearchConfig, _deeper_probs, _wider_prob
                             init_policy, reinforce_update, reward_transform, sample_episode,
                             search_child)
 from rec.data import Dataset
-from rec.netcore import Arch, init_network, loss_ce
+from rec.netcore import Arch, evaluate, init_network, loss_ce
 from rec.regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
 from rec.transform import DeeperAction, WiderAction
+
+from conftest import traced_memory
 
 ARCH = Arch(6, (8, 8), 3)
 
@@ -315,3 +317,45 @@ class TestSearchChild:
         with pytest.raises(ValueError):
             search_child(net, fit_on(train, anchor, fisher), [empty],
                          init_policy(15), None, seed=0, search_cfg=SearchConfig(budget=1))
+
+    def _search(self, val_sets, budget=2):
+        net, train, _, anchor, fisher = trained_prev(5)
+        scfg = SearchConfig(budget=budget, m_children=2, child_epochs=1)
+        result, _ = search_child(net, fit_on(train, anchor, fisher), val_sets,
+                                 init_policy(17), None, seed=11, search_cfg=scfg)
+        return result
+
+    def test_views_score_as_their_stacked_rows(self):
+        # two views of unequal size, each over more than one 512-row chunk,
+        # score the same a_val, bit for bit, as one dataset of their rows
+        rng = np.random.default_rng(6)
+        a = Dataset(rng.standard_normal((700, 6)), rng.integers(0, 3, 700))
+        b = Dataset(rng.standard_normal((533, 6)), rng.integers(0, 3, 533))
+        rows, labels = np.vstack([a.inputs[:], b.inputs[:]]), np.concatenate([a.labels, b.labels])
+        views = self._search([a, b])
+        stacked = self._search([Dataset(rows, labels)])
+        assert views.log == stacked.log
+        assert views.a_val == evaluate(views.net, rows, labels)
+
+    def test_empty_views_change_nothing(self):
+        _, _, val, _, _ = trained_prev(5)
+        empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int))
+        head, tail = val.subset(np.arange(30)), val.subset(np.arange(30, 80))
+        assert (self._search([empty, head, empty, tail]).log
+                == self._search([head, tail]).log)
+        for none in ([], [empty, empty]):
+            with pytest.raises(ValueError, match="empty validation set"):
+                self._search(none, budget=1)
+
+    def test_search_copies_no_validation_view(self):
+        rng = np.random.default_rng(7)
+        arch = Arch(64, (8, 8), 3)
+        train = Dataset(rng.standard_normal((40, 64)), rng.integers(0, 3, 40))
+        val = Dataset(rng.standard_normal((6000, 64)), rng.integers(0, 3, 6000))
+
+        def fit(net, ref, epochs, seed):
+            return train_task(net, train, loss_ce, None, epochs, 20, 0.01, seed)
+
+        _, _, peak = traced_memory(search_child, init_network(arch, 0), fit, [val],
+                                   init_policy(18), None, 0, SearchConfig(budget=1))
+        assert peak < val.inputs.source.nbytes
