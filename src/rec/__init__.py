@@ -4,7 +4,7 @@ model size."""
 
 from .netcore import Arch, Batch, DenseNet, init_network, forward, loss_ce, backward, evaluate
 from .regularize import PenaltyConfig, estimate_fisher, mwc_loss, train_task
-from .transform import DeeperAction, WiderAction, apply_actions, net2deeper, net2wider
+from .transform import DeeperAction, WiderAction, apply_actions
 from .controller import SearchConfig, init_policy, reward_transform, search_child
 from .distill import CompressConfig, compress, kd_loss
 from .lifelong import (METHODS, MethodConfig,

@@ -286,23 +286,31 @@ def _record(line: bytes) -> dict:
             raise ValueError(f"{key!r} must be {kind.__name__}, not {type(rec[key]).__name__}")
     if not rec["accuracies"] or any(type(a) not in (int, float) for a in rec["accuracies"]):
         raise ValueError("'accuracies' must be a non-empty list of numbers")
+    if not all(0 <= a <= 1 for a in rec["accuracies"]):  # NaN fails too
+        raise ValueError("'accuracies' must be fractions in [0, 1]")
     return rec
 
 
 def _load_records(results_dir: Path) -> list[dict]:
-    """Every record of the directory's results_*.jsonl files; a malformed one
-    raises ValueError naming its file and line."""
-    records = []
+    """Every record of the directory's results_*.jsonl files; a malformed one,
+    or a second one for the same (method, seed, task), raises ValueError
+    naming its file and line."""
+    records: dict[tuple[str, int, int], dict] = {}
     for path in sorted(results_dir.glob("results_*.jsonl")):
         for n, line in enumerate(path.read_bytes().splitlines(), 1):
             if line.strip():
                 try:
-                    records.append(_record(line))
+                    rec = _record(line)
+                    key = rec["method"], rec["seed"], rec["task"]
+                    if key in records:
+                        raise ValueError("a second record for method {!r}, seed {}, task {}"
+                                         .format(*key))
                 except ValueError as e:
                     raise ValueError(f"{path}:{n}: {e}") from None
+                records[key] = rec
     if not records:
         raise ValueError(f"no results_*.jsonl records under {results_dir}")
-    return records
+    return list(records.values())
 
 
 def _write_reports(results_dir: Path) -> list[str]:

@@ -1,14 +1,14 @@
 """Function-preserving morphisms: widen a hidden layer by unit replication
 (with outgoing-weight rescaling) or insert a ReLU identity layer.
 
-Every transform returns, besides the new network, a reference vector: an
-int64 array `ref` over the new net's flat view where `ref[j]` is the old flat
-position whose value coordinate j still holds, or -1 when it holds none
-(replicated, rescaled or inserted). Composing steps and aligning the
-previous-task anchor and Fisher both go through this one vector.
-
-`apply_actions` makes every task's net from any list of actions (none: a copy);
-the search's sampler (controller.sample_episode) limits an episode's actions.
+`apply_actions` makes every task's net from any list of actions (none: a
+copy); the search's sampler (controller.sample_episode) limits an episode's
+actions. Each action edits the child's layer list and hidden widths in place,
+together with one int64 grid per weight and bias that holds, per value, the
+parent flat position it still holds, or -1 when it holds none (replicated,
+rescaled or inserted). The child is built once at the end, and its grids,
+flattened, are its reference vector `ref`: aligning the previous-task anchor
+and Fisher goes through this one vector.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ class DeeperAction:
     insert_after: int  # hidden-layer position the identity layer follows
 
 
-def _flat_grids(arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
+Grids = list[tuple[np.ndarray, np.ndarray]]  # per layer: (weight, bias) int64 positions
+
+
+def _flat_grids(arch: Arch) -> Grids:
     """Per-layer (weight, bias) arrays of flat-view positions."""
     ws = arch.widths
     return [(np.arange(w_sl.start, w_sl.stop, dtype=np.int64).reshape(fi, fo),
@@ -38,72 +41,55 @@ def _flat_grids(arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
             for (w_sl, b_sl), fi, fo in zip(arch.layer_slices, ws[:-1], ws[1:])]
 
 
-def net2wider(net: DenseNet, action: WiderAction, seed: int) -> tuple[DenseNet, np.ndarray]:
-    n_hidden = len(net.arch.hidden_widths)
-    l = action.layer_index
-    if not (0 <= l < n_hidden):
-        raise ValueError(f"cannot widen layer {l}: only hidden layers 0..{n_hidden - 1}")
-    w = net.arch.hidden_widths[l]
-    nw = action.new_width
+def _widen(layers: list[Layer], grids: Grids, hidden: list[int],
+           action: WiderAction, seed: int) -> None:
+    l, nw = action.layer_index, action.new_width
+    if not (0 <= l < len(hidden)):
+        raise ValueError(f"cannot widen layer {l}: only hidden layers 0..{len(hidden) - 1}")
+    w = hidden[l]
     if nw < w:
         raise ValueError(f"new width {nw} smaller than current {w}")
 
     rng = np.random.default_rng(seed)
     pi = np.concatenate([np.arange(w), rng.integers(0, w, size=nw - w)])
-    counts = np.bincount(pi, minlength=w)
-
-    layers = list(net.layers)  # DenseNet copies them into its own vector
-    inc, out = net.layers[l], net.layers[l + 1]
+    counts = np.bincount(pi, minlength=w)[pi]
+    inc, out = layers[l], layers[l + 1]
     layers[l] = Layer(inc.weight[:, pi], inc.bias[pi])
-    layers[l + 1] = Layer(out.weight[pi, :] / counts[pi][:, None], out.bias)
-    new_hidden = list(net.arch.hidden_widths)
-    new_hidden[l] = nw
-    new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
-    net2 = DenseNet(new_arch, layers)
+    layers[l + 1] = Layer(out.weight[pi, :] / counts[:, None], out.bias)
+    hidden[l] = nw
 
-    # The same gathers on flat positions; -1 for replicas and rescaled rows.
-    grids = _flat_grids(net.arch)
+    # The same gathers on the grids; -1 for replicas and rescaled rows.
     (in_w, in_b), (out_w, out_b) = grids[l], grids[l + 1]
     replica = np.arange(nw) >= w
     grids[l] = np.where(replica, -1, in_w[:, pi]), np.where(replica, -1, in_b[pi])
-    grids[l + 1] = np.where((counts[pi] > 1)[:, None], -1, out_w[pi, :]), out_b
-    ref = np.concatenate([g.ravel() for pair in grids for g in pair])
-    return net2, ref
+    grids[l + 1] = np.where((counts > 1)[:, None], -1, out_w[pi, :]), out_b
 
 
-def net2deeper(net: DenseNet, action: DeeperAction) -> tuple[DenseNet, np.ndarray]:
-    n_hidden = len(net.arch.hidden_widths)
+def _deepen(layers: list[Layer], grids: Grids, hidden: list[int], action: DeeperAction) -> None:
     k = action.insert_after
-    if not (0 <= k < n_hidden):
-        raise ValueError(f"cannot insert after position {k}: only hidden layers 0..{n_hidden - 1}")
-    w = net.arch.hidden_widths[k]
+    if not (0 <= k < len(hidden)):
+        raise ValueError(f"cannot insert after position {k}: only hidden layers 0..{len(hidden) - 1}")
+    w = hidden[k]
 
     # Layer k is hidden, so its output is already ReLU'd: relu(I relu(v)) = relu(v).
-    layers = list(net.layers)
     layers.insert(k + 1, Layer(np.eye(w), np.zeros(w)))
-    new_hidden = list(net.arch.hidden_widths)
-    new_hidden.insert(k + 1, w)
-    new_arch = Arch(net.arch.input_dim, tuple(new_hidden), net.arch.output_dim)
-    net2 = DenseNet(new_arch, layers)
-
-    shift_at = net.arch.layer_slices[k][1].stop  # flat offset just past layer k
-    ref = np.concatenate([np.arange(shift_at), np.full(w * w + w, -1),
-                          np.arange(shift_at, net.param_count())])
-    return net2, ref
+    hidden.insert(k + 1, w)
+    grids.insert(k + 1, (np.full((w, w), -1, dtype=np.int64), np.full(w, -1, dtype=np.int64)))
 
 
 def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction],
                   seed: int = 0) -> tuple[DenseNet, np.ndarray]:
-    """Sequential composition of morphisms: a new child (a copy of `net` when
-    there are no actions) and its reference vector into `net`'s flat view."""
-    current, ref = net, np.arange(net.param_count())
+    """A new child of `net` made by the actions in order (action i seeded with
+    `seed + i`), and its reference vector into `net`'s flat view; `net` is
+    left unchanged."""
+    layers, grids, hidden = list(net.layers), _flat_grids(net.arch), list(net.arch.hidden_widths)
     for i, action in enumerate(actions):
         if isinstance(action, WiderAction):
-            current, step = net2wider(current, action, seed + i)
+            _widen(layers, grids, hidden, action, seed + i)
         else:
-            current, step = net2deeper(current, action)
-        ref = np.where(step >= 0, ref[step], -1)
-    return (current if actions else net.copy()), ref
+            _deepen(layers, grids, hidden, action)
+    child = DenseNet(Arch(net.arch.input_dim, tuple(hidden), net.arch.output_dim), layers)
+    return child, np.concatenate([g.ravel() for pair in grids for g in pair])
 
 
 def align_reference(values: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -451,8 +451,16 @@ class TestReportCommand:
         (b"[1, 2]", "a record is a JSON object, not list"),
         (b"\xff{}", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
                     "invalid start byte"),
+        (b'{"accuracies": [NaN], "method": "sn", "param_count": 10, "seed": 0, "task": 2}',
+         "'accuracies' must be fractions in [0, 1]"),
+        (b'{"accuracies": [Infinity, 0.5], "method": "sn", "param_count": 10, "seed": 0, '
+         b'"task": 2}', "'accuracies' must be fractions in [0, 1]"),
+        (b'{"accuracies": [0.5, 1.5], "method": "sn", "param_count": 12, "seed": 0, "task": 2}',
+         "'accuracies' must be fractions in [0, 1]"),
+        (GOOD_RECORD, "a second record for method 'sn', seed 0, task 1"),
     ], ids=["not-json", "no-accuracies", "no-accuracy", "text-accuracy", "text-seed",
-            "list", "not-utf8"])
+            "list", "not-utf8", "nan-accuracy", "infinite-accuracy", "accuracy-above-1",
+            "repeated-task"])
     def test_report_names_the_malformed_record_and_exits_1(self, tmp_path, capsys, line, what):
         path = tmp_path / "results_sn_s0.jsonl"
         path.write_bytes(self.GOOD_RECORD + b"\n" + line + b"\n")

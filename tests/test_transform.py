@@ -4,8 +4,7 @@ import pytest
 from rec.data import Dataset
 from rec.netcore import Arch, init_network, loss_ce, predict_logits
 from rec.regularize import train_task
-from rec.transform import (DeeperAction, WiderAction, action_to_line, align_reference,
-                           apply_actions, net2deeper, net2wider)
+from rec.transform import DeeperAction, WiderAction, action_to_line, align_reference, apply_actions
 
 
 def random_net(seed, arch=Arch(5, (4, 3), 2)):
@@ -23,13 +22,13 @@ def logits_close(a, b, x, tol):
 class TestNet2Wider:
     def test_degenerate_same_width(self):
         net = random_net(0)
-        net2, ref = net2wider(net, WiderAction(0, 4), seed=1)
+        net2, ref = apply_actions(net, [WiderAction(0, 4)], seed=1)
         assert np.array_equal(net2.get_flat(), net.get_flat())
         assert np.array_equal(ref, np.arange(net.param_count()))
 
     def test_widen_one_to_two_halves_outgoing(self):
         net = random_net(1, Arch(3, (1,), 2))
-        net2, _ = net2wider(net, WiderAction(0, 2), seed=0)
+        net2, _ = apply_actions(net, [WiderAction(0, 2)], seed=0)
         assert np.array_equal(net2.layers[0].weight[:, 0], net2.layers[0].weight[:, 1])
         assert np.allclose(net2.layers[1].weight[0], net.layers[1].weight[0] / 2)
         x = np.random.default_rng(0).standard_normal((100, 3))
@@ -37,7 +36,7 @@ class TestNet2Wider:
 
     def test_replication_counts(self):
         net = random_net(2, Arch(4, (2,), 3))
-        net2, _ = net2wider(net, WiderAction(0, 4), seed=7)
+        net2, _ = apply_actions(net, [WiderAction(0, 4)], seed=7)
         # recover pi from incoming columns
         pi = [int(np.argmax([np.array_equal(net2.layers[0].weight[:, j],
                                             net.layers[0].weight[:, u])
@@ -48,7 +47,7 @@ class TestNet2Wider:
 
     def test_column_sum_invariant(self):
         net = random_net(3, Arch(4, (3,), 2))
-        net2, _ = net2wider(net, WiderAction(0, 7), seed=5)
+        net2, _ = apply_actions(net, [WiderAction(0, 7)], seed=5)
         pi = [int(np.argmax([np.array_equal(net2.layers[0].weight[:, j],
                                             net.layers[0].weight[:, u])
                              for u in range(3)])) for j in range(7)]
@@ -60,38 +59,38 @@ class TestNet2Wider:
     def test_output_layer_forbidden(self):
         net = random_net(4)
         with pytest.raises(ValueError):
-            net2wider(net, WiderAction(2, 8), seed=0)
+            apply_actions(net, [WiderAction(2, 8)], seed=0)
 
     def test_shrink_forbidden(self):
         net = random_net(5)
         with pytest.raises(ValueError):
-            net2wider(net, WiderAction(0, 2), seed=0)
+            apply_actions(net, [WiderAction(0, 2)], seed=0)
 
 
 class TestNet2Deeper:
     def test_function_preserved(self):
         net = random_net(6)
-        net2, _ = net2deeper(net, DeeperAction(1))
+        net2, _ = apply_actions(net, [DeeperAction(1)], seed=0)
         x = np.random.default_rng(1).standard_normal((100, 5))
         assert logits_close(net, net2, x, 1e-12)
 
     def test_mask_counts(self):
         net = random_net(7, Arch(5, (4, 3), 2))
         w = 4
-        _, ref = net2deeper(net, DeeperAction(0))
+        _, ref = apply_actions(net, [DeeperAction(0)], seed=0)
         assert np.sum(ref < 0) == w * w + w
 
     def test_two_successive_deepens(self):
         net = random_net(8)
-        net2, _ = net2deeper(net, DeeperAction(0))
-        net3, _ = net2deeper(net2, DeeperAction(0))
+        net2, _ = apply_actions(net, [DeeperAction(0)], seed=0)
+        net3, _ = apply_actions(net2, [DeeperAction(0)], seed=0)
         x = np.random.default_rng(2).standard_normal((100, 5))
         assert logits_close(net, net3, x, 1e-12)
 
     def test_bad_position(self):
         net = random_net(9)
         with pytest.raises(ValueError):
-            net2deeper(net, DeeperAction(5))
+            apply_actions(net, [DeeperAction(5)], seed=0)
 
 
 class TestApplyActions:
@@ -193,6 +192,33 @@ def test_ref_points_at_surviving_values_randomized():
         assert np.array_equal(child.params[keep], net.params[ref[keep]])
         assert np.unique(ref[keep]).size == ref[keep].size
 
+
+
+def deeper_first_action_lists():
+    """(trial, net, actions) cases where a deeper action precedes a widening,
+    including widenings of an inserted identity layer."""
+    yield 100, random_net(100), [DeeperAction(0), WiderAction(1, 7)]
+    yield 101, random_net(101), [DeeperAction(1), WiderAction(2, 5), WiderAction(0, 6)]
+    yield 102, random_net(102), [DeeperAction(0), DeeperAction(0), WiderAction(0, 9),
+                                 WiderAction(2, 4), DeeperAction(3), WiderAction(1, 6)]
+    yield 103, random_net(103, Arch(3, (2,), 2)), [DeeperAction(0), WiderAction(0, 3),
+                                                    WiderAction(1, 5), WiderAction(1, 8)]
+
+
+def test_apply_actions_equals_its_one_action_fold():
+    cases = [(t, net, acts) for t, net, acts, _ in random_action_lists()]
+    for trial, net, actions in cases + list(deeper_first_action_lists()):
+        before = net.params.tobytes()
+        child, ref = apply_actions(net, actions, seed=trial)
+        folded, folded_ref = net, np.arange(net.param_count())
+        for i, action in enumerate(actions):
+            folded, step = apply_actions(folded, [action], seed=trial + i)
+            folded_ref = np.where(step >= 0, folded_ref[step], -1)
+        assert child.arch == folded.arch
+        assert child.params.tobytes() == folded.params.tobytes()
+        assert np.array_equal(ref, folded_ref)
+        assert ref.dtype == np.int64
+        assert net.params.tobytes() == before
 
 class TestAlignReference:
     def test_alignment_places_old_values(self):
