@@ -2,8 +2,9 @@
 
 Layout: 8-byte magic `RECNET01`, a little-endian uint32 header length, a JSON
 header (sorted keys) describing the arch and the array directory, then the
-arrays as raw little-endian float64 in directory order. Full byte layout in
-docs/formats.md.
+arrays as raw little-endian float64 in directory order. A net of any float
+dtype is saved as float64 (exact for float32), and a loaded net is float64.
+Full byte layout in docs/formats.md.
 """
 
 from __future__ import annotations

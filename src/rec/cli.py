@@ -288,14 +288,22 @@ def _record(line: bytes) -> dict:
         raise ValueError("'accuracies' must be a non-empty list of numbers")
     if not all(0 <= a <= 1 for a in rec["accuracies"]):  # NaN fails too
         raise ValueError("'accuracies' must be fractions in [0, 1]")
+    if rec["task"] < 1:
+        raise ValueError(f"'task' must be >= 1, not {rec['task']}")
+    if rec["param_count"] < 0:
+        raise ValueError(f"'param_count' must be >= 0, not {rec['param_count']}")
+    if len(rec["accuracies"]) != rec["task"]:
+        raise ValueError(f"task {rec['task']} must hold {rec['task']} accuracies, "
+                         f"one per learned task, not {len(rec['accuracies'])}")
     return rec
 
 
 def _load_records(results_dir: Path) -> list[dict]:
     """Every record of the directory's results_*.jsonl files; a malformed one,
-    or a second one for the same (method, seed, task), raises ValueError
-    naming its file and line."""
+    a second one for the same (method, seed, task), or one whose run has no
+    record for an earlier task raises ValueError naming its file and line."""
     records: dict[tuple[str, int, int], dict] = {}
+    where: dict[tuple[str, int, int], str] = {}  # key -> "file:line"
     for path in sorted(results_dir.glob("results_*.jsonl")):
         for n, line in enumerate(path.read_bytes().splitlines(), 1):
             if line.strip():
@@ -307,9 +315,13 @@ def _load_records(results_dir: Path) -> list[dict]:
                                          .format(*key))
                 except ValueError as e:
                     raise ValueError(f"{path}:{n}: {e}") from None
-                records[key] = rec
+                records[key], where[key] = rec, f"{path}:{n}"
     if not records:
         raise ValueError(f"no results_*.jsonl records under {results_dir}")
+    for method, seed, task in sorted(records):  # each run's tasks must be 1..T
+        if task > 1 and (method, seed, task - 1) not in records:
+            raise ValueError(f"{where[method, seed, task]}: method {method!r}, seed {seed} "
+                             f"has task {task} but no task {task - 1}")
     return list(records.values())
 
 

@@ -2,14 +2,15 @@
 IDX reader (one header and payload check for image and label files).
 
 A task sequence keeps one source copy of its training inputs and one of its
-test inputs. Every split of every task is a `RowView` over a source, built
-once with the task: an optional row index (a train/val part, a split task's
-class rows) and an optional column map (a permuted or rotated task).
-Reading `view[rows]` gathers just those rows into a new C-contiguous
-(row-major) array, and nothing else reads the source, so task inputs exist
-only as large as the minibatch or 512-row chunk that is read. A `Dataset`'s
-inputs are always such a view: an array given to one becomes the view of all
-its rows.
+test inputs, float32 from both sources here (the synthetic generator and the
+IDX reader), so that the nets trained on them are float32 too. Every split of
+every task is a `RowView` over a source, built once with the task: an optional
+row index (a train/val part, a split task's class rows) and an optional column
+map (a permuted or rotated task). Reading `view[rows]` gathers just those rows
+into a new C-contiguous (row-major) array, and nothing else reads the source,
+so task inputs exist only as large as the minibatch or 512-row chunk that is
+read. A `Dataset`'s inputs are always such a view: an array given to one
+becomes the view of all its rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 SYNTHETIC_NOISE = 0.6  # std of the isotropic noise added to class prototypes
+SYNTHETIC_BLOCK = 256  # rows drawn in float64 at a time by synthetic_classes
 
 
 class RowView:
@@ -71,7 +73,7 @@ class Dataset:
     """Samples and labels. An array given as `inputs` becomes the view of
     all its rows; `labels` is kept as given."""
 
-    inputs: RowView  # [n, d] float64, read by row position
+    inputs: RowView  # [n, d] floats (float32 from this module), read by row position
     labels: np.ndarray  # [n] int64
 
     def __post_init__(self):
@@ -101,10 +103,13 @@ def split_train_val(ds: Dataset, val_ratio: float, seed: int) -> tuple[Dataset, 
 
 def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
                       seed: int) -> tuple[Dataset, Dataset]:
-    """Gaussian-mixture image-like classes on a side x side grid.
+    """Gaussian-mixture image-like classes on a side x side grid, float32.
 
     Each class is a smooth random pattern plus isotropic noise; separable enough
     for a small dense net yet hard enough that permuted variants interfere.
+    The inputs are drawn and summed in float64, SYNTHETIC_BLOCK rows at a time
+    (the same stream as one whole draw), and each block is cast into the
+    float32 result, so no float64 copy of a whole split is ever held.
     """
     rng = np.random.default_rng(seed)
     d = side * side
@@ -121,11 +126,13 @@ def synthetic_classes(n_train: int, n_test: int, side: int, n_classes: int,
 
     def draw(n):
         labels = rng.integers(0, n_classes, size=n)
-        # protos[labels] + SYNTHETIC_NOISE * noise, built in place: + commutes.
-        inputs = rng.standard_normal((n, d))
-        inputs *= SYNTHETIC_NOISE
-        for k, proto in enumerate(protos):
-            inputs[labels == k] += proto
+        inputs = np.empty((n, d), np.float32)
+        for start in range(0, n, SYNTHETIC_BLOCK):
+            # SYNTHETIC_NOISE * noise + protos[labels], one block of rows at a time
+            block = rng.standard_normal((min(SYNTHETIC_BLOCK, n - start), d))
+            block *= SYNTHETIC_NOISE
+            block += protos[labels[start:start + len(block)]]
+            inputs[start:start + len(block)] = block
         return Dataset(inputs, labels)
 
     return draw(n_train), draw(n_test)
@@ -148,8 +155,9 @@ def _read_idx(path: str | Path, magic: int, what: str) -> np.ndarray:
 
 
 def load_idx_images(path: str | Path) -> np.ndarray:
-    """[n, rows, cols] float64 images, bytes scaled to [0, 1]."""
-    images = _read_idx(path, IDX_IMAGES_MAGIC, "image").astype(np.float64)
+    """[n, rows, cols] float32 images, bytes scaled to [0, 1] (each the
+    float64 quotient b / 255, rounded to float32)."""
+    images = _read_idx(path, IDX_IMAGES_MAGIC, "image").astype(np.float32)
     images /= 255.0
     return images
 

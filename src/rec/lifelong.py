@@ -190,11 +190,13 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
     consolidation penalty (anchored only when some lambda is positive), and
     optionally distill it into a copy of the carried net. Every task, split
     tasks too, trains and is scored through the net's one output layer. Task
-    inputs are views, resident a minibatch or a 512-row chunk at a time.
+    inputs are views, resident a minibatch or a 512-row chunk at a time. The
+    first net is in the dtype of the first task's source inputs, and every
+    later net, anchor and Fisher keeps it.
     """
     first = tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
-    net = init_network(initial_arch, subseed(seed, "init"))
+    net = init_network(initial_arch, subseed(seed, "init"), first.train.inputs.source.dtype)
     p = method.penalty
     penalized = max(p.lambda_ewc, p.lambda_21, p.lambda_1) > 0
 

@@ -1,6 +1,9 @@
 """Minimal dense-network engine: init, forward, CE loss, manual backprop, SGD.
 
-All math is float64. A DenseNet owns one contiguous parameter vector
+A net's dtype is its params': the dtype of the layers it was built from
+(`init_network` takes it as an argument). Everything that trains or scores a
+net allocates in that dtype, so a float32 net with float32 inputs computes in
+float32 throughout. A DenseNet owns one contiguous parameter vector
 `params`; each layer's weight and bias are views into it. The flat ordering
 is, per layer, W.ravel() (row-major) followed by b, with the offsets given by
 Arch.layer_slices; every module in this package that talks about "aligned
@@ -70,10 +73,10 @@ class Layer:
 class DenseNet:
     """Dense classifier over one parameter vector.
 
-    The constructor copies the given layers into a fresh `params` vector and
-    keeps new Layer objects whose weight and bias are views into it, so the
-    caller's arrays are never aliased. Update `params` in place only; binding
-    a new array to it would detach the layers.
+    The constructor copies the given layers into a fresh `params` vector, in
+    their dtype, and keeps new Layer objects whose weight and bias are views
+    into it, so the caller's arrays are never aliased. Update `params` in
+    place only; binding a new array to it would detach the layers.
     """
 
     def __init__(self, arch: Arch, layers: list[Layer]):
@@ -84,8 +87,7 @@ class DenseNet:
             if l.weight.shape != (fi, fo) or l.bias.shape != (fo,):
                 raise ValueError(f"layer shape {l.weight.shape} does not chain with arch {ws}")
         self.arch = arch
-        self.params = np.concatenate([a for l in layers for a in (l.weight.ravel(), l.bias)],
-                                     dtype=np.float64)
+        self.params = np.concatenate([a for l in layers for a in (l.weight.ravel(), l.bias)])
         self.layers = [Layer(self.params[w_sl].reshape(l.weight.shape), self.params[b_sl])
                        for l, (w_sl, b_sl) in zip(layers, arch.layer_slices)]
 
@@ -116,12 +118,13 @@ class Batch:
             raise ValueError("batch size mismatch or empty batch")
 
 
-def init_network(arch: Arch, seed: int) -> DenseNet:
-    """He-initialized network: W ~ N(0, 2/fan_in), biases zero. Deterministic per seed."""
+def init_network(arch: Arch, seed: int, dtype=np.float64) -> DenseNet:
+    """He-initialized network in `dtype`: W ~ N(0, 2/fan_in), biases zero.
+    Deterministic per seed: the weights are drawn in float64, then cast."""
     rng = np.random.default_rng(seed)
     ws = arch.widths
-    return DenseNet(arch, [Layer(rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo)), np.zeros(fo))
-                           for fi, fo in zip(ws[:-1], ws[1:])])
+    return DenseNet(arch, [Layer(rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo)).astype(dtype),
+                                 np.zeros(fo, dtype)) for fi, fo in zip(ws[:-1], ws[1:])])
 
 
 def _activations(net: DenseNet, inputs: np.ndarray) -> list[np.ndarray]:
@@ -179,7 +182,7 @@ def backward(net: DenseNet, acts: list[np.ndarray], dlogits: np.ndarray) -> np.n
     """Gradient of the loss w.r.t. every parameter, as a flat vector."""
     if dlogits.shape != acts[-1].shape:
         raise ValueError("dlogits shape does not match the forward logits")
-    grads = np.empty(net.param_count())
+    grads = np.empty_like(net.params)
     slices = net.arch.layer_slices
     for i, a_prev, delta in layer_deltas(net, acts, dlogits):
         w_sl, b_sl = slices[i]

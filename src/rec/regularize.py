@@ -3,16 +3,18 @@ minibatch SGD loop every model in the package is trained with.
 
 A step's loss is a logit loss (CE; KD and CE in distill) plus an optional
 parameter penalty. The anchor (previous-task parameters) and its Fisher
-diagonal are float64 vectors aligned with a net's flat view. The penalty is
-quadratic Fisher anchoring + smoothed l2,1 coupling of current/previous
-weights + smoothed l1 sparsity. With an expansion mask the anchored terms skip
-new coordinates and l1 applies only to them; an absent or all-False mask means
-no expansion, and l1 covers every coordinate. `consolidation` (an anchor
-gathered through a transform reference vector) and `mwc_loss` bind the penalty
-once per net; each step's `mwc_penalty` is one pass over the bound terms that
-allocates no parameter-length array, and `ewc_term`, `l21_term` and `l1_term`
-are the reference formulas it matches. A `train_task` step is one forward, the
-logit loss, one backward, then the penalty; `mwc_loss` is one such step with CE.
+diagonal are vectors aligned with a net's flat view, in the net's dtype: the
+Fisher accumulates in it, and the penalty binds every vector it makes in the
+anchor's. The penalty is quadratic Fisher anchoring + smoothed l2,1 coupling
+of current/previous weights + smoothed l1 sparsity. With an expansion mask the
+anchored terms skip new coordinates and l1 applies only to them; an absent or
+all-False mask means no expansion, and l1 covers every coordinate.
+`consolidation` (an anchor gathered through a transform reference vector) and
+`mwc_loss` bind the penalty once per net; each step's `mwc_penalty` is one
+pass over the bound terms that allocates no parameter-length array, and
+`ewc_term`, `l21_term` and `l1_term` are the reference formulas it matches. A
+`train_task` step is one forward, the logit loss, one backward, then the
+penalty; `mwc_loss` is one such step with CE.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int
         raise ValueError(f"max_samples must be >= 1, got {max_samples}")
     n = min(max_samples, len(dataset))
     idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
-    acc = np.zeros(net.param_count())
+    acc = np.zeros_like(net.params)
     for start in range(0, n, CHUNK_ROWS):
         rows = idx[start:start + CHUNK_ROWS]
         _add_squared_grads(net, Batch(dataset.inputs[rows], dataset.labels[rows]), acc)
@@ -174,6 +176,8 @@ def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
     skipped. The gradient equals ewc_term and l21_term over the unmasked
     coordinates plus l1_term over the masked ones, added in that order, bit
     for bit up to the sign of an exact zero; the value, up to summation order.
+    Every vector made here is in the anchor's dtype (a float32 anchor binds a
+    float32 penalty).
     """
     if mask is not None:
         if mask.dtype != bool:
@@ -183,12 +187,13 @@ def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
     lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
     ewc = (anchor, cfg.lambda_ewc * fisher) if cfg.lambda_ewc else None
     if mask is not None and mask.any():
-        roots = [(np.square(anchor), np.where(mask, lam_1, lam_21))] if lam_21 or lam_1 else []
+        roots = ([(np.square(anchor), np.where(mask, lam_1, lam_21).astype(anchor.dtype))]
+                 if lam_21 or lam_1 else [])
     else:
         roots = [(np.square(anchor), lam_21)] if lam_21 else []
         roots += [(None, lam_1)] if lam_1 else []
     eps2 = cfg.epsilon ** 2
-    buf, work = np.empty(len(anchor)), np.empty(len(anchor))
+    buf, work = np.empty_like(anchor), np.empty_like(anchor)
     return lambda params, grads: mwc_penalty(params, grads, ewc, roots, eps2, buf, work)
 
 

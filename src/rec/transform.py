@@ -52,8 +52,8 @@ def _widen(layers: list[Layer], grids: Grids, hidden: list[int],
 
     rng = np.random.default_rng(seed)
     pi = np.concatenate([np.arange(w), rng.integers(0, w, size=nw - w)])
-    counts = np.bincount(pi, minlength=w)[pi]
     inc, out = layers[l], layers[l + 1]
+    counts = np.bincount(pi, minlength=w)[pi].astype(out.weight.dtype)  # divides in its dtype
     layers[l] = Layer(inc.weight[:, pi], inc.bias[pi])
     layers[l + 1] = Layer(out.weight[pi, :] / counts[:, None], out.bias)
     hidden[l] = nw
@@ -69,19 +69,19 @@ def _deepen(layers: list[Layer], grids: Grids, hidden: list[int], action: Deeper
     k = action.insert_after
     if not (0 <= k < len(hidden)):
         raise ValueError(f"cannot insert after position {k}: only hidden layers 0..{len(hidden) - 1}")
-    w = hidden[k]
+    w, dtype = hidden[k], layers[k].weight.dtype
 
     # Layer k is hidden, so its output is already ReLU'd: relu(I relu(v)) = relu(v).
-    layers.insert(k + 1, Layer(np.eye(w), np.zeros(w)))
+    layers.insert(k + 1, Layer(np.eye(w, dtype=dtype), np.zeros(w, dtype)))
     hidden.insert(k + 1, w)
     grids.insert(k + 1, (np.full((w, w), -1, dtype=np.int64), np.full(w, -1, dtype=np.int64)))
 
 
 def apply_actions(net: DenseNet, actions: list[WiderAction | DeeperAction],
                   seed: int = 0) -> tuple[DenseNet, np.ndarray]:
-    """A new child of `net` made by the actions in order (action i seeded with
-    `seed + i`), and its reference vector into `net`'s flat view; `net` is
-    left unchanged."""
+    """A new child of `net`, in its dtype, made by the actions in order
+    (action i seeded with `seed + i`), and its reference vector into `net`'s
+    flat view; `net` is left unchanged."""
     layers, grids, hidden = list(net.layers), _flat_grids(net.arch), list(net.arch.hidden_widths)
     for i, action in enumerate(actions):
         if isinstance(action, WiderAction):

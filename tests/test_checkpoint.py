@@ -83,6 +83,16 @@ class TestRoundTrip:
         loaded, _, _ = load_checkpoint(p)
         assert evaluate(loaded, x, y) == evaluate(net, x, y)
 
+    def test_float32_net_loads_as_float64_with_the_same_values(self, tmp_path):
+        # a file stores float64, and float32 -> float64 is exact
+        net = init_network(Arch(6, (9, 5), 4), seed=3, dtype=np.float32)
+        p = tmp_path / "n.recnet"
+        save_checkpoint(p, net)
+        loaded, _, _ = load_checkpoint(p)
+        assert (net.params.dtype, loaded.params.dtype) == (np.float32, np.float64)
+        assert loaded.arch == net.arch and np.array_equal(loaded.params, net.params)
+        assert loaded.params.astype(np.float32).tobytes() == net.params.tobytes()
+
     def test_no_hidden_layers(self, tmp_path):
         net = init_network(Arch(5, (), 3), seed=0)
         p = tmp_path / "flat.recnet"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, RowView, load_idx_dataset,
-                      load_idx_images, load_idx_labels, synthetic_classes)
+from rec.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, SYNTHETIC_NOISE, Dataset, RowView,
+                      load_idx_dataset, load_idx_images, load_idx_labels, synthetic_classes)
 from rec.lifelong import gen_permuted_tasks
 
 
@@ -26,6 +26,30 @@ def test_dataset_inputs_become_row_major():
     assert ds.inputs.source.flags.c_contiguous
     assert np.array_equal(ds.inputs[:], x)
     assert ds.subset(np.array([3, 1])).inputs[:].flags.c_contiguous
+
+
+def test_synthetic_inputs_are_a_whole_float64_draw_cast_to_float32():
+    # The generator's formula, drawn here for each split at once in float64,
+    # then cast: 700 training rows are several blocks and a short one.
+    n_train, n_test, side, k, seed = 700, 300, 5, 4, 6
+    rng = np.random.default_rng(seed)
+    yy, xx = np.meshgrid(np.linspace(-1, 1, side), np.linspace(-1, 1, side), indexing="ij")
+    protos = np.zeros((k, side * side))
+    for c in range(k):
+        for _ in range(3):
+            fx, fy = rng.uniform(0.5, 2.5, size=2)
+            px, py = rng.uniform(0, 2 * np.pi, size=2)
+            protos[c] += (rng.uniform(0.5, 1.5) * np.sin(fx * np.pi * xx + px)
+                          * np.sin(fy * np.pi * yy + py)).ravel()
+    expected = []
+    for n in (n_train, n_test):
+        labels = rng.integers(0, k, size=n)
+        inputs = SYNTHETIC_NOISE * rng.standard_normal((n, side * side)) + protos[labels]
+        expected.append((inputs.astype(np.float32), labels))
+    for ds, (inputs, labels) in zip(synthetic_classes(n_train, n_test, side, k, seed), expected):
+        assert ds.inputs.source.dtype == np.float32
+        assert ds.inputs.source.tobytes() == inputs.tobytes()
+        assert np.array_equal(ds.labels, labels)
 
 
 def test_row_views_compose():
@@ -68,6 +92,13 @@ class TestIdx:
         assert shape == (2, 2) and load_idx_images(img).shape == (3, 2, 2)
         assert np.allclose(ds.inputs[:], images.reshape(3, 4) / 255.0)
         assert ds.labels.tolist() == [0, 2, 1]
+
+    def test_every_byte_scales_to_its_float64_quotient_rounded_to_float32(self, tmp_path):
+        images = np.arange(256).reshape(16, 4, 4)
+        img, _ = write_idx_pair(tmp_path, images, np.zeros(16, np.int64))
+        scaled = load_idx_images(img)
+        assert scaled.dtype == np.float32
+        assert scaled.tobytes() == (images / 255.0).astype(np.float32).tobytes()
 
     def test_counts_differ_names_both_files(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))

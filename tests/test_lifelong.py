@@ -123,8 +123,8 @@ class TestTaskGenerators:
                 assert self._same_bits(split.inputs[:], rotated)
                 assert self._same_bits(split.labels, rows.labels)
                 # zero fill is +0.0 exactly, whatever the source pixel holds
-                assert self._same_bits(split.inputs[:][:, outside],
-                                       np.zeros((len(rows), len(outside))))
+                zeros = np.zeros((len(rows), len(outside)), train.inputs.source.dtype)
+                assert self._same_bits(split.inputs[:][:, outside], zeros)
         # 45 degrees crops corners
         assert len(np.flatnonzero(seq[1].train.inputs.cols < 0)) > 0
 
@@ -262,8 +262,8 @@ class TestTaskGenerators:
             cols = task.train.inputs.cols
             if cols is not None and (cols < 0).any():
                 got = task.train.inputs[rng.permutation(20)]
-                assert self._same_bits(got[:, cols < 0],
-                                       np.zeros((20, int((cols < 0).sum()))))
+                zeros = np.zeros((20, int((cols < 0).sum())), train.inputs.source.dtype)
+                assert self._same_bits(got[:, cols < 0], zeros)
 
     def test_scoring_a_view_equals_scoring_its_rows(self):
         # 1,300 rows: two full 512-row chunks and a short one

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec.data import Dataset
-from rec.distill import kd_loss
+from rec.distill import CompressConfig, compress, kd_loss
 from rec.lifelong import method_config
 from rec.netcore import (CHUNK_ROWS, Arch, Batch, DenseNet, Layer, backward, forward,
-                         init_network, loss_ce)
+                         init_network, loss_ce, predict_logits)
 from rec.regularize import (PenaltyConfig, consolidation, TrainingDiverged,
                             estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
                             train_task)
@@ -37,9 +37,9 @@ def fisher_by_loop(net, dataset, max_samples, seed):
     return acc / n
 
 
-def random_net(arch, seed):
+def random_net(arch, seed, dtype=np.float64):
     """He-initialized net with nonzero biases, so every Fisher term is exercised."""
-    net = init_network(arch, seed)
+    net = init_network(arch, seed, dtype)
     rng = np.random.default_rng(seed + 100)
     for layer in net.layers:
         layer.bias[...] = rng.normal(0.0, 0.3, layer.bias.shape)
@@ -437,24 +437,26 @@ def test_train_task_takes_a_kd_loss_with_the_consolidation_penalty(method):
         method, lambda logits, labels, rows, epoch: kd_loss(logits, targets[rows]))
 
 
-def widened_consolidation(method):
-    """(penalty, n): the consolidation penalty of a widened 20-30-5 net, bound
-    once, and the child's parameter count."""
-    parent = random_net(Arch(20, (30,), 5), 11)
+def widened_consolidation(method, dtype=np.float64):
+    """(penalty, n): the consolidation penalty of a widened 20-30-5 net in
+    `dtype`, bound once, and the child's parameter count."""
+    parent = random_net(Arch(20, (30,), 5), 11, dtype)
     child, ref = apply_actions(parent, [WiderAction(0, 60)], seed=12)
     rng = np.random.default_rng(13)
-    fisher = rng.random(parent.param_count())
+    fisher = rng.random(parent.param_count()).astype(dtype)
     cfg = method_config(method, WIRED).penalty
     return consolidation(parent.get_flat(), fisher, cfg, ref), child.param_count()
 
 
-@pytest.mark.parametrize("method", PENALIZED)
-def test_bound_penalty_step_allocates_no_parameter_vector(method):
-    penalty, n = widened_consolidation(method)
-    params = np.random.default_rng(14).standard_normal(n)
-    grads = np.zeros(n)
+@pytest.mark.parametrize("method, dtype", [
+    *(pytest.param(m, np.float64, id=m) for m in PENALIZED),
+    *(pytest.param(m, np.float32, id=f"{m}-float32") for m in PENALIZED)])
+def test_bound_penalty_step_allocates_no_parameter_vector(method, dtype):
+    penalty, n = widened_consolidation(method, dtype)
+    params = np.random.default_rng(14).standard_normal(n).astype(dtype)
+    grads = np.zeros(n, dtype)
     _, _, peak = traced_memory(penalty, params, grads)
-    assert peak < 8 * n
+    assert peak < np.dtype(dtype).itemsize * n
 
 
 @pytest.mark.parametrize("method", PENALIZED)
@@ -521,3 +523,26 @@ class TestTrainTask:
         before = net.get_flat()
         train_task(net, train, loss_ce, None, epochs=0, batch_size=16, lr=0.1, seed=6)
         assert np.array_equal(net.get_flat(), before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_engine_computes_in_the_dtype_of_the_net(dtype):
+    # A widened and deepened child, its penalized gradient and fit, the
+    # Fisher, the distilled student and the scores all keep the dtype of the
+    # net and its inputs.
+    rows = random_dataset(300, 12, 4, 20)
+    ds = Dataset(rows.inputs[:].astype(dtype), rows.labels)
+    parent = random_net(Arch(12, (10, 8), 4), 21, dtype)
+    child, ref = apply_actions(parent, [WiderAction(0, 16), DeeperAction(1)], seed=22)
+    anchor, fisher = parent.get_flat(), estimate_fisher(parent, ds, 100, 23)
+    cfg = PenaltyConfig(40.0, 3e-5, 1e-5, EPS)
+    _, grads = mwc_loss(child, Batch(ds.inputs[:32], ds.labels[:32]),
+                        align_reference(anchor, ref), align_reference(fisher, ref), cfg, ref < 0)
+    train_task(child, ds, loss_ce, consolidation(anchor, fisher, cfg, ref),
+               epochs=2, batch_size=32, lr=0.05, seed=24)
+    student = compress(child, parent, ds, CompressConfig(epochs=2), batch_size=32, seed=25)
+    outputs = {"parent": parent.params, "child": child.params, "fisher": fisher,
+               "gradient": grads, "child fisher": estimate_fisher(child, ds, 100, 26),
+               "student": student.params, "logits": predict_logits(child, ds.inputs)}
+    assert {name: a.dtype for name, a in outputs.items()} == dict.fromkeys(outputs, dtype)
+    assert np.all(np.isfinite(child.params))
