@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .netcore import Arch, DenseNet, evaluate
+from .netcore import Arch, DenseNet, _hits, _softmax
 from .regularize import TrainingDiverged
 from .transform import DeeperAction, WiderAction, action_to_line, apply_actions
 
@@ -170,10 +170,7 @@ def _deeper_probs(policy: ControllerPolicy, states: np.ndarray) -> np.ndarray:
         states @ policy.w_deep + policy.b_deep,
         [float(policy.w_stop @ states.mean(axis=0) + policy.b_stop)],
     ])
-    logits -= logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
-    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return np.clip(_softmax(logits[None])[2][0], PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def sample_episode(policy: ControllerPolicy, arch: Arch, seed: int,
@@ -265,9 +262,10 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
     Each child is created by the sampled morphisms, fine-tuned for
     `search_cfg.child_epochs` through `fit` (the task's own loss and SGD
     settings), and scored on the rows of every val_sets view, one view and
-    512-row chunk at a time; rewards update the policy in batches of m.
-    Returns the best-scoring child seen and the reward moving average
-    (reward_transform).
+    512-row chunk at a time: its a_val is the hits pooled over the views
+    divided by their total row count. Rewards update the policy in batches of
+    m. Returns the best-scoring child seen, the first one seen when two pool
+    equal hits, and the reward moving average (reward_transform).
     """
     budget = search_cfg.budget
     if budget < 1:
@@ -276,26 +274,24 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
     if n_val == 0:
         raise ValueError("empty validation set")
 
-    best: SearchResult | None = None
+    best_hits, best = -1, None
     log: list[dict] = []
     for start in range(0, budget, search_cfg.m_children):
         episodes = []
         for i in range(start, min(start + search_cfg.m_children, budget)):
             ep_seed = seed + 1013 * i
             ep = sample_episode(policy, prev_net.arch, ep_seed, search_cfg)
-            diverged = False
             try:
                 child, child_ref = apply_actions(prev_net, ep.actions, ep_seed + 1)
                 fit(child, child_ref, search_cfg.child_epochs, ep_seed + 2)
-                # Below 2**51 rows, accuracy x rows rounds back to a view's exact
-                # hit count: a_val is the same float as scoring the views stacked.
-                ep.a_val = sum(round(evaluate(child, v.inputs, v.labels) * len(v))
-                               for v in val_sets if len(v)) / n_val
+                hits = sum(_hits(child, v.inputs, v.labels) for v in val_sets if len(v))
             except TrainingDiverged:
                 # A diverged child is a legal search outcome, not a pipeline
-                # failure; score it at the floor so the policy steers away.
-                diverged = True
-                ep.a_val = 0.0
+                # failure; score it at the floor so the policy steers away,
+                # and below any child that trained so it is never picked.
+                hits = -1
+            diverged = hits < 0
+            ep.a_val = max(hits, 0) / n_val
             ep.reward, baseline = reward_transform(ep.a_val, baseline)
             episodes.append(ep)
             log.append({
@@ -306,9 +302,9 @@ def search_child(prev_net: DenseNet, fit: Fit, val_sets: list[Dataset],
                 "raw_reward": raw_reward(ep.a_val),
                 "shaped_reward": ep.reward,
             })
-            if not diverged and (best is None or ep.a_val > best.a_val):
-                best = SearchResult(child, ep.actions, child_ref, ep.a_val, log)
+            if hits > best_hits:
+                best_hits, best = hits, (child, ep.actions, child_ref)
         reinforce_update(policy, episodes, search_cfg.controller_lr)
     if best is None:
         raise TrainingDiverged("every sampled child diverged during the search")
-    return best, baseline
+    return SearchResult(*best, best_hits / n_val, log), baseline

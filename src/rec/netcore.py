@@ -14,6 +14,9 @@ positional: a Layer holds only its weight and bias.
 
 A forward pass returns its activation list `acts`: acts[i] is layer i's input
 and acts[-1] the logits; backprop reads nothing else.
+
+The two head rules are written once: `_softmax` (CE loss, Fisher, controller
+head) and `_hits`, the argmax hit count (`evaluate`, the expansion search).
 """
 
 from __future__ import annotations
@@ -146,16 +149,24 @@ def forward(net: DenseNet, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
     return acts[-1], acts
 
 
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(shifted, z, probs): each row minus its max, the row sums z [n, 1] of
+    exp(shifted), and the softmax. The row max is read from a transposed copy,
+    faster at these widths and exact in any order."""
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+    probs = np.exp(shifted)
+    z = probs.sum(axis=1, keepdims=True)
+    probs /= z
+    return shifted, z, probs
+
+
 def loss_ce(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None,
             epoch: int = 0) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits. rows and
     epoch are unused; with them it is a regularize.train_task logit loss."""
     n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    z = probs.sum(axis=1, keepdims=True)
+    shifted, z, probs = _softmax(logits)
     value = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), labels]))
-    probs /= z
     dlogits = probs
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
@@ -213,7 +224,11 @@ def predict_logits(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
                       for i in range(0, inputs.shape[0], CHUNK_ROWS)])
 
 
+def _hits(net: DenseNet, inputs: np.ndarray, labels: np.ndarray) -> int:
+    """Rows whose argmax logit (ties to the lowest class) is the label."""
+    return int(np.count_nonzero(np.argmax(predict_logits(net, inputs), axis=1) == labels))
+
+
 def evaluate(net: DenseNet, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Accuracy; argmax ties resolve to the lowest class index."""
-    logits = predict_logits(net, inputs)
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    """Accuracy: the hits over the row count."""
+    return _hits(net, inputs, labels) / inputs.shape[0]

@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .netcore import CHUNK_ROWS, Batch, DenseNet, backward, forward, layer_deltas, loss_ce, sgd_step
+from .netcore import (CHUNK_ROWS, Batch, DenseNet, _softmax, backward, forward, layer_deltas,
+                      loss_ce, sgd_step)
 from .transform import align_reference
 
 
@@ -82,9 +83,7 @@ def _add_squared_grads(net: DenseNet, batch: Batch, acc: np.ndarray) -> None:
     the batch. A function of its own so that a chunk's inputs, activations
     and deltas are released before the next chunk is gathered."""
     logits, acts = forward(net, batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    _, _, probs = _softmax(logits)
     # d log p(y) / dlogits = onehot(y) - softmax, one row per sample
     dlogits = -probs
     dlogits[np.arange(len(batch.labels)), batch.labels] += 1.0

@@ -7,8 +7,9 @@ from rec.controller import (PROB_FLOOR, SearchConfig, _deeper_probs, _wider_prob
                             init_policy, reinforce_update, reward_transform, sample_episode,
                             search_child)
 from rec.data import Dataset
-from rec.netcore import Arch, evaluate, init_network, loss_ce
-from rec.regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
+from rec.netcore import Arch, evaluate, init_network, loss_ce, predict_logits
+from rec.regularize import (PenaltyConfig, TrainingDiverged, consolidation, estimate_fisher,
+                            train_task)
 from rec.transform import DeeperAction, WiderAction
 
 from conftest import traced_memory
@@ -318,11 +319,17 @@ class TestSearchChild:
             search_child(net, fit_on(train, anchor, fisher), [empty],
                          init_policy(15), None, seed=0, search_cfg=SearchConfig(budget=1))
 
-    def _search(self, val_sets, budget=2):
+    def _search(self, val_sets, budget=2, children=None):
+        """The search on trained_prev(5); `children` collects each fitted child."""
         net, train, _, anchor, fisher = trained_prev(5)
+        fit = fit_on(train, anchor, fisher)
+        if children is not None:
+            def fit(net, ref, epochs, seed, inner=fit):
+                children.append(inner(net, ref, epochs, seed))
+                return children[-1]
         scfg = SearchConfig(budget=budget, m_children=2, child_epochs=1)
-        result, _ = search_child(net, fit_on(train, anchor, fisher), val_sets,
-                                 init_policy(17), None, seed=11, search_cfg=scfg)
+        result, _ = search_child(net, fit, val_sets, init_policy(17), None, seed=11,
+                                 search_cfg=scfg)
         return result
 
     def test_views_score_as_their_stacked_rows(self):
@@ -332,10 +339,57 @@ class TestSearchChild:
         a = Dataset(rng.standard_normal((700, 6)), rng.integers(0, 3, 700))
         b = Dataset(rng.standard_normal((533, 6)), rng.integers(0, 3, 533))
         rows, labels = np.vstack([a.inputs[:], b.inputs[:]]), np.concatenate([a.labels, b.labels])
-        views = self._search([a, b])
+        children = []
+        views = self._search([a, b], children=children)
         stacked = self._search([Dataset(rows, labels)])
         assert views.log == stacked.log
         assert views.a_val == evaluate(views.net, rows, labels)
+        # each logged a_val is the views' summed hits over all their rows
+        assert len(children) == len(views.log)
+        for child, record in zip(children, views.log):
+            hits = sum(np.count_nonzero(np.argmax(predict_logits(child, v.inputs[:]), axis=1)
+                                        == v.labels) for v in (a, b))
+            assert record["a_val"] == hits / (700 + 533)
+
+    def test_equal_hits_keep_the_earlier_child(self):
+        # a head of zeros predicts class 0 for every row, so every child pools
+        # the same hits; the first child seen stays the best
+        net, _, val, _, _ = trained_prev(5)
+        children = []
+
+        def fit(net, ref, epochs, seed):
+            net.layers[-1].weight[...] = 0.0
+            net.layers[-1].bias[...] = 0.0
+            children.append(net)
+            return net
+
+        scfg = SearchConfig(budget=4, m_children=2, child_epochs=1)
+        result, _ = search_child(net, fit, [val], init_policy(17), None, seed=11,
+                                 search_cfg=scfg)
+        a_vals = {r["a_val"] for r in result.log}
+        assert a_vals == {np.count_nonzero(val.labels == 0) / len(val)}
+        assert len({r["actions"] for r in result.log}) > 1  # the children differ
+        assert result.net is children[0]
+        assert result.a_val == result.log[0]["a_val"]
+
+    def test_a_diverged_child_is_never_best(self):
+        # the first child diverges; the second scores no hit and is still picked
+        net, _, val, _, _ = trained_prev(5)
+        zero = Dataset(val.inputs[:], np.full(len(val), 2))
+        calls = []
+
+        def fit(net, ref, epochs, seed):
+            calls.append(net)
+            if len(calls) == 1:
+                raise TrainingDiverged("first child")
+            net.layers[-1].weight[...] = 0.0
+            net.layers[-1].bias[...] = 0.0
+            return net
+
+        result, _ = search_child(net, fit, [zero], init_policy(17), None, seed=11,
+                                 search_cfg=SearchConfig(budget=2, m_children=2))
+        assert [(r["diverged"], r["a_val"]) for r in result.log] == [(True, 0.0), (False, 0.0)]
+        assert result.net is calls[1] and result.a_val == 0.0
 
     def test_empty_views_change_nothing(self):
         _, _, val, _, _ = trained_prev(5)

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec import netcore
+from rec.controller import _deeper_probs, init_policy
+from rec.data import Dataset
 from rec.netcore import (Arch, Batch, DenseNet, Layer, backward,
                          evaluate, forward, init_network, loss_ce, predict_logits,
                          sgd_step)
+from rec.regularize import estimate_fisher
 
 from conftest import central_diff, max_rel_err
 
@@ -125,6 +128,128 @@ class TestLossCE:
         # near point mass -> near zero
         v, _ = loss_ce(np.array([[50.0, 0.0, 0.0]]), np.array([0]))
         assert v < 1e-12
+
+
+def ref_softmax(logits):
+    """The max-shifted softmax written out with a row-wise max: the reference
+    netcore._softmax must match bit for bit."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    z = probs.sum(axis=1, keepdims=True)
+    return shifted, z, probs / z
+
+
+def ref_loss_ce(logits, labels):
+    n = logits.shape[0]
+    shifted, z, probs = ref_softmax(logits)
+    value = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), labels]))
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n
+    return value, probs
+
+
+def ref_fisher(net, dataset, max_samples, seed):
+    n = min(max_samples, len(dataset))
+    idx = np.random.default_rng(seed).choice(len(dataset), size=n, replace=False)
+    acc = np.zeros_like(net.params)
+    for start in range(0, n, netcore.CHUNK_ROWS):
+        rows = idx[start:start + netcore.CHUNK_ROWS]
+        batch = Batch(dataset.inputs[rows], dataset.labels[rows])
+        logits, acts = forward(net, batch)
+        dlogits = -ref_softmax(logits)[2]
+        dlogits[np.arange(len(rows)), batch.labels] += 1.0
+        for i, a_prev, delta in netcore.layer_deltas(net, acts, dlogits):
+            sq = delta * delta
+            w_sl, b_sl = net.arch.layer_slices[i]
+            acc[w_sl] += ((a_prev * a_prev).T @ sq).ravel()
+            acc[b_sl] += sq.sum(axis=0)
+    return acc / n
+
+
+def ref_deeper_probs(policy, states):
+    logits = np.concatenate([
+        states @ policy.w_deep + policy.b_deep,
+        [float(policy.w_stop @ states.mean(axis=0) + policy.b_stop)],
+    ])
+    logits -= logits.max()
+    p = np.exp(logits)
+    p /= p.sum()
+    return np.clip(p, 1e-6, 1.0 - 1e-6)
+
+
+def head_logits(kind, n, dtype):
+    """n rows of 7 logits: random, with two classes tied at each row's max, or all equal."""
+    logits = np.random.default_rng(n).standard_normal((n, 7)) * 4
+    if kind == "tied":
+        logits[:, 2] = logits[:, 5] = logits.max(axis=1) + 1.0
+    elif kind == "equal":
+        logits[:] = 0.75
+    return logits.astype(dtype)
+
+
+HEADS = [(kind, n, dtype) for kind in ("random", "tied", "equal") for n in (1, 257)
+         for dtype in (np.float32, np.float64)]
+
+
+class TestHeadRules:
+    """The loss, the Fisher, the controller head and the hit count equal
+    reference formulas written out in this file, bit for bit."""
+
+    @pytest.mark.parametrize("kind,n,dtype", HEADS)
+    def test_softmax_and_loss_ce(self, kind, n, dtype):
+        logits = head_logits(kind, n, dtype)
+        for got, want in zip(netcore._softmax(logits), ref_softmax(logits)):
+            assert got.dtype == dtype and np.array_equal(got, want)
+        labels = np.random.default_rng(1).integers(0, 7, n)
+        value, d = loss_ce(logits, labels)
+        want_value, want_d = ref_loss_ce(logits, labels)
+        assert value == want_value
+        assert d.dtype == dtype and np.array_equal(d, want_d)
+
+    @pytest.mark.parametrize("kind,n,dtype", HEADS)
+    def test_fisher(self, kind, n, dtype):
+        net = init_network(Arch(5, (6,), 7), seed=n, dtype=dtype)
+        head = net.layers[-1]
+        if kind == "tied":  # classes 2 and 5 share a column and lead by a wide bias
+            head.weight[:, 5] = head.weight[:, 2]
+            head.bias[[2, 5]] = 50.0
+        elif kind == "equal":
+            head.weight[...] = 0.0
+        rng = np.random.default_rng(n)
+        data = Dataset(rng.standard_normal((n, 5)).astype(dtype), rng.integers(0, 7, n))
+        if kind == "tied":
+            logits = predict_logits(net, data.inputs[:])
+            assert np.array_equal(logits[:, 2], logits.max(axis=1))
+            assert np.array_equal(logits[:, 5], logits[:, 2])
+        got = estimate_fisher(net, data, n, seed=3)
+        assert got.dtype == dtype
+        assert np.array_equal(got, ref_fisher(net, data, n, seed=3))
+
+    @pytest.mark.parametrize("kind,positions", [(k, p) for k in ("random", "tied", "equal")
+                                                for p in (1, 256)])
+    def test_deeper_probs(self, kind, positions):
+        policy = init_policy(positions)
+        rng = np.random.default_rng(positions)
+        states = rng.standard_normal((positions, 2 * policy.hidden_size))
+        if kind == "random":
+            policy.w_deep = rng.standard_normal(policy.w_deep.shape)
+            policy.w_stop = rng.standard_normal(policy.w_stop.shape)
+        elif kind == "tied":  # every position ties at the max, above the stop score
+            policy.b_deep, policy.b_stop = 2.0, -1.0
+        else:
+            policy.b_deep = policy.b_stop = 0.5
+        assert np.array_equal(_deeper_probs(policy, states), ref_deeper_probs(policy, states))
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    def test_hits(self, n):
+        net = init_network(Arch(4, (5,), 3), seed=n, dtype=np.float32)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 4)).astype(np.float32)
+        y = rng.integers(0, 3, n)
+        hits = netcore._hits(net, x, y)
+        assert type(hits) is int
+        assert hits == np.count_nonzero(np.argmax(predict_logits(net, x), axis=1) == y)
+        assert evaluate(net, x, y) == hits / n
 
 
 class TestBackward:
