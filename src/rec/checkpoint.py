@@ -72,7 +72,7 @@ def load_checkpoint(path: str | Path
             raise TypeError(f"arch widths are not all non-negative integers: {dims}")
         arch = Arch(dims["input_dim"], tuple(dims["hidden_widths"]), dims["output_dim"])
         directory = [(spec["name"], spec["shape"]) for spec in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:  # RecursionError: deep nesting
         raise CheckpointError(f"bad checkpoint header: {type(e).__name__}: {e}") from None
 
     off = 12 + hlen

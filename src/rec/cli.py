@@ -138,14 +138,14 @@ def _parse_value(key: str, text: str):
         value = item  # free text or one of the words
         if row.min_int is not None:
             try:
-                value = int(item)
+                value = _number(int, item)
             except ValueError:
                 raise ConfigError(f"{key} = {text!r}: {item!r} is not an integer") from None
             if value < row.min_int:
                 raise ConfigError(f"{key} = {text!r}: must be >= {row.min_int}")
         elif row.in_range is not None:
             try:
-                value = float(item)
+                value = _number(float, item)
             except ValueError:
                 raise ConfigError(f"{key} = {text!r}: not a number") from None
             if not (math.isfinite(value) and row.in_range[0](value)):
@@ -154,6 +154,14 @@ def _parse_value(key: str, text: str):
             raise ConfigError(f"unknown {key} {item!r}; known: {', '.join(row.words)}")
         parsed.append(value)
     return tuple(parsed) if row.is_list else parsed[0]
+
+
+def _number(kind: type, text: str):
+    """kind(text), kind int or float, for an ASCII text without `_` (int()
+    and float() alone also read `١` and `1_000`); else ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return kind(text)
 
 
 def _idx_pairs(spec: str) -> tuple[tuple[str, str], ...]:
@@ -237,29 +245,25 @@ def cmd_run(config_path: str) -> int:
     except (FileNotFoundError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        out = Path(cfg["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
-        for pattern in _OWNED_PATTERNS:
-            for stale in out.glob(pattern):
-                stale.unlink()
-        tasks = _build_tasks(cfg)
-        jobs = [(m, s) for m in cfg["methods"] for s in cfg["seeds"]]
-        failed = 0
-        for m, s in jobs:
-            try:  # a failed job writes no files; the other jobs still run
-                _run_one(cfg, tasks, m, s, out)
-            except TrainingDiverged as e:
-                print(f"job {m} s{s} diverged: {e}", file=sys.stderr)
-                failed += 1
-            except Exception as e:  # noqa: BLE001
-                print(f"job {m} s{s} failed: {type(e).__name__}: {e}", file=sys.stderr)
-                failed += 1
-        if failed < len(jobs):
-            _write_reports(out)
-    except Exception as e:  # noqa: BLE001 - diagnostics then nonzero exit
-        print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    for pattern in _OWNED_PATTERNS:
+        for stale in out.glob(pattern):
+            stale.unlink()
+    tasks = _build_tasks(cfg)
+    jobs = [(m, s) for m in cfg["methods"] for s in cfg["seeds"]]
+    failed = 0
+    for m, s in jobs:
+        try:  # a failed job writes no files; the other jobs still run
+            _run_one(cfg, tasks, m, s, out)
+        except TrainingDiverged as e:
+            print(f"job {m} s{s} diverged: {e}", file=sys.stderr)
+            failed += 1
+        except Exception as e:  # noqa: BLE001
+            print(f"job {m} s{s} failed: {type(e).__name__}: {e}", file=sys.stderr)
+            failed += 1
+    if failed < len(jobs):
+        _write_reports(out)
     return 1 if failed else 0
 
 
@@ -277,6 +281,8 @@ def _record(line: bytes) -> dict:
         raise ValueError(f"not UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"not JSON: {e}") from None
+    except RecursionError as e:
+        raise ValueError(f"nested too deeply: {e}") from None
     if not isinstance(rec, dict):
         raise ValueError(f"a record is a JSON object, not {type(rec).__name__}")
     for key, kind in _RECORD_TYPES.items():
@@ -354,12 +360,7 @@ def _write_reports(results_dir: Path) -> list[str]:
 
 
 def cmd_report(results_dir: str) -> int:
-    try:
-        table = _write_reports(Path(results_dir))
-    except Exception as e:  # noqa: BLE001
-        print(f"report failed: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    print("\n".join(table))
+    print("\n".join(_write_reports(Path(results_dir))))
     return 0
 
 
@@ -415,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
     except BrokenPipeError:  # e.g. `rec report DIR | head -1`; devnull takes the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except Exception as e:  # noqa: BLE001 - one stderr line, not a traceback
+        print(f"{args.command} failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return code
 

@@ -10,7 +10,7 @@ of current/previous weights + smoothed l1 sparsity. With an expansion mask the
 anchored terms skip new coordinates and l1 applies only to them; an absent or
 all-False mask means no expansion, and l1 covers every coordinate.
 `consolidation` (an anchor gathered through a transform reference vector) and
-`mwc_loss` bind the penalty once per net; each step's `mwc_penalty` is one
+`mwc_loss` bind the penalty once per net: the closure `_bind` returns is one
 pass over the bound terms that allocates no parameter-length array, and
 `ewc_term`, `l21_term` and `l1_term` are the reference formulas it matches. A
 `train_task` step is one forward, the logit loss, one backward, then the
@@ -131,40 +131,13 @@ def l1_term(params: np.ndarray, mask: np.ndarray | None, lambda_1: float,
     return lambda_1 * float(np.sum(root[mask])), grad
 
 
-def mwc_penalty(params: np.ndarray, grads: np.ndarray, ewc: tuple | None, roots: list,
-                eps2: float, buf: np.ndarray, work: np.ndarray) -> float:
-    """The consolidation penalty at `params` from the terms _bind made for its
-    net: returns the value and adds the gradient into `grads` in place.
-
-    `ewc` is (anchor, lambda_ewc * F), or None when lambda_ewc is 0. Each of
-    `roots` is (a^2 or None, w) for the term sum w * sqrt(p^2 + a^2 + eps2),
-    w a scalar or a per-coordinate vector. Every temporary lives in buf and
-    work, so a call allocates no parameter-length array.
-    """
-    value = 0.0
-    if ewc is not None:
-        anchor, lam_fisher = ewc
-        diff = np.subtract(params, anchor, out=buf)
-        np.multiply(lam_fisher, diff, out=work)
-        value += 0.5 * float(work @ diff)
-        grads += work
-    for anchor_sq, weight in roots:
-        root = np.square(params, out=buf)
-        if anchor_sq is not None:
-            root += anchor_sq
-        root += eps2
-        np.sqrt(root, out=root)
-        value += float(weight @ root) if np.ndim(weight) else weight * float(np.sum(root))
-        np.multiply(weight, params, out=work)
-        work /= root
-        grads += work
-    return value
-
-
 def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
           mask: np.ndarray | None) -> Callable:
-    """penalty(params, grads) -> value for one net: mwc_penalty, with what
-    does not depend on the parameters made once.
+    """penalty(params, grads) -> value for one net, which adds the gradient
+    into grads in place. It closes over what does not depend on the params:
+    lambda_ewc * F (None when lambda_ewc is 0), the root terms (a^2 or None, w)
+    of sum w * sqrt(p^2 + a^2 + eps^2), w a scalar or a per-coordinate vector,
+    and the two scratch vectors that hold every temporary of a call.
 
     A mask with any True entry marks expanded coordinates; anchor and fisher
     are then aligned to the net's flat view (zeros there; see
@@ -184,7 +157,7 @@ def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
         if mask.shape != anchor.shape:
             raise ValueError("mask length differs from net parameter count")
     lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
-    ewc = (anchor, cfg.lambda_ewc * fisher) if cfg.lambda_ewc else None
+    lam_fisher = cfg.lambda_ewc * fisher if cfg.lambda_ewc else None
     if mask is not None and mask.any():
         roots = ([(np.square(anchor), np.where(mask, lam_1, lam_21).astype(anchor.dtype))]
                  if lam_21 or lam_1 else [])
@@ -193,7 +166,27 @@ def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
         roots += [(None, lam_1)] if lam_1 else []
     eps2 = cfg.epsilon ** 2
     buf, work = np.empty_like(anchor), np.empty_like(anchor)
-    return lambda params, grads: mwc_penalty(params, grads, ewc, roots, eps2, buf, work)
+
+    def penalty(params: np.ndarray, grads: np.ndarray) -> float:
+        value = 0.0
+        if lam_fisher is not None:
+            diff = np.subtract(params, anchor, out=buf)
+            np.multiply(lam_fisher, diff, out=work)
+            value += 0.5 * float(work @ diff)
+            grads += work
+        for anchor_sq, weight in roots:
+            root = np.square(params, out=buf)
+            if anchor_sq is not None:
+                root += anchor_sq
+            root += eps2
+            np.sqrt(root, out=root)
+            value += float(weight @ root) if np.ndim(weight) else weight * float(np.sum(root))
+            np.multiply(weight, params, out=work)
+            np.divide(work, root, out=work)  # `work /= root` would make work a local
+            grads += work
+        return value
+
+    return penalty
 
 
 def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable | None,
@@ -209,15 +202,15 @@ def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable |
 
 def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.ndarray | None,
              cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Value and flat gradient of one training step with loss_ce and
-    mwc_penalty; without an anchor, of CE alone (the first-task objective)."""
+    """Value and flat gradient of one training step with loss_ce and the
+    bound penalty; without an anchor, of CE alone (the first-task objective)."""
     penalty = None if anchor is None else _bind(anchor, fisher, cfg, mask)
     return _step(net, batch, loss_ce, penalty, None, 0)
 
 
 def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
                   ref: np.ndarray) -> Callable | None:
-    """mwc_penalty for a net whose flat view `ref` describes (the vector
+    """The bound penalty for a net whose flat view `ref` describes (the vector
     transform.apply_actions returns with it), or None without an anchor. The
     anchor and Fisher are gathered through `ref`, and ref < 0 is the mask."""
     if anchor is None:

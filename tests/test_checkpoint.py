@@ -258,14 +258,14 @@ def _load_mutated(raw: bytes, path) -> None:
     assert net.param_count() > 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzz_truncated_checkpoint(valid_checkpoint, tmp_path_factory, data):
     size = data.draw(st.integers(0, len(valid_checkpoint) - 1))
     _load_mutated(valid_checkpoint[:size], tmp_path_factory.mktemp("t") / "n.recnet")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzz_bit_flipped_checkpoint(valid_checkpoint, tmp_path_factory, data):
     bit = data.draw(st.integers(0, 8 * len(valid_checkpoint) - 1))

@@ -107,6 +107,9 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("body, message", [
         ("tasks = 2.5\n", "not an integer"),
+        ("tasks = \u0661\n", "not an integer"),  # an Arabic-Indic digit one, which int() reads
+        ("tasks = 1_000\n", "not an integer"),
+        ("lr = 0_1\n", "not a number"),
         ("hidden = 40,x\n", "not an integer"),
         ("seeds = 0,-1\n", "must be >= 0"),
         ("batch_size = 0\n", "must be >= 1"),
@@ -137,7 +140,7 @@ class TestParseConfig:
     ])
     def test_bad_values_rejected(self, tmp_path, body, message):
         p = tmp_path / "c.txt"
-        p.write_text(body)
+        p.write_text(body, encoding="utf-8")
         with pytest.raises(ConfigError, match=message):
             parse_config(p)
 
@@ -147,6 +150,7 @@ class TestParseConfig:
         ("dataset = tr_imgs , tr_labels ; te_imgs , te_labels\n",
          {"dataset": (("tr_imgs", "tr_labels"), ("te_imgs", "te_labels"))}),
         ("methods = sn,ewc,mwc\nhidden =\n", {"hidden": ()}),
+        ("tasks = +3\nlr = +0.5\n", {"tasks": 3, "lr": 0.5}),
     ]
 
     @pytest.mark.parametrize("body, typed", [pytest.param(*case, id=case[0] or "empty")
@@ -443,6 +447,8 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("line, what", [
         (b"not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply: maximum recursion depth exceeded "
+                                          "while decoding a JSON array from a unicode string"),
         (b'{"method": "sn", "param_count": 10, "seed": 0, "task": 2}', "no 'accuracies'"),
         (b'{"accuracies": [], "method": "sn", "param_count": 10, "seed": 0, "task": 2}',
          "'accuracies' must be a non-empty list of numbers"),
@@ -473,9 +479,9 @@ class TestReportCommand:
         (b'{"accuracies": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], "method": "sn", '
          b'"param_count": 10, "seed": 0, "task": 7}',
          "method 'sn', seed 0 has task 7 but no task 6"),
-    ], ids=["not-json", "no-accuracies", "no-accuracy", "text-accuracy", "text-seed",
-            "list", "not-utf8", "nan-accuracy", "infinite-accuracy", "accuracy-above-1",
-            "repeated-task", "task-0-then-task-7", "negative-param-count",
+    ], ids=["not-json", "deeply-nested", "no-accuracies", "no-accuracy", "text-accuracy",
+            "text-seed", "list", "not-utf8", "nan-accuracy", "infinite-accuracy",
+            "accuracy-above-1", "repeated-task", "task-0-then-task-7", "negative-param-count",
             "more-accuracies-than-tasks", "fewer-accuracies-than-tasks", "skipped-tasks"])
     def test_report_names_the_malformed_record_and_exits_1(self, tmp_path, capsys, line, what):
         path = tmp_path / "results_sn_s0.jsonl"
@@ -539,6 +545,23 @@ class TestCheckpointCommand:
 
     def test_load_missing_file_exits_1(self, tmp_path):
         assert main(["checkpoint", "load", str(tmp_path / "absent.recnet")]) == 1
+
+    def test_load_deeply_nested_header_exits_1(self, tmp_path, capsys):
+        header = b"[" * 100_000 + b"]" * 100_000
+        p = tmp_path / "nested.recnet"
+        p.write_bytes(b"RECNET01" + len(header).to_bytes(4, "little") + header)
+        assert main(["checkpoint", "load", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint failed: bad checkpoint header: RecursionError: ")
+        assert err.count("\n") == 1
+
+    def test_an_unexpected_error_is_one_line_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        def boom(path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "load_checkpoint", boom)
+        assert main(["checkpoint", "load", str(tmp_path / "n.recnet")]) == 1
+        assert capsys.readouterr().err == "checkpoint failed: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize("command", ["report", "checkpoint save", "checkpoint load"])

@@ -162,7 +162,7 @@ def _read_mutated(reader, raw: bytes, path) -> None:
         pass
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzz_truncated_idx(idx_files, tmp_path_factory, data):
     reader = data.draw(st.sampled_from([load_idx_images, load_idx_labels]))
@@ -171,7 +171,7 @@ def test_fuzz_truncated_idx(idx_files, tmp_path_factory, data):
     _read_mutated(reader, raw[:size], tmp_path_factory.mktemp("t") / "f.idx")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzz_bit_flipped_idx(idx_files, tmp_path_factory, data):
     reader = data.draw(st.sampled_from([load_idx_images, load_idx_labels]))
