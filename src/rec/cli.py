@@ -55,7 +55,6 @@ KEYS: dict[str, Key] = {
     "lambda_ewc": Key("40", in_range=_NONNEGATIVE),
     "lambda_21": Key("3e-5", in_range=_NONNEGATIVE),
     "lambda_1": Key("1e-5", in_range=_NONNEGATIVE),
-    "epsilon": Key("1e-8", in_range=(lambda v: 0 < v <= 1e-4, "in (0, 1e-4]")),
     "epochs": Key("8", min_int=1),
     "batch_size": Key("256", min_int=1),
     "lr": Key("0.03", in_range=_POSITIVE),
@@ -213,7 +212,7 @@ def _build_tasks(cfg: RunConfig):
 
 
 def _method_cfg(cfg: RunConfig, method: str):
-    penalty = PenaltyConfig(cfg["lambda_ewc"], cfg["lambda_21"], cfg["lambda_1"], cfg["epsilon"])
+    penalty = PenaltyConfig(cfg["lambda_ewc"], cfg["lambda_21"], cfg["lambda_1"])
     search = SearchConfig(budget=cfg["search_budget"], m_children=cfg["m_children"],
                           child_epochs=cfg["child_epochs"],
                           controller_lr=cfg["controller_lr"])

@@ -25,7 +25,8 @@ from .controller import SearchConfig, init_policy, search_child
 from .data import Dataset, RowView, split_train_val
 from .distill import CompressConfig, compress
 from .netcore import Arch, DenseNet, evaluate, init_network, loss_ce
-from .regularize import PenaltyConfig, consolidation, estimate_fisher, train_task
+from .regularize import (PenaltyConfig, TrainingDiverged, consolidation, estimate_fisher,
+                         train_task)
 from .transform import WiderAction, action_to_line, apply_actions
 
 # name -> (PenaltyConfig lambdas set to 0, expansion, compression)
@@ -192,7 +193,8 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
     tasks too, trains and is scored through the net's one output layer. Task
     inputs are views, resident a minibatch or a 512-row chunk at a time. The
     first net is in the dtype of the first task's source inputs, and every
-    later net, anchor and Fisher keeps it.
+    later net, anchor and Fisher keeps it. A TrainingDiverged from a task's
+    search, fit or distillation is raised again with the task's number.
     """
     first = tasks[0]
     initial_arch = Arch(first.train.input_dim, hidden_widths, first.num_classes)
@@ -218,27 +220,30 @@ def run_sequence(tasks: list[Task], method: MethodConfig, seed: int,
             return train_task(model, task.train, loss_ce, penalty, epochs, method.batch_size,
                               method.lr, fit_seed, method.momentum)
 
-        if t > 0 and method.searches:
-            scored = tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
-            result, baseline = search_child(net, fit, [tk.val for tk in scored],
-                                            policy, baseline, subseed(seed, "search", t),
-                                            method.search)
-            search_log.extend({"task": t + 1, **rec} for rec in result.log)
-            child, ref, actions = result.net, result.ref, result.actions
-        else:
-            actions = []  # none: apply_actions returns a copy of the carried net
-            if t > 0 and method.expansion:
-                w = net.arch.hidden_widths[0]
-                cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
-                actions = [WiderAction(0, min(2 * w, cap))]
-            child, ref = apply_actions(net, actions, subseed(seed, "expand", t))
+        try:  # a divergence names the task it ends
+            if t > 0 and method.searches:
+                scored = tasks[:t + 1] if method.reward_scope == "all-learned" else [task]
+                result, baseline = search_child(net, fit, [tk.val for tk in scored],
+                                                policy, baseline, subseed(seed, "search", t),
+                                                method.search)
+                search_log.extend({"task": t + 1, **rec} for rec in result.log)
+                child, ref, actions = result.net, result.ref, result.actions
+            else:
+                actions = []  # none: apply_actions returns a copy of the carried net
+                if t > 0 and method.expansion:
+                    w = net.arch.hidden_widths[0]
+                    cap = method.search.width_cap_factor * initial_arch.hidden_widths[0]
+                    actions = [WiderAction(0, min(2 * w, cap))]
+                child, ref = apply_actions(net, actions, subseed(seed, "expand", t))
 
-        fit(child, ref, method.epochs, subseed(seed, "train", t))
+            fit(child, ref, method.epochs, subseed(seed, "train", t))
+            distills = t > 0 and method.compression
+            net = (compress(child, net, task.train, method.compress_cfg, method.batch_size,
+                            subseed(seed, "distill", t)) if distills else child)
+        except TrainingDiverged as e:
+            raise TrainingDiverged(f"task {t + 1}: {e}") from None
         if t > 0 and method.expansion:
             extra["actions"] = [action_to_line(a) for a in actions]
-        distills = t > 0 and method.compression
-        net = (compress(child, net, task.train, method.compress_cfg, method.batch_size,
-                        subseed(seed, "distill", t)) if distills else child)
 
         row = [evaluate(net, tk.test.inputs, tk.test.labels) for tk in tasks[:t + 1]]
         if distills:  # the student is the carried net, scored once in row

@@ -2,19 +2,14 @@
 minibatch SGD loop every model in the package is trained with.
 
 A step's loss is a logit loss (CE; KD and CE in distill) plus an optional
-parameter penalty. The anchor (previous-task parameters) and its Fisher
-diagonal are vectors aligned with a net's flat view, in the net's dtype: the
-Fisher accumulates in it, and the penalty binds every vector it makes in the
-anchor's. The penalty is quadratic Fisher anchoring + smoothed l2,1 coupling
-of current/previous weights + smoothed l1 sparsity. With an expansion mask the
-anchored terms skip new coordinates and l1 applies only to them; an absent or
-all-False mask means no expansion, and l1 covers every coordinate.
-`consolidation` (an anchor gathered through a transform reference vector) and
-`mwc_loss` bind the penalty once per net: the closure `_bind` returns is one
-pass over the bound terms that allocates no parameter-length array, and
-`ewc_term`, `l21_term` and `l1_term` are the reference formulas it matches. A
-`train_task` step is one forward, the logit loss, one backward, then the
-penalty; `mwc_loss` is one such step with CE.
+parameter penalty: quadratic Fisher anchoring + l2,1 coupling of
+current/previous weights + l1 sparsity, the last two smoothed by EPSILON. The
+anchor (previous-task parameters) and its Fisher diagonal are in the net's
+dtype; the Fisher accumulates in it. `consolidation` binds the penalty once
+per net, through the net's transform reference vector; `ewc_term`, `l21_term`
+and `l1_term` are the reference formulas it matches. A `train_task` step is
+one forward, the logit loss, one backward, then the penalty; `mwc_loss` is
+one such step with CE.
 """
 
 from __future__ import annotations
@@ -31,6 +26,12 @@ from .netcore import (CHUNK_ROWS, Batch, DenseNet, _softmax, backward, forward, 
 from .transform import align_reference
 
 
+# Smooths the l2,1 and l1 square roots at 0. EPSILON**2 must not round to 0 in
+# float32, as it does below about 2.6e-23: the gradient would then be 0/0 on
+# every coordinate whose parameter and anchor are both exactly 0.
+EPSILON = 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -40,14 +41,11 @@ class PenaltyConfig:
     lambda_ewc: float = 40.0
     lambda_21: float = 3e-5
     lambda_1: float = 1e-5
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not all(math.isfinite(x) and x >= 0
                    for x in (self.lambda_ewc, self.lambda_21, self.lambda_1)):
             raise ValueError("lambdas must be finite and nonnegative")
-        if not (0 < self.epsilon <= 1e-4):
-            raise ValueError("epsilon must be in (0, 1e-4]")
 
 
 def estimate_fisher(net: DenseNet, dataset: Dataset, max_samples: int, seed: int) -> np.ndarray:
@@ -105,8 +103,8 @@ def ewc_term(params: np.ndarray, anchor: np.ndarray, fisher: np.ndarray,
     return value, lambda_ewc * fisher * diff
 
 
-def l21_term(params: np.ndarray, anchor: np.ndarray, lambda_21: float,
-             epsilon: float) -> tuple[float, np.ndarray]:
+def l21_term(params: np.ndarray, anchor: np.ndarray,
+             lambda_21: float) -> tuple[float, np.ndarray]:
     """Row-wise l2,1 coupling: sum_i sqrt(theta_i^2 + anchor_i^2), smoothed.
 
     Groups are coordinate pairs (current, previous); the anchor is frozen so
@@ -114,16 +112,16 @@ def l21_term(params: np.ndarray, anchor: np.ndarray, lambda_21: float,
     """
     if params.shape != anchor.shape:
         raise ValueError("params/anchor lengths differ")
-    root = np.sqrt(params ** 2 + anchor ** 2 + epsilon ** 2)
+    root = np.sqrt(params ** 2 + anchor ** 2 + EPSILON ** 2)
     return lambda_21 * float(np.sum(root)), lambda_21 * params / root
 
 
-def l1_term(params: np.ndarray, mask: np.ndarray | None, lambda_1: float,
-            epsilon: float) -> tuple[float, np.ndarray]:
+def l1_term(params: np.ndarray, mask: np.ndarray | None,
+            lambda_1: float) -> tuple[float, np.ndarray]:
     """Smoothed l1 over the masked coordinates (all coordinates if mask is None)."""
     if mask is not None and mask.shape != params.shape:
         raise ValueError("mask length differs from params")
-    root = np.sqrt(params ** 2 + epsilon ** 2)
+    root = np.sqrt(params ** 2 + EPSILON ** 2)
     grad = lambda_1 * params / root
     if mask is None:
         return lambda_1 * float(np.sum(root)), grad
@@ -131,40 +129,60 @@ def l1_term(params: np.ndarray, mask: np.ndarray | None, lambda_1: float,
     return lambda_1 * float(np.sum(root[mask])), grad
 
 
-def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
-          mask: np.ndarray | None) -> Callable:
-    """penalty(params, grads) -> value for one net, which adds the gradient
-    into grads in place. It closes over what does not depend on the params:
-    lambda_ewc * F (None when lambda_ewc is 0), the root terms (a^2 or None, w)
-    of sum w * sqrt(p^2 + a^2 + eps^2), w a scalar or a per-coordinate vector,
-    and the two scratch vectors that hold every temporary of a call.
+def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable | None,
+          rows: np.ndarray | None, epoch: int) -> tuple[float, np.ndarray]:
+    """One training step's loss value and flat gradient."""
+    logits, acts = forward(net, batch)
+    value, dlogits = logit_loss(logits, batch.labels, rows, epoch)
+    grads = backward(net, acts, dlogits)
+    if penalty is not None:
+        value += penalty(net.params, grads)
+    return value, grads
 
-    A mask with any True entry marks expanded coordinates; anchor and fisher
-    are then aligned to the net's flat view (zeros there; see
-    transform.align_reference), so the Fisher term vanishes on them and one
-    root sqrt(p^2 + a^2 + eps^2) serves, weighted lambda_21 on anchored and
-    lambda_1 on new coordinates. Without expansion (None or all False) the
-    l2,1 root is over (p, a) and the l1 root over p. A zero-lambda term is
-    skipped. The gradient equals ewc_term and l21_term over the unmasked
-    coordinates plus l1_term over the masked ones, added in that order, bit
+
+def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.ndarray | None,
+             cfg: PenaltyConfig, ref: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and flat gradient of one training step with loss_ce and the
+    consolidation penalty of the net `ref` describes; without an anchor, of
+    CE alone (the first-task objective)."""
+    return _step(net, batch, loss_ce, consolidation(anchor, fisher, cfg, ref), None, 0)
+
+
+def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
+                  ref: np.ndarray) -> Callable | None:
+    """The bound penalty for a net whose flat view `ref` describes (the vector
+    transform.apply_actions returns with it), or None without an anchor.
+
+    penalty(params, grads) -> value adds the gradient into grads in place. It
+    closes over what does not depend on the params: lambda_ewc * F (None when
+    lambda_ewc is 0), the root terms (a^2 or None, w) of
+    sum w * sqrt(p^2 + a^2 + EPSILON^2), w a scalar or a per-coordinate
+    vector, and the two scratch vectors that hold every temporary of a call.
+
+    The anchor a and Fisher F are gathered through `ref` (see
+    transform.align_reference), zero on the new coordinates ref < 0, so the
+    Fisher term vanishes on them. With a new coordinate, one root
+    sqrt(p^2 + a^2 + EPSILON^2) serves, weighted lambda_21 on anchored and
+    lambda_1 on new coordinates; without one, the l2,1 root is over (p, a)
+    and the l1 root over p. A zero-lambda term is skipped. The gradient equals
+    ewc_term and l21_term over the anchored coordinates plus l1_term over the
+    new ones (every coordinate without expansion), added in that order, bit
     for bit up to the sign of an exact zero; the value, up to summation order.
     Every vector made here is in the anchor's dtype (a float32 anchor binds a
     float32 penalty).
     """
-    if mask is not None:
-        if mask.dtype != bool:
-            raise ValueError(f"mask must be boolean, got dtype {mask.dtype}")
-        if mask.shape != anchor.shape:
-            raise ValueError("mask length differs from net parameter count")
+    if anchor is None:
+        return None
+    anchor, fisher, mask = align_reference(anchor, ref), align_reference(fisher, ref), ref < 0
     lam_21, lam_1 = cfg.lambda_21, cfg.lambda_1
     lam_fisher = cfg.lambda_ewc * fisher if cfg.lambda_ewc else None
-    if mask is not None and mask.any():
+    if mask.any():
         roots = ([(np.square(anchor), np.where(mask, lam_1, lam_21).astype(anchor.dtype))]
                  if lam_21 or lam_1 else [])
     else:
         roots = [(np.square(anchor), lam_21)] if lam_21 else []
         roots += [(None, lam_1)] if lam_1 else []
-    eps2 = cfg.epsilon ** 2
+    eps2 = EPSILON ** 2
     buf, work = np.empty_like(anchor), np.empty_like(anchor)
 
     def penalty(params: np.ndarray, grads: np.ndarray) -> float:
@@ -189,35 +207,6 @@ def _bind(anchor: np.ndarray, fisher: np.ndarray, cfg: PenaltyConfig,
     return penalty
 
 
-def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable | None,
-          rows: np.ndarray | None, epoch: int) -> tuple[float, np.ndarray]:
-    """One training step's loss value and flat gradient."""
-    logits, acts = forward(net, batch)
-    value, dlogits = logit_loss(logits, batch.labels, rows, epoch)
-    grads = backward(net, acts, dlogits)
-    if penalty is not None:
-        value += penalty(net.params, grads)
-    return value, grads
-
-
-def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.ndarray | None,
-             cfg: PenaltyConfig, mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Value and flat gradient of one training step with loss_ce and the
-    bound penalty; without an anchor, of CE alone (the first-task objective)."""
-    penalty = None if anchor is None else _bind(anchor, fisher, cfg, mask)
-    return _step(net, batch, loss_ce, penalty, None, 0)
-
-
-def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
-                  ref: np.ndarray) -> Callable | None:
-    """The bound penalty for a net whose flat view `ref` describes (the vector
-    transform.apply_actions returns with it), or None without an anchor. The
-    anchor and Fisher are gathered through `ref`, and ref < 0 is the mask."""
-    if anchor is None:
-        return None
-    return _bind(align_reference(anchor, ref), align_reference(fisher, ref), cfg, ref < 0)
-
-
 def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty: Callable | None,
                epochs: int, batch_size: int, lr: float, seed: int,
                momentum: float = 0.0) -> DenseNet:
@@ -227,8 +216,8 @@ def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty:
     -> (value, dlogits), where rows index the batch into train_set and epoch
     counts from 0, then one backward, then (unless None) penalty(params,
     grads) -> value, which adds its gradient into grads in place. Raises
-    TrainingDiverged on the first non-finite loss value or gradient;
-    floating-point warnings on the way there are silenced.
+    TrainingDiverged on the first non-finite loss value or gradient, naming
+    which; floating-point warnings on the way there are silenced.
     """
     rng = np.random.default_rng(seed)
     velocity = None
@@ -241,7 +230,8 @@ def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty:
                 batch = Batch(train_set.inputs[idx], train_set.labels[idx])
                 value, grads = _step(net, batch, logit_loss, penalty, idx, epoch)
                 if not np.isfinite(value) or not np.all(np.isfinite(grads)):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch offset {start}: value={value}")
+                    what = "gradient" if np.isfinite(value) else "loss"
+                    raise TrainingDiverged(f"non-finite {what} at epoch {epoch}, "
+                                           f"batch offset {start}: value={value}")
                 velocity = sgd_step(net, grads, lr, momentum, velocity)
     return net

@@ -3,10 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec import cli
 from rec.cli import ConfigError, _method_cfg, main, parse_config
@@ -117,7 +120,7 @@ class TestParseConfig:
         ("lambda_ewc = inf\n", "must be finite"),
         ("lambda_1 = -1e-5\n", "must be finite and >= 0"),
         ("momentum = 1\n", "in \\[0, 1\\)"),
-        ("epsilon = 0\n", "in \\(0, 1e-4\\]"),
+        ("epsilon = 1e-8\n", "unknown config key 'epsilon'"),  # a constant, not a key
         ("fisher_samples = 0\n", "must be >= 1"),
         ("controller_lr = abc\n", "not a number"),
         ("seeds = ,\n", "seeds is empty"),
@@ -161,6 +164,31 @@ class TestParseConfig:
         p.write_text(body)
         cfg = parse_config(p)
         assert {key: cfg[key] for key in typed} == typed
+
+
+# Values that are odd for most keys: empty, signed, non-finite, overflowing,
+# non-ASCII digits, digit separators, other bases, lists, words of other keys;
+# and two plain ones, so that some configs parse.
+ODD_VALUES = ["1", "0.5", "", "-1", "0", "+3", "nan", "-inf", "1e309", "1e-30", "2.5", "\u0661",
+              "\uff11", "1_000", "0x10", "1" + "0" * 30, ",", "1,,2", "a,b", "a,b;c,d",
+              "sn,rec", "0,0", "split", "all-learned", "=", "#"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(sorted(cli.KEYS)), st.sampled_from(ODD_VALUES),
+                       min_size=1, max_size=3))
+def test_odd_values_parse_or_raise_a_config_error(values):
+    # Every config either parses, and then builds every method's config, or
+    # raises ConfigError (exit 2): never another exception.
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "c.txt"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        try:
+            cfg = parse_config(p)
+        except ConfigError:
+            return
+    for method in METHODS:
+        _method_cfg(cfg, method)
 
 
 class TestBuildTasks:
@@ -391,7 +419,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", str(write_cfg(tmp_path, body, out))]) == 1
         assert capsys.readouterr().err == (
-            "job rec s0 diverged: every sampled child diverged during the search\n")
+            "job rec s0 diverged: task 2: every sampled child diverged during the search\n")
         assert sorted(p.name for p in out.iterdir()) == [
             "final_sn_s0.recnet", "results_sn_s0.jsonl", "series.csv", "summary.csv"]
         rows = (out / "summary.csv").read_text().splitlines()

@@ -24,7 +24,7 @@ def small_bench():
 
 
 def _cfg(method, **kw):
-    pc = kw.pop("penalty", PenaltyConfig(40.0, 3e-5, 1e-5, 1e-8))
+    pc = kw.pop("penalty", PenaltyConfig(40.0, 3e-5, 1e-5))
     base = dict(epochs=6, batch_size=128, lr=0.03, fisher_samples=300)
     base.update(kw)
     return method_config(method, pc, **base)
@@ -357,11 +357,10 @@ class TestMethodConfig:
     def test_table_row(self, method):
         assert list(METHODS) == list(EXPECTED_ROWS)
         zeroed, expansion, compression = EXPECTED_ROWS[method]
-        pc = PenaltyConfig(40.0, 0.01, 0.001, 1e-7)
+        pc = PenaltyConfig(40.0, 0.01, 0.001)
         mc = method_config(method, pc, epochs=3)
         for lam in sorted(ALL_LAMBDAS):
             assert getattr(mc.penalty, lam) == (0.0 if lam in zeroed else getattr(pc, lam))
-        assert mc.penalty.epsilon == pc.epsilon
         assert (mc.expansion, mc.compression, mc.epochs) == (expansion, compression, 3)
 
     def test_unknown_method(self):
@@ -369,7 +368,7 @@ class TestMethodConfig:
             method_config("finetune", PenaltyConfig())
 
     def test_lambda_zeroing(self):
-        pc = PenaltyConfig(40.0, 0.01, 0.001, 1e-8)
+        pc = PenaltyConfig(40.0, 0.01, 0.001)
         assert method_config("sn", pc).penalty.lambda_ewc == 0.0
         assert method_config("ewc", pc).penalty.lambda_21 == 0.0
         assert method_config("ewc", pc).penalty.lambda_ewc == 40.0
@@ -391,7 +390,7 @@ class TestRunSequence:
     def test_ewc_retains_better_than_sn(self, small_bench):
         sn = run_sequence(small_bench, _cfg("sn", epochs=10, lr=0.06), seed=0)
         ewc = run_sequence(small_bench, _cfg("ewc", epochs=10, lr=0.06,
-                                             penalty=PenaltyConfig(60.0, 0, 0, 1e-8)),
+                                             penalty=PenaltyConfig(60.0, 0, 0)),
                            seed=0)
         assert np.mean(_rows(ewc)[-1]) > np.mean(_rows(sn)[-1])
 
@@ -401,7 +400,7 @@ class TestRunSequence:
 
     def test_rec_constant_size_and_distill_records(self, small_bench):
         mc = method_config(
-            "rec", PenaltyConfig(40.0, 3e-5, 1e-5, 1e-8), epochs=6, batch_size=128,
+            "rec", PenaltyConfig(40.0, 3e-5, 1e-5), epochs=6, batch_size=128,
             lr=0.03, fisher_samples=300,
             search=SearchConfig(budget=3, m_children=3, child_epochs=2, controller_lr=0.05),
             compress_cfg=CompressConfig(epochs=16, lr=0.005))
@@ -479,10 +478,10 @@ class TestRunSequence:
             assert np.array_equal(f, finals[0])
 
     def test_lambda_zeroed_mwc_identical_to_ewc(self, small_bench):
-        pc = PenaltyConfig(40.0, 3e-5, 1e-5, 1e-8)
+        pc = PenaltyConfig(40.0, 3e-5, 1e-5)
         ewc = run_sequence(small_bench, _cfg("ewc", penalty=pc), seed=2)
         mwc0 = run_sequence(small_bench,
-                            _cfg("mwc", penalty=PenaltyConfig(40.0, 0.0, 0.0, 1e-8)),
+                            _cfg("mwc", penalty=PenaltyConfig(40.0, 0.0, 0.0)),
                             seed=2)
         assert np.array_equal(ewc.final_net.get_flat(), mwc0.final_net.get_flat())
         assert _rows(ewc) == _rows(mwc0)

@@ -10,14 +10,21 @@ from rec.distill import CompressConfig, compress, kd_loss
 from rec.lifelong import method_config
 from rec.netcore import (CHUNK_ROWS, Arch, Batch, DenseNet, Layer, backward, forward,
                          init_network, loss_ce, predict_logits)
-from rec.regularize import (PenaltyConfig, consolidation, TrainingDiverged,
+from rec.regularize import (EPSILON, PenaltyConfig, TrainingDiverged, consolidation,
                             estimate_fisher, ewc_term, l1_term, l21_term, mwc_loss,
                             train_task)
 from rec.transform import DeeperAction, WiderAction, align_reference, apply_actions
 
 from conftest import central_diff, max_rel_err, traced_memory
 
-EPS = 1e-8
+
+def ref_with_new(n, new=None):
+    """The reference vector of an n-parameter net that keeps every anchored
+    coordinate in place, with the coordinates `new` (an index or mask) new."""
+    ref = np.arange(n)
+    if new is not None:
+        ref[new] = -1
+    return ref
 
 
 def fisher_by_loop(net, dataset, max_samples, seed):
@@ -174,37 +181,37 @@ class TestEwcTerm:
 
 class TestL21Term:
     def test_hand_value(self):
-        v, _ = l21_term(np.array([3.0, 0.0]), np.array([4.0, 0.0]), 1.0, EPS)
+        v, _ = l21_term(np.array([3.0, 0.0]), np.array([4.0, 0.0]), 1.0)
         assert v == pytest.approx(5.0, abs=1e-6)  # sqrt(9+16) + ~eps
 
     def test_smoothed_origin(self):
         n = 4
-        v, g = l21_term(np.zeros(n), np.zeros(n), 2.0, EPS)
-        assert v == pytest.approx(2.0 * n * EPS)
+        v, g = l21_term(np.zeros(n), np.zeros(n), 2.0)
+        assert v == pytest.approx(2.0 * n * EPSILON)
         assert np.all(g == 0)
 
     def test_grad_vs_fd(self, rng):
         p = rng.standard_normal(8)
         anchor = rng.standard_normal(8)
-        _, g = l21_term(p, anchor, 0.3, EPS)
-        fd = central_diff(lambda x: l21_term(x, anchor, 0.3, EPS)[0], p)
+        _, g = l21_term(p, anchor, 0.3)
+        fd = central_diff(lambda x: l21_term(x, anchor, 0.3)[0], p)
         assert max_rel_err(g, fd) < 1e-6
 
 
 class TestL1Term:
     def test_hand_value_full_mask(self):
-        v, _ = l1_term(np.array([-2.0, 5.0]), None, 1.0, EPS)
+        v, _ = l1_term(np.array([-2.0, 5.0]), None, 1.0)
         assert v == pytest.approx(7.0, abs=1e-6)
 
     def test_empty_mask(self):
-        v, g = l1_term(np.array([-2.0, 5.0]), np.zeros(2, dtype=bool), 1.0, EPS)
+        v, g = l1_term(np.array([-2.0, 5.0]), np.zeros(2, dtype=bool), 1.0)
         assert v == 0 and np.all(g == 0)
 
     def test_grad_vs_fd_away_from_zero(self, rng):
         p = rng.standard_normal(6) + np.sign(rng.standard_normal(6)) * 0.5
         mask = np.array([True, False, True, True, False, True])
-        _, g = l1_term(p, mask, 0.7, EPS)
-        fd = central_diff(lambda x: l1_term(x, mask, 0.7, EPS)[0], p)
+        _, g = l1_term(p, mask, 0.7)
+        fd = central_diff(lambda x: l1_term(x, mask, 0.7)[0], p)
         assert max_rel_err(g, fd) < 1e-6
         assert np.all(g[~mask] == 0)
 
@@ -223,8 +230,8 @@ def small_problem(seed=0, n_params_net=Arch(3, (4,), 2)):
 class TestMwcLoss:
     def test_all_lambda_zero_is_ce(self):
         net, batch, anchor, fisher = small_problem()
-        cfg = PenaltyConfig(0.0, 0.0, 0.0, EPS)
-        v, g = mwc_loss(net, batch, anchor, fisher, cfg)
+        cfg = PenaltyConfig(0.0, 0.0, 0.0)
+        v, g = mwc_loss(net, batch, anchor, fisher, cfg, ref_with_new(net.param_count()))
         logits, _ = forward(net, batch)
         ce, _ = loss_ce(logits, batch.labels)
         # epsilon contributions vanish with lambda = 0
@@ -232,8 +239,8 @@ class TestMwcLoss:
 
     def test_reduces_to_ewc(self):
         net, batch, anchor, fisher = small_problem(1)
-        cfg = PenaltyConfig(2.0, 0.0, 0.0, EPS)
-        v, _ = mwc_loss(net, batch, anchor, fisher, cfg)
+        cfg = PenaltyConfig(2.0, 0.0, 0.0)
+        v, _ = mwc_loss(net, batch, anchor, fisher, cfg, ref_with_new(net.param_count()))
         logits, _ = forward(net, batch)
         ce, _ = loss_ce(logits, batch.labels)
         ev, _ = ewc_term(net.get_flat(), anchor, fisher, 2.0)
@@ -241,84 +248,79 @@ class TestMwcLoss:
 
     def test_composed_grad_vs_fd(self):
         net, batch, anchor, fisher = small_problem(2)  # 3*4+4+4*2+2 = 26 params
-        cfg = PenaltyConfig(1.5, 0.2, 0.1, EPS)
-        _, g = mwc_loss(net, batch, anchor, fisher, cfg)
+        cfg = PenaltyConfig(1.5, 0.2, 0.1)
+        ref = ref_with_new(net.param_count())
+        _, g = mwc_loss(net, batch, anchor, fisher, cfg, ref)
 
         def f(flat):
             probe = net.copy()
             probe.set_flat(flat)
-            return mwc_loss(probe, batch, anchor, fisher, cfg)[0]
+            return mwc_loss(probe, batch, anchor, fisher, cfg, ref)[0]
 
         fd = central_diff(f, net.get_flat())
         assert max_rel_err(g, fd) < 1e-4
 
     def test_masked_partition_gradients(self):
         net, batch, anchor, fisher = small_problem(3)
-        cfg = PenaltyConfig(2.0, 0.5, 0.4, EPS)
+        cfg = PenaltyConfig(2.0, 0.5, 0.4)
         mask = np.zeros(net.param_count(), dtype=bool)
         mask[::3] = True
-        anchor[mask] = 0.0
-        fisher[mask] = 0.0
-        _, g_full = mwc_loss(net, batch, anchor, fisher, cfg, mask)
-        _, g_ce = mwc_loss(net, batch, anchor, fisher, PenaltyConfig(0, 0, 0, EPS), mask)
+        ref = ref_with_new(net.param_count(), mask)
+        _, g_full = mwc_loss(net, batch, anchor, fisher, cfg, ref)
+        _, g_ce = mwc_loss(net, batch, anchor, fisher, PenaltyConfig(0, 0, 0), ref)
         penalty_grad = g_full - g_ce
         # On masked coordinates only the l1 term contributes.
-        _, g_l1 = l1_term(net.get_flat(), mask, cfg.lambda_1, EPS)
+        _, g_l1 = l1_term(net.get_flat(), mask, cfg.lambda_1)
         assert np.allclose(penalty_grad[mask], g_l1[mask], atol=1e-12)
         # On unmasked coordinates the l1 term contributes nothing.
         p, old = net.get_flat(), ~mask
         _, g_e = ewc_term(p[old], anchor[old], fisher[old], cfg.lambda_ewc)
-        _, g_21 = l21_term(p[old], anchor[old], cfg.lambda_21, EPS)
+        _, g_21 = l21_term(p[old], anchor[old], cfg.lambda_21)
         assert np.allclose(penalty_grad[old], g_e + g_21, atol=1e-12)
 
     def test_masked_grad_vs_fd(self):
         net, batch, anchor, fisher = small_problem(4)
-        cfg = PenaltyConfig(1.0, 0.3, 0.2, EPS)
+        cfg = PenaltyConfig(1.0, 0.3, 0.2)
         mask = np.zeros(net.param_count(), dtype=bool)
         mask[5:12] = True
-        anchor[mask] = 0.0
-        fisher[mask] = 0.0
-        _, g = mwc_loss(net, batch, anchor, fisher, cfg, mask)
+        ref = ref_with_new(net.param_count(), mask)
+        _, g = mwc_loss(net, batch, anchor, fisher, cfg, ref)
 
         def f(flat):
             probe = net.copy()
             probe.set_flat(flat)
-            return mwc_loss(probe, batch, anchor, fisher, cfg, mask)[0]
+            return mwc_loss(probe, batch, anchor, fisher, cfg, ref)[0]
 
         fd = central_diff(f, net.get_flat())
         assert max_rel_err(g, fd) < 1e-4
 
     def test_term_additivity(self):
         net, batch, anchor, fisher = small_problem(5)
-        with_l1 = PenaltyConfig(1.0, 0.3, 0.25, EPS)
-        without = PenaltyConfig(1.0, 0.3, 0.0, EPS)
-        v_with, _ = mwc_loss(net, batch, anchor, fisher, with_l1)
-        v_without, _ = mwc_loss(net, batch, anchor, fisher, without)
-        v_l1, _ = l1_term(net.get_flat(), None, 0.25, EPS)
+        with_l1 = PenaltyConfig(1.0, 0.3, 0.25)
+        without = PenaltyConfig(1.0, 0.3, 0.0)
+        ref = ref_with_new(net.param_count())
+        v_with, _ = mwc_loss(net, batch, anchor, fisher, with_l1, ref)
+        v_without, _ = mwc_loss(net, batch, anchor, fisher, without, ref)
+        v_l1, _ = l1_term(net.get_flat(), None, 0.25)
         assert v_with == pytest.approx(v_without + v_l1, rel=1e-12)
 
 
 def test_all_false_mask_is_no_expansion():
+    # A reference vector without a new coordinate (ref < 0 is all False) binds
+    # no expansion, in whatever order it gathers: the penalty is that of the
+    # gathered anchor and Fisher kept in place.
     rng = np.random.default_rng(4)
     net = init_network(Arch(5, (4,), 3), seed=4)
     n = net.param_count()
     anchor = rng.standard_normal(n)
     fisher = rng.random(n)
     batch = Batch(rng.standard_normal((6, 5)), rng.integers(0, 3, 6))
-    cfg = PenaltyConfig(1.5, 0.3, 0.2, EPS)
-    v_none, g_none = mwc_loss(net, batch, anchor, fisher, cfg, None)
-    v_empty, g_empty = mwc_loss(net, batch, anchor, fisher, cfg, np.zeros(n, dtype=bool))
-    assert v_none == v_empty
-    assert g_none.tobytes() == g_empty.tobytes()
-
-
-def test_integer_mask_rejected():
-    # 0/1 integers would index the vectors instead of selecting coordinates
-    net, batch, anchor, fisher = small_problem(6)
-    mask = np.zeros(net.param_count(), dtype=int)
-    mask[::4] = 1
-    with pytest.raises(ValueError, match="mask must be boolean"):
-        mwc_loss(net, batch, anchor, fisher, PenaltyConfig(1.0, 0.3, 0.2, EPS), mask)
+    cfg = PenaltyConfig(1.5, 0.3, 0.2)
+    order = rng.permutation(n)
+    v_kept, g_kept = mwc_loss(net, batch, anchor[order], fisher[order], cfg, ref_with_new(n))
+    v_gathered, g_gathered = mwc_loss(net, batch, anchor, fisher, cfg, order)
+    assert v_kept == v_gathered
+    assert g_kept.tobytes() == g_gathered.tobytes()
 
 
 @pytest.mark.parametrize("field", ["lambda_ewc", "lambda_21", "lambda_1"])
@@ -338,10 +340,10 @@ def penalty_by_terms(p, grads, anchor, fisher, cfg, mask=None):
     kept = anchor[old]
     value = 0.0
     for v, g in (ewc_term(p[old], kept, fisher[old], cfg.lambda_ewc),
-                 l21_term(p[old], kept, cfg.lambda_21, EPS)):
+                 l21_term(p[old], kept, cfg.lambda_21)):
         value += v
         grads[old] += g
-    v, g = l1_term(p, mask if expanded else None, cfg.lambda_1, EPS)
+    v, g = l1_term(p, mask if expanded else None, cfg.lambda_1)
     grads += g
     return value + v
 
@@ -372,7 +374,7 @@ def sgd_by_terms(net, ds, logit_loss, penalty, epochs, batch_size, lr, seed):
     return net
 
 
-WIRED = PenaltyConfig(2.0, 0.3, 0.2, EPS)
+WIRED = PenaltyConfig(2.0, 0.3, 0.2)
 PENALIZED = ("ewc", "ewc_l1", "ewc_l21", "mwc")
 
 
@@ -385,14 +387,13 @@ def test_mwc_loss_matches_term_functions_bitwise(method, masking):
     batch = Batch(rng.standard_normal((9, 6)), rng.integers(0, 3, 9))
     anchor = rng.standard_normal(n)
     fisher = rng.random(n)
-    mask = {"none": None, "partial": rng.random(n) < 0.3,
-            "all-false": np.zeros(n, dtype=bool)}[masking]
-    if masking == "partial":  # aligned vectors hold zeros at new coordinates
-        anchor[mask] = 0.0
-        fisher[mask] = 0.0
+    # "all-false": a reference vector that reorders and has no new coordinate
+    ref = {"none": ref_with_new(n), "partial": ref_with_new(n, rng.random(n) < 0.3),
+           "all-false": rng.permutation(n)}[masking]
     cfg = method_config(method, WIRED).penalty
-    v, g = mwc_loss(net, batch, anchor, fisher, cfg, mask)
-    v_ref, g_ref = mwc_by_terms(net, batch, anchor, fisher, cfg, mask)
+    v, g = mwc_loss(net, batch, anchor, fisher, cfg, ref)
+    aligned = align_reference(anchor, ref), align_reference(fisher, ref)
+    v_ref, g_ref = mwc_by_terms(net, batch, *aligned, cfg, ref < 0)
     assert v == pytest.approx(v_ref, rel=1e-12)
     # + 0.0 turns -0.0 into 0.0 and leaves every other value's bits alone: a
     # skipped zero-lambda term no longer adds a signed zero, which SGD ignores.
@@ -448,6 +449,28 @@ def widened_consolidation(method, dtype=np.float64):
     return consolidation(parent.get_flat(), fisher, cfg, ref), child.param_count()
 
 
+@pytest.mark.parametrize("expanded", [False, True], ids=["in-place", "expanded"])
+def test_float32_penalty_is_finite_where_params_and_anchor_are_zero(expanded):
+    # A float32 EPSILON**2 that rounded to 0 would make the l2,1 and l1
+    # gradients 0/0 wherever a parameter and its anchor are both exactly 0 (a
+    # dead unit's bias, an off-diagonal weight of an inserted identity layer).
+    # Magnitudes 3 and 4 (root 5), power-of-two lambdas and Fisher make every
+    # sum exact, so the value matches the term functions bit for bit too.
+    n = 24
+    params = np.tile(np.array([3.0, -3.0, 0.0], np.float32), n // 3)
+    anchor = np.tile(np.array([4.0, 4.0, 0.0], np.float32), n // 3)
+    fisher = np.tile(np.array([0.5, 1.0, 2.0, 4.0], np.float32), n // 4)
+    ref = ref_with_new(n, np.arange(n) % 4 == 1 if expanded else None)
+    cfg = PenaltyConfig(2.0, 0.5, 0.25)
+    grads, grads_ref = np.zeros(n, np.float32), np.zeros(n, np.float32)
+    value = consolidation(anchor, fisher, cfg, ref)(params, grads)
+    value_ref = penalty_by_terms(params, grads_ref, align_reference(anchor, ref),
+                                 align_reference(fisher, ref), cfg, ref < 0)
+    assert np.isfinite(value) and np.all(np.isfinite(grads))
+    assert value == value_ref
+    assert (grads + 0.0).tobytes() == (grads_ref + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("method, dtype", [
     *(pytest.param(m, np.float64, id=m) for m in PENALIZED),
     *(pytest.param(m, np.float32, id=f"{m}-float32") for m in PENALIZED)])
@@ -480,8 +503,8 @@ def test_penalties_nonnegative(seed, lam):
     a = rng.standard_normal(7)
     f = rng.random(7)
     assert ewc_term(p, a, f, lam)[0] >= 0
-    assert l21_term(p, a, lam, EPS)[0] >= 0
-    assert l1_term(p, None, lam, EPS)[0] >= 0
+    assert l21_term(p, a, lam)[0] >= 0
+    assert l1_term(p, None, lam)[0] >= 0
 
 
 def separable_blobs(n, seed):
@@ -504,7 +527,7 @@ class TestTrainTask:
         net = init_network(Arch(2, (6,), 2), seed=2)
         anchor = np.random.default_rng(3).standard_normal(net.param_count())
         fisher = np.ones(net.param_count())
-        cfg = PenaltyConfig(1e6, 0.0, 0.0, EPS)
+        cfg = PenaltyConfig(1e6, 0.0, 0.0)
         penalty = consolidation(anchor, fisher, cfg, np.arange(net.param_count()))
         train_task(net, train, loss_ce, penalty, epochs=3, batch_size=64, lr=1e-6, seed=4)
         assert np.max(np.abs(net.get_flat() - anchor)) < 1e-2
@@ -516,6 +539,20 @@ class TestTrainTask:
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged):
                 train_task(net, train, loss_ce, None, epochs=5, batch_size=32, lr=1e6, seed=8)
+
+    def test_non_finite_gradient_is_named(self):
+        # A finite loss with a NaN gradient: the message names the gradient.
+        train = separable_blobs(50, 3)
+        net = init_network(Arch(2, (4,), 2), seed=9)
+
+        def nan_gradient(params, grads):
+            grads[0] = np.nan
+            return 0.5
+
+        with pytest.raises(TrainingDiverged, match=r"^non-finite gradient at epoch 0, "
+                                                   r"batch offset 0: value=\d"):
+            train_task(net, train, loss_ce, nan_gradient, epochs=1, batch_size=16, lr=0.1,
+                       seed=0)
 
     def test_zero_epochs_unchanged(self):
         train = separable_blobs(50, 2)
@@ -535,9 +572,8 @@ def test_the_engine_computes_in_the_dtype_of_the_net(dtype):
     parent = random_net(Arch(12, (10, 8), 4), 21, dtype)
     child, ref = apply_actions(parent, [WiderAction(0, 16), DeeperAction(1)], seed=22)
     anchor, fisher = parent.get_flat(), estimate_fisher(parent, ds, 100, 23)
-    cfg = PenaltyConfig(40.0, 3e-5, 1e-5, EPS)
-    _, grads = mwc_loss(child, Batch(ds.inputs[:32], ds.labels[:32]),
-                        align_reference(anchor, ref), align_reference(fisher, ref), cfg, ref < 0)
+    cfg = PenaltyConfig(40.0, 3e-5, 1e-5)
+    _, grads = mwc_loss(child, Batch(ds.inputs[:32], ds.labels[:32]), anchor, fisher, cfg, ref)
     train_task(child, ds, loss_ce, consolidation(anchor, fisher, cfg, ref),
                epochs=2, batch_size=32, lr=0.05, seed=24)
     student = compress(child, parent, ds, CompressConfig(epochs=2), batch_size=32, seed=25)
