@@ -70,8 +70,9 @@ KEYS: dict[str, Key] = {
     "out_dir": Key("results"),
 }
 
-# Files `rec run` writes into out_dir; it removes earlier ones before its first
-# job, so the reports describe only the run that wrote them.
+# Files `rec run` writes into out_dir; once the tasks are built, it removes
+# earlier ones before its first job, so the reports describe only the run that
+# wrote them.
 _OWNED_PATTERNS = ("results_*.jsonl", "search_*.jsonl", "final_*.recnet",
                    "summary.csv", "series.csv")
 
@@ -244,12 +245,12 @@ def cmd_run(config_path: str) -> int:
     except (FileNotFoundError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    tasks = _build_tasks(cfg)  # a run that stops here keeps the last run's files
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for pattern in _OWNED_PATTERNS:
         for stale in out.glob(pattern):
             stale.unlink()
-    tasks = _build_tasks(cfg)
     jobs = [(m, s) for m in cfg["methods"] for s in cfg["seeds"]]
     failed = 0
     for m, s in jobs:
@@ -289,6 +290,8 @@ def _record(line: bytes) -> dict:
             raise ValueError(f"no {key!r}")
         if type(rec[key]) is not kind:
             raise ValueError(f"{key!r} must be {kind.__name__}, not {type(rec[key]).__name__}")
+    if rec["method"] not in METHODS:
+        raise ValueError(f"'method' must be one of {', '.join(METHODS)}, not {rec['method']!r}")
     if not rec["accuracies"] or any(type(a) not in (int, float) for a in rec["accuracies"]):
         raise ValueError("'accuracies' must be a non-empty list of numbers")
     if not all(0 <= a <= 1 for a in rec["accuracies"]):  # NaN fails too

@@ -1,8 +1,9 @@
 """Logit-matching knowledge distillation: compress an expanded child back into
-the carried model (l2 loss on teacher logits, then joint hard+soft). A copy
-of the carried net is the student, so the result keeps its architecture; it
-trains through regularize.train_task with a KD/CE logit loss, against the
-teacher's logits (a plain [n, K] array collected once), and no penalty."""
+the carried model by an l2 loss on the teacher's logits, with no label loss
+(the mimic objective of Ba & Caruana, arXiv 1312.6184). A copy of the carried
+net is the student, so the result keeps its architecture; it trains through
+regularize.train_task with the KD loss against the teacher's logits (a plain
+[n, K] array collected once), and no penalty."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .netcore import DenseNet, loss_ce, predict_logits
+from .netcore import DenseNet, predict_logits
 from .regularize import train_task
 
 
@@ -39,28 +40,19 @@ class CompressConfig:
     epochs: int = 20
     lr: float = 0.005
     momentum: float = 0.0
-    kd_warmup_frac: float = 0.25  # KD-only phase share of the epoch budget
 
 
 def compress(teacher: DenseNet, student: DenseNet, dataset: Dataset,
              cfg: CompressConfig, batch_size: int, seed: int) -> DenseNet:
     """Train a copy of `student` against the teacher and return it.
 
-    Phase 1 minimizes the KD loss alone; phase 2 adds the ground-truth CE term
-    with unit weighting, in minibatches of the caller's `batch_size` (the
-    task's). Training starts from the given net's parameters (a warm start
-    from the carried model), so the result has its architecture and
-    parameter count however far the teacher grew; the given net is unchanged.
+    Every epoch minimizes the KD loss alone, in minibatches of the caller's
+    `batch_size` (the task's); the labels are not read. Training starts from
+    the given net's parameters (a warm start from the carried model), so the
+    result has its architecture and parameter count however far the teacher
+    grew; the given net is unchanged.
     """
     targets = collect_soft_targets(teacher, dataset)
-    warm = int(round(cfg.kd_warmup_frac * cfg.epochs))
-
-    def kd_then_joint(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, epoch: int):
-        value, dlogits = kd_loss(logits, targets[rows])
-        if epoch >= warm:
-            ce_v, ce_d = loss_ce(logits, labels)
-            value, dlogits = ce_v + value, ce_d + dlogits
-        return value, dlogits
-
-    return train_task(student.copy(), dataset, kd_then_joint, None, cfg.epochs, batch_size,
-                      cfg.lr, seed, cfg.momentum)
+    return train_task(student.copy(), dataset,
+                      lambda logits, labels, rows: kd_loss(logits, targets[rows]), None,
+                      cfg.epochs, batch_size, cfg.lr, seed, cfg.momentum)

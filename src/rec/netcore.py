@@ -160,10 +160,10 @@ def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shifted, z, probs
 
 
-def loss_ce(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None,
-            epoch: int = 0) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits. rows and
-    epoch are unused; with them it is a regularize.train_task logit loss."""
+def loss_ce(logits: np.ndarray, labels: np.ndarray,
+            rows: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits. rows is
+    unused; with it this is a regularize.train_task logit loss."""
     n = logits.shape[0]
     shifted, z, probs = _softmax(logits)
     value = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), labels]))

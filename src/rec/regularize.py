@@ -1,7 +1,7 @@
 """Fisher-diagonal estimation, the consolidation penalty, and the one
 minibatch SGD loop every model in the package is trained with.
 
-A step's loss is a logit loss (CE; KD and CE in distill) plus an optional
+A step's loss is a logit loss (CE; KD in distill) plus an optional
 parameter penalty: quadratic Fisher anchoring + l2,1 coupling of
 current/previous weights + l1 sparsity, the last two smoothed by EPSILON. The
 anchor (previous-task parameters) and its Fisher diagonal are in the net's
@@ -130,10 +130,10 @@ def l1_term(params: np.ndarray, mask: np.ndarray | None,
 
 
 def _step(net: DenseNet, batch: Batch, logit_loss: Callable, penalty: Callable | None,
-          rows: np.ndarray | None, epoch: int) -> tuple[float, np.ndarray]:
+          rows: np.ndarray | None) -> tuple[float, np.ndarray]:
     """One training step's loss value and flat gradient."""
     logits, acts = forward(net, batch)
-    value, dlogits = logit_loss(logits, batch.labels, rows, epoch)
+    value, dlogits = logit_loss(logits, batch.labels, rows)
     grads = backward(net, acts, dlogits)
     if penalty is not None:
         value += penalty(net.params, grads)
@@ -145,7 +145,7 @@ def mwc_loss(net: DenseNet, batch: Batch, anchor: np.ndarray | None, fisher: np.
     """Value and flat gradient of one training step with loss_ce and the
     consolidation penalty of the net `ref` describes; without an anchor, of
     CE alone (the first-task objective)."""
-    return _step(net, batch, loss_ce, consolidation(anchor, fisher, cfg, ref), None, 0)
+    return _step(net, batch, loss_ce, consolidation(anchor, fisher, cfg, ref), None)
 
 
 def consolidation(anchor: np.ndarray | None, fisher: np.ndarray | None, cfg: PenaltyConfig,
@@ -212,12 +212,12 @@ def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty:
                momentum: float = 0.0) -> DenseNet:
     """Minibatch SGD with seeded shuffling; mutates and returns net.
 
-    Each step runs one forward, then logit_loss(logits, labels, rows, epoch)
-    -> (value, dlogits), where rows index the batch into train_set and epoch
-    counts from 0, then one backward, then (unless None) penalty(params,
-    grads) -> value, which adds its gradient into grads in place. Raises
-    TrainingDiverged on the first non-finite loss value or gradient, naming
-    which; floating-point warnings on the way there are silenced.
+    Each step runs one forward, then logit_loss(logits, labels, rows) ->
+    (value, dlogits), where rows index the batch into train_set, then one
+    backward, then (unless None) penalty(params, grads) -> value, which adds
+    its gradient into grads in place. Raises TrainingDiverged on the first
+    non-finite loss value or gradient, naming which; floating-point warnings
+    on the way there are silenced.
     """
     rng = np.random.default_rng(seed)
     velocity = None
@@ -228,7 +228,7 @@ def train_task(net: DenseNet, train_set: Dataset, logit_loss: Callable, penalty:
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
                 batch = Batch(train_set.inputs[idx], train_set.labels[idx])
-                value, grads = _step(net, batch, logit_loss, penalty, idx, epoch)
+                value, grads = _step(net, batch, logit_loss, penalty, idx)
                 if not np.isfinite(value) or not np.all(np.isfinite(grads)):
                     what = "gradient" if np.isfinite(value) else "loss"
                     raise TrainingDiverged(f"non-finite {what} at epoch {epoch}, "

@@ -286,7 +286,7 @@ def test_criterion_7_compression_fidelity(rec_runs):
                                     0.1 * rng.standard_normal(4))])
     ds = Dataset(rng.standard_normal((512, 6)), rng.integers(0, 4, 512))
     student = compress(teacher, init_network(arch, 1), ds,
-                       CompressConfig(epochs=120, lr=0.05, kd_warmup_frac=1.0),
+                       CompressConfig(epochs=120, lr=0.05),
                        batch_size=64, seed=1)
     diff = predict_logits(student, ds.inputs) - predict_logits(teacher, ds.inputs)
     rms = float(np.sqrt(np.mean(diff ** 2)))

@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,54 @@ def test_odd_values_parse_or_raise_a_config_error(values):
             return
     for method in METHODS:
         _method_cfg(cfg, method)
+
+
+def idx_pair_bytes() -> tuple[bytes, bytes]:
+    """A 20-image 4x4 IDX pair of two classes, as bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        images = np.random.default_rng(0).integers(0, 256, (20, 4, 4))
+        return tuple(p.read_bytes() for p in write_idx_pair(Path(tmp), images, np.arange(20) % 2))
+
+
+IDX_PAIR = idx_pair_bytes()
+
+
+@st.composite
+def bad_idx_pairs(draw):
+    """IDX_PAIR with 1-3 bytes changed, the header's most often, or one of
+    its files cut short."""
+    pair = list(IDX_PAIR)
+    if draw(st.booleans()):
+        f = draw(st.sampled_from([0, 1]))
+        pair[f] = pair[f][:draw(st.integers(0, len(pair[f]) - 1))]
+        return tuple(pair)
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(st.sampled_from([0, 1]))
+        header = 16 if f == 0 else 8
+        at = draw(st.one_of(st.integers(0, header - 1), st.integers(0, len(pair[f]) - 1)))
+        data = bytearray(pair[f])
+        data[at] = draw(st.integers(0, 255).filter(lambda b: b != data[at]))
+        pair[f] = bytes(data)
+    return tuple(pair)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bad_idx_pairs())
+def test_bad_idx_pairs_exit_0_or_1_in_one_stderr_line(pair):
+    # A changed byte may still leave a valid pair (exit 0); any other pair
+    # ends in one `run failed: ...` line (exit 1), never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "images.idx").write_bytes(pair[0])
+        (root / "labels.idx").write_bytes(pair[1])
+        cfg = write_cfg(root, f"dataset = {root}/images.idx,{root}/labels.idx\ntasks = 1\n"
+                        "methods = sn\nseeds = 0\nhidden = 4\nepochs = 1\n", root / "out")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["run", str(cfg)])
+    assert code in (0, 1)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 1) == bool(err.getvalue())
 
 
 class TestBuildTasks:
@@ -442,6 +492,20 @@ class TestRunCommand:
         rows = (out / "summary.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["sn"]
 
+    def test_a_run_that_stops_before_its_first_job_keeps_the_last_runs_files(self, tmp_path,
+                                                                             capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, SMALL_CFG, out, "a.txt"))]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        one_byte = tmp_path / "one_byte.idx"
+        one_byte.write_bytes(b"\0")
+        body = f"dataset = {one_byte},{one_byte}\nmethods = sn\nseeds = 0\n"
+        capsys.readouterr()
+        assert main(["run", str(write_cfg(tmp_path, body, out, "b.txt"))]) == 1
+        assert capsys.readouterr().err == (f"run failed: ValueError: truncated IDX image header "
+                                           f"in {one_byte}: 1 of 16 bytes\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_rerun_removes_stale_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(write_cfg(tmp_path, SMALL_CFG, out, "a.txt"))]) == 0
@@ -507,10 +571,14 @@ class TestReportCommand:
         (b'{"accuracies": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], "method": "sn", '
          b'"param_count": 10, "seed": 0, "task": 7}',
          "method 'sn', seed 0 has task 7 but no task 6"),
+        (b'{"accuracies": [0.5, 0.5], "method": "sn,1\\nx", "param_count": 10, "seed": 0, '
+         b'"task": 2}', "'method' must be one of sn, ewc, ewc_l1, ewc_l21, mwc, net2net, "
+                        "net2net_ewc, rec, not 'sn,1\\nx'"),
     ], ids=["not-json", "deeply-nested", "no-accuracies", "no-accuracy", "text-accuracy",
             "text-seed", "list", "not-utf8", "nan-accuracy", "infinite-accuracy",
             "accuracy-above-1", "repeated-task", "task-0-then-task-7", "negative-param-count",
-            "more-accuracies-than-tasks", "fewer-accuracies-than-tasks", "skipped-tasks"])
+            "more-accuracies-than-tasks", "fewer-accuracies-than-tasks", "skipped-tasks",
+            "unknown-method"])
     def test_report_names_the_malformed_record_and_exits_1(self, tmp_path, capsys, line, what):
         path = tmp_path / "results_sn_s0.jsonl"
         path.write_bytes(self.GOOD_RECORD + b"\n" + line + b"\n")

@@ -4,7 +4,7 @@ import pytest
 from rec.data import Dataset
 from rec.distill import CompressConfig, collect_soft_targets, compress, kd_loss
 from rec.netcore import Arch, DenseNet, Layer, forward, init_network, predict_logits
-from rec.regularize import TrainingDiverged
+from rec.regularize import TrainingDiverged, train_task
 
 from conftest import central_diff, max_rel_err
 
@@ -68,12 +68,26 @@ class TestCompress:
     def test_realizable_linear_teacher(self, rng):
         teacher = linear_teacher(0)
         ds = Dataset(rng.standard_normal((1000, 6)), rng.integers(0, 3, 1000))
-        cfg = CompressConfig(epochs=150, lr=0.05, momentum=0.9, kd_warmup_frac=1.0)
+        cfg = CompressConfig(epochs=150, lr=0.05, momentum=0.9)
         student = compress(teacher, init_network(Arch(6, (64,), 3), 1), ds, cfg,
                            batch_size=64, seed=1)
         err = predict_logits(student, ds.inputs) - predict_logits(teacher, ds.inputs)
         rms = float(np.sqrt(np.mean(err ** 2)))
         assert rms < 1e-2
+
+    def test_is_train_task_on_the_kd_loss_alone(self, rng):
+        # Every epoch fits the teacher's logits; no label loss joins later.
+        teacher = init_network(Arch(5, (9, 7), 3), seed=8)
+        given = init_network(Arch(5, (6,), 3), seed=9)
+        ds = Dataset(rng.standard_normal((70, 5)), rng.integers(0, 3, 70))
+        cfg = CompressConfig(epochs=4, lr=0.05, momentum=0.5)
+        student = compress(teacher, given, ds, cfg, batch_size=16, seed=2)
+        targets = collect_soft_targets(teacher, ds)
+        expect = train_task(given.copy(), ds,
+                            lambda logits, labels, rows: kd_loss(logits, targets[rows]), None,
+                            cfg.epochs, 16, cfg.lr, 2, cfg.momentum)
+        assert not np.array_equal(student.params, given.params)
+        assert student.params.tobytes() == expect.params.tobytes()
 
     def test_param_count_non_expansive(self, rng):
         teacher = init_network(Arch(5, (20, 16, 12), 2), seed=3)

@@ -361,13 +361,13 @@ def sgd_by_terms(net, ds, logit_loss, penalty, epochs, batch_size, lr, seed):
     minibatches, then per step one forward, the logit loss, one backward, the
     penalty and a plain SGD step."""
     rng = np.random.default_rng(seed)
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(len(ds))
         for start in range(0, len(ds), batch_size):
             rows = order[start:start + batch_size]
             batch = Batch(ds.inputs[rows], ds.labels[rows])
             logits, cache = forward(net, batch)
-            _, dlogits = logit_loss(logits, batch.labels, rows, epoch)
+            _, dlogits = logit_loss(logits, batch.labels, rows)
             grads = backward(net, cache, dlogits)
             penalty(net.params, grads)
             net.params -= lr * grads
@@ -435,7 +435,7 @@ def test_train_task_takes_a_kd_loss_with_the_consolidation_penalty(method):
     # penalty in one train_task call, as a student with an EWC term would train.
     targets = np.random.default_rng(4).standard_normal((150, 3))
     check_expanded_child_against_loop(
-        method, lambda logits, labels, rows, epoch: kd_loss(logits, targets[rows]))
+        method, lambda logits, labels, rows: kd_loss(logits, targets[rows]))
 
 
 def widened_consolidation(method, dtype=np.float64):

@@ -10,7 +10,8 @@ the same paths. Both sides inherit this process's environment: set
 OPENBLAS_NUM_THREADS before running to compare at one BLAS thread count.
 The exit code, stdout, stderr and the bytes of every file the run wrote are
 compared. One line per config is printed; the exit code is 0 only if every
-config is identical.
+config is identical. A differing summary.csv or series.csv is followed by the
+jobs whose rows moved, e.g. `out/summary.csv [rec s0, rec s2]`.
 
 Without CONFIG, the configs under tools/identity/ are used. A config must not
 set `out_dir`, and relative `dataset` paths would resolve in the temporary
@@ -27,6 +28,7 @@ from pathlib import Path
 
 USAGE = "usage: python tools/same_outputs.py OLD_SRC NEW_SRC [CONFIG ...]"
 DEFAULT_CONFIGS = sorted((Path(__file__).parent / "identity").glob("*.txt"))
+REPORTS = ("summary.csv", "series.csv")  # their rows start with method,seed
 
 
 def run_side(src: Path, config_text: str) -> tuple[dict[str, bytes], dict[str, bytes]]:
@@ -47,6 +49,15 @@ def run_side(src: Path, config_text: str) -> tuple[dict[str, bytes], dict[str, b
     return streams, files
 
 
+def moved_jobs(old: bytes, new: bytes) -> str:
+    """` [method sSEED, ...]`, the jobs of the rows that one report holds and
+    the other does not, in report order; empty if none."""
+    old_rows, new_rows = (set(report.decode().splitlines()[1:]) for report in (old, new))
+    jobs = {tuple(row.split(",")[:2]) for row in old_rows ^ new_rows}
+    order = sorted(jobs, key=lambda job: (job[0], int(job[1])))
+    return f" [{', '.join(f'{m} s{seed}' for m, seed in order)}]" if order else ""
+
+
 def compare(old_src: Path, new_src: Path, config: Path) -> tuple[list[str], str]:
     """What differs between the two trees' runs of `config` (empty if nothing),
     and a summary of the old side's run."""
@@ -62,7 +73,8 @@ def compare(old_src: Path, new_src: Path, config: Path) -> tuple[list[str], str]
         elif path not in old_files:
             diffs.append(f"{path} (only new)")
         elif old_files[path] != new_files[path]:
-            diffs.append(path)
+            moved = Path(path).name in REPORTS
+            diffs.append(path + (moved_jobs(old_files[path], new_files[path]) if moved else ""))
     return diffs, f"exit {old_streams['exit code'].decode()}, {len(old_files)} files"
 
 
